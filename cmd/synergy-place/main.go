@@ -85,44 +85,7 @@ func main() {
 		}
 	}
 
-	eng := sweep.Shared()
-	results := make([]result, len(benches))
-	err = eng.ForEach(len(benches), func(i int) error {
-		bm := benches[i]
-		g, err := placement.BuildGroundTruth(eng, fleet, bm.Kernel, bm.CharItems)
-		if err != nil {
-			return err
-		}
-		p, err := g.Select(target)
-		if err != nil {
-			return fmt.Errorf("%s: %w", bm.Name, err)
-		}
-		r := result{Benchmark: bm.Name, Placement: p}
-		if preds != nil {
-			v, err := features.Extract(bm.Kernel)
-			if err != nil {
-				return err
-			}
-			pg, err := placement.BuildPredicted(fleet, preds, v)
-			if err != nil {
-				return err
-			}
-			pp, err := pg.Select(target)
-			if err != nil {
-				return fmt.Errorf("%s (predicted): %w", bm.Name, err)
-			}
-			r.Predicted = &pp
-		}
-		if *crossval {
-			checks, err := placement.CrossValidate(eng, fleet, bm.Kernel, bm.CharItems)
-			if err != nil {
-				return err
-			}
-			r.CrossVal = checks
-		}
-		results[i] = r
-		return nil
-	})
+	results, err := place(fleet, benches, target, preds, *crossval)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -150,6 +113,54 @@ func main() {
 			log.Fatalf("crossval: %d roofline disagreements", bad)
 		}
 	}
+}
+
+// place selects the ground-truth placement of every benchmark — the
+// sweeps fan out over the shared engine's pool — and, with predictors,
+// the predicted one. Predictor sessions are not safe for concurrent
+// use, so the predicted grids are built serially afterwards.
+func place(fleet *hw.Fleet, benches []*benchsuite.Benchmark, target metrics.Target, preds []*model.Predictor, crossval bool) ([]result, error) {
+	eng := sweep.Shared()
+	results := make([]result, len(benches))
+	err := eng.ForEach(len(benches), func(i int) error {
+		bm := benches[i]
+		g, err := placement.BuildGroundTruth(eng, fleet, bm.Kernel, bm.CharItems)
+		if err != nil {
+			return err
+		}
+		p, err := g.Select(target)
+		if err != nil {
+			return fmt.Errorf("%s: %w", bm.Name, err)
+		}
+		results[i] = result{Benchmark: bm.Name, Placement: p}
+		if crossval {
+			checks, err := placement.CrossValidate(eng, fleet, bm.Kernel, bm.CharItems)
+			if err != nil {
+				return err
+			}
+			results[i].CrossVal = checks
+		}
+		return nil
+	})
+	if err != nil || preds == nil {
+		return results, err
+	}
+	for i, bm := range benches {
+		v, err := features.Extract(bm.Kernel)
+		if err != nil {
+			return nil, err
+		}
+		pg, err := placement.BuildPredicted(fleet, preds, v)
+		if err != nil {
+			return nil, err
+		}
+		pp, err := pg.Select(target)
+		if err != nil {
+			return nil, fmt.Errorf("%s (predicted): %w", bm.Name, err)
+		}
+		results[i].Predicted = &pp
+	}
+	return results, nil
 }
 
 // trainPredictors fits one model bundle per fleet device on the

@@ -1,109 +1,33 @@
 package features
 
 import (
-	"container/list"
 	"fmt"
-	"sync"
-	"sync/atomic"
+
+	"synergy/internal/memo"
 )
 
-// DefaultCacheCap bounds the extraction memo, mirroring the sweep
-// engine's and the compiled-program cache's LRU-cap pattern: real
-// kernel populations are far below this; the cap exists so adversarial
-// churn (fuzzers, per-call instrumented clones) cannot grow the cache
-// without bound.
-const DefaultCacheCap = 4096
+// cache is the extraction memo, keyed by the original kernel's
+// fingerprint.
+var cache = memo.New[string, Vector](memo.Cap)
 
-// vecEntry is one memoized vector with its position in the LRU list.
-type vecEntry struct {
-	fp   string
-	vec  Vector
-	elem *list.Element
-}
-
-var (
-	cacheMu      sync.Mutex
-	cacheEntries = map[string]*vecEntry{}
-	cacheOrder   = list.New() // front = most recently used; values are *vecEntry
-	cacheCap     = DefaultCacheCap
-	cacheHook    func(fingerprint string)
-
-	extractions atomic.Int64
-	cacheHits   atomic.Int64
-)
-
-// cacheGet returns the memoized vector for a fingerprint.
-func cacheGet(fp string) (Vector, bool) {
-	cacheMu.Lock()
-	e, ok := cacheEntries[fp]
-	if !ok {
-		cacheMu.Unlock()
-		return Vector{}, false
-	}
-	cacheOrder.MoveToFront(e.elem)
-	v := e.vec
-	cacheMu.Unlock()
-	cacheHits.Add(1)
-	return v, true
-}
-
-// cachePut memoizes a successful extraction. If another goroutine
-// raced the same fingerprint in, the existing entry wins and neither
-// the hook nor the extraction counter fires again — the hook observes
-// at most one extraction per live fingerprint.
-func cachePut(fp string, v Vector) {
-	cacheMu.Lock()
-	if _, ok := cacheEntries[fp]; ok {
-		cacheMu.Unlock()
-		return
-	}
-	e := &vecEntry{fp: fp, vec: v}
-	e.elem = cacheOrder.PushFront(e)
-	cacheEntries[fp] = e
-	for cacheCap > 0 && len(cacheEntries) > cacheCap {
-		back := cacheOrder.Back()
-		victim := back.Value.(*vecEntry)
-		cacheOrder.Remove(back)
-		delete(cacheEntries, victim.fp)
-	}
-	hook := cacheHook
-	cacheMu.Unlock()
-	extractions.Add(1)
-	if hook != nil {
-		hook(fp)
-	}
-}
-
-// SetHook registers fn to be called once per completed (and memoized)
-// extraction with the kernel fingerprint, mirroring sweep.Engine's
-// hook: tests use it to assert exactly-once extraction. nil removes it.
-func SetHook(fn func(fingerprint string)) {
-	cacheMu.Lock()
-	cacheHook = fn
-	cacheMu.Unlock()
-}
+// SetHook registers fn to be called once per memoized extraction with
+// the kernel fingerprint: tests use it to assert exactly-once
+// extraction. nil removes it.
+func SetHook(fn func(fingerprint string)) { cache.SetHook(fn) }
 
 // Extractions returns how many feature vectors have actually been
 // computed (cache misses). Requests served from the memo do not count.
-func Extractions() int64 { return extractions.Load() }
+func Extractions() int64 { return cache.Computes() }
 
-// CacheHits returns how many Extract calls were served from the memo.
-func CacheHits() int64 { return cacheHits.Load() }
+// CacheHits returns how many Extract calls were served from the memo,
+// including joins on an in-flight extraction.
+func CacheHits() int64 { return cache.Hits() }
 
 // CacheSize returns the number of memoized vectors.
-func CacheSize() int {
-	cacheMu.Lock()
-	defer cacheMu.Unlock()
-	return len(cacheEntries)
-}
+func CacheSize() int { return cache.Len() }
 
 // ResetCache drops every memoized vector (test isolation).
-func ResetCache() {
-	cacheMu.Lock()
-	cacheEntries = map[string]*vecEntry{}
-	cacheOrder = list.New()
-	cacheMu.Unlock()
-}
+func ResetCache() { cache.Reset() }
 
 // FromMap builds a Vector from canonical Table-1 feature names
 // (features.Names); it rejects unknown names and negative counts. This

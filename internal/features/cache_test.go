@@ -92,37 +92,3 @@ func TestFromMapRoundTrip(t *testing.T) {
 		t.Error("negative count accepted")
 	}
 }
-
-// The LRU bound must hold under churn of unique fingerprints.
-func TestExtractCacheBounded(t *testing.T) {
-	ResetCache()
-	// Temporarily shrink the cap.
-	cacheMu.Lock()
-	oldCap := cacheCap
-	cacheCap = 8
-	cacheMu.Unlock()
-	defer func() {
-		cacheMu.Lock()
-		cacheCap = oldCap
-		cacheMu.Unlock()
-		ResetCache()
-	}()
-	for i := 0; i < 40; i++ {
-		b := kernelir.NewBuilder("churn")
-		out := b.BufferF32("out", kernelir.Write)
-		gid := b.GlobalID()
-		acc := b.ConstF(0)
-		one := b.ConstF(1)
-		b.Repeat(i+1, func() {
-			s := b.AddF(acc, one)
-			b.MoveF(acc, s)
-		})
-		b.StoreF(out, gid, acc)
-		if _, err := Extract(b.MustBuild()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := CacheSize(); n > 8 {
-		t.Fatalf("cache grew to %d entries, cap is 8", n)
-	}
-}

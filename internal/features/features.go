@@ -137,7 +137,8 @@ func classify(op kernelir.Op) (field int, counted bool) {
 // (the same identity the sweep engine keys on), so on the repeat path —
 // the serve daemon's hot path — Extract is a map lookup that skips the
 // optimizer, Validate and BuildLoopTree entirely and performs no
-// allocations. Failed extractions are not memoized.
+// allocations. Concurrent misses share one extraction (see
+// internal/memo); failed extractions are not memoized.
 func Extract(k *kernelir.Kernel) (Vector, error) {
 	return ExtractContext(context.Background(), k)
 }
@@ -148,19 +149,12 @@ func Extract(k *kernelir.Kernel) (Vector, error) {
 // cost a map lookup, and returning memoized data is never wasted work.
 // Failed and abandoned extractions are not memoized.
 func ExtractContext(ctx context.Context, k *kernelir.Kernel) (Vector, error) {
-	fp := kernelir.Fingerprint(k)
-	if v, ok := cacheGet(fp); ok {
-		return v, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return Vector{}, err
-	}
-	v, err := extract(opt.Cached(k))
-	if err != nil {
-		return Vector{}, err
-	}
-	cachePut(fp, v)
-	return v, nil
+	return cache.Get(ctx, kernelir.Fingerprint(k), func() (Vector, error) {
+		if err := ctx.Err(); err != nil {
+			return Vector{}, err
+		}
+		return extract(opt.Cached(k))
+	})
 }
 
 // extract is the uncached static pass.

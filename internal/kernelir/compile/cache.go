@@ -1,98 +1,34 @@
 package compile
 
 import (
-	"container/list"
-	"sync"
+	"context"
 	"sync/atomic"
 
 	"synergy/internal/kernelir"
 	"synergy/internal/kernelir/opt"
+	"synergy/internal/memo"
 )
 
-// DefaultCacheCap bounds the default program cache, mirroring the sweep
-// engine's LRU-cap pattern. Programs are small (a slice of closures per
-// kernel) and real kernel populations are far below this; the cap exists
-// so adversarial churn — fuzzers, ExecuteChecked's per-call instrumented
-// clones — cannot grow the cache without bound.
-const DefaultCacheCap = 4096
-
-// Option configures a Cache.
-type Option func(*Cache)
-
-// WithCacheCap sets the maximum number of cached programs (minimum 1).
-func WithCacheCap(n int) Option {
-	return func(c *Cache) { c.cap = n }
-}
-
-// WithHook installs a function called once per successful compilation
-// with the kernel fingerprint, after the program is built and before
-// waiters are released. Tests use it to assert exactly-once compilation
-// per fingerprint.
-func WithHook(fn func(fingerprint string)) Option {
-	return func(c *Cache) { c.SetHook(fn) }
-}
-
-// entry is one cache slot. done closes when the compile attempt
-// finishes; prog/err are immutable afterwards.
-type entry struct {
-	fp   string
-	done chan struct{}
-	prog *Program
-	err  error
-	elem *list.Element
-}
-
-// hookBox wraps the hook so atomic.Value accepts a nil function.
-type hookBox struct{ fn func(string) }
-
-// Cache memoizes compiled programs by kernel fingerprint (the same
-// SHA-256 content identity the sweep engine keys its memo on). Lookups
-// are singleflight: concurrent requests for one fingerprint share a
-// single compilation, and failed compilations are not memoized. The
-// cache is LRU-bounded and safe for concurrent use; it implements
-// kernelir.Runner, so an instance can be installed as the process
-// executor (the package init installs Default()).
+// Cache memoizes compiled programs by kernel fingerprint on an
+// internal/memo cache: lookups are singleflight (concurrent requests for
+// one fingerprint share a single compilation), failed compilations are
+// not memoized, and the cache is LRU-bounded and safe for concurrent
+// use. It implements kernelir.Runner, so an instance can be installed as
+// the process executor (the package init installs Default()).
 type Cache struct {
-	cap  int
-	hook atomic.Value // hookBox
-
-	mu      sync.Mutex
-	entries map[string]*entry
-	order   *list.List // *entry; front is most recently used
-
-	compiles  atomic.Int64
-	hits      atomic.Int64
-	evictions atomic.Int64
-	runs      atomic.Int64
+	progs *memo.Cache[string, *Program]
+	runs  atomic.Int64
 }
 
-// NewCache builds a program cache.
-func NewCache(opts ...Option) *Cache {
-	c := &Cache{
-		cap:     DefaultCacheCap,
-		entries: make(map[string]*entry),
-		order:   list.New(),
-	}
-	for _, o := range opts {
-		o(c)
-	}
-	if c.cap < 1 {
-		c.cap = 1
-	}
-	return c
+// NewCache builds an empty program cache.
+func NewCache() *Cache {
+	return &Cache{progs: memo.New[string, *Program](memo.Cap)}
 }
 
-// SetHook replaces the compilation hook (nil disables it).
-func (c *Cache) SetHook(fn func(fingerprint string)) {
-	c.hook.Store(hookBox{fn})
-}
-
-func (c *Cache) hookFn() func(string) {
-	if b, ok := c.hook.Load().(hookBox); ok {
-		return b.fn
-	}
-	return nil
-}
+// SetHook installs a function called once per successful compilation
+// with the kernel fingerprint, before waiters are released (nil disables
+// it). Tests use it to assert exactly-once compilation per fingerprint.
+func (c *Cache) SetHook(fn func(fingerprint string)) { c.progs.SetHook(fn) }
 
 // Get returns the compiled program for the kernel, compiling it at most
 // once per fingerprint. Concurrent callers for the same kernel block on
@@ -106,46 +42,9 @@ func (c *Cache) hookFn() func(string) {
 // optimizer fails safe and returns the kernel itself, so the key falls
 // back to the raw fingerprint and Compile reports the Validate error.)
 func (c *Cache) Get(k *kernelir.Kernel) (*Program, error) {
-	fp := kernelir.Fingerprint(opt.Cached(k))
-	c.mu.Lock()
-	if e, ok := c.entries[fp]; ok {
-		c.order.MoveToFront(e.elem)
-		c.mu.Unlock()
-		c.hits.Add(1)
-		<-e.done
-		return e.prog, e.err
-	}
-	e := &entry{fp: fp, done: make(chan struct{})}
-	e.elem = c.order.PushFront(e)
-	c.entries[fp] = e
-	for c.order.Len() > c.cap {
-		back := c.order.Back()
-		old := back.Value.(*entry)
-		c.order.Remove(back)
-		delete(c.entries, old.fp)
-		c.evictions.Add(1)
-	}
-	c.mu.Unlock()
-
-	prog, err := Compile(k)
-	e.prog, e.err = prog, err
-	if err == nil {
-		c.compiles.Add(1)
-		if h := c.hookFn(); h != nil {
-			h(fp)
-		}
-	} else {
-		// Drop the failed entry — guarded by identity, since an eviction
-		// plus re-insert may have replaced the slot while we compiled.
-		c.mu.Lock()
-		if cur, ok := c.entries[fp]; ok && cur == e {
-			c.order.Remove(e.elem)
-			delete(c.entries, fp)
-		}
-		c.mu.Unlock()
-	}
-	close(e.done)
-	return prog, err
+	return c.progs.Get(context.Background(), kernelir.Fingerprint(opt.Cached(k)), func() (*Program, error) {
+		return Compile(k)
+	})
 }
 
 // RunGrid implements kernelir.Runner: compile (or fetch) and execute.
@@ -159,25 +58,21 @@ func (c *Cache) RunGrid(k *kernelir.Kernel, env *kernelir.Bound, items, nx int) 
 }
 
 // Compiles returns the number of successful compilations.
-func (c *Cache) Compiles() int64 { return c.compiles.Load() }
+func (c *Cache) Compiles() int64 { return c.progs.Computes() }
 
 // Hits returns the number of lookups that found an entry (including
 // joins on an in-flight compilation).
-func (c *Cache) Hits() int64 { return c.hits.Load() }
+func (c *Cache) Hits() int64 { return c.progs.Hits() }
 
 // Evictions returns the number of LRU evictions.
-func (c *Cache) Evictions() int64 { return c.evictions.Load() }
+func (c *Cache) Evictions() int64 { return c.progs.Evictions() }
 
 // Runs returns the number of executions dispatched through the cache's
 // Runner entry point.
 func (c *Cache) Runs() int64 { return c.runs.Load() }
 
 // Len returns the current number of cached entries.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
+func (c *Cache) Len() int { return c.progs.Len() }
 
 var defaultCache = NewCache()
 

@@ -1,10 +1,11 @@
 // Package compile lowers validated kernelir kernels into closure-threaded
-// executable programs: a one-time compilation that reuses BuildLoopTree
-// for loop normalization, hoists loop-invariant register computations in
-// front of their Repeat blocks, precomputes trip counts, folds register
-// moves into their producers and specializes every instruction into a
-// step closure — so the per-item hot loop is a flat walk over indirect
-// calls with no opcode dispatch, no trip-count map and no per-iteration
+// executable programs: a one-time compilation that lowers the kernel's
+// optimizer normal form (opt.CachedResult — loop-invariant code motion
+// included, so the lowering itself moves nothing), reuses BuildLoopTree
+// for loop normalization, precomputes trip counts, folds register moves
+// into their producers and specializes every instruction into a step
+// closure — so the per-item hot loop is a flat walk over indirect calls
+// with no opcode dispatch, no trip-count map and no per-iteration
 // allocation.
 //
 // The contract with the interpreter is bit-exactness: for any kernel
@@ -35,8 +36,8 @@ import (
 // The kernel is first brought into optimizer normal form (opt.Cached:
 // constant folding, CSE, copy propagation, IR-level LICM, dead-code
 // elimination — each application translation-validated), then lowered.
-// Stats.Hoisted counts IR-level LICM moves plus the lowering's own
-// hoistBody motion; Stats.Instrs reports the optimized body size.
+// Stats.Hoisted counts the optimizer's LICM moves; Stats.Instrs reports
+// the optimized body size.
 func Compile(k *kernelir.Kernel) (*Program, error) {
 	if err := k.Validate(); err != nil {
 		return nil, err
@@ -46,13 +47,12 @@ func Compile(k *kernelir.Kernel) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	body, hoisted := hoistBody(ko.Body)
-	tree, err := kernelir.BuildLoopTree(body)
+	tree, err := kernelir.BuildLoopTree(ko.Body)
 	if err != nil {
 		return nil, err
 	}
-	lw := &lowering{tree: tree, body: body}
-	steps := lw.seq(0, len(body))
+	lw := &lowering{tree: tree, body: ko.Body}
+	steps := lw.seq(0, len(ko.Body))
 	return &Program{
 		k:      k,
 		steps:  steps,
@@ -60,7 +60,7 @@ func Compile(k *kernelir.Kernel) (*Program, error) {
 		numF:   k.NumFloatRegs,
 		localN: k.LocalF32,
 		vec:    vec,
-		stats:  Stats{Instrs: len(ko.Body), Steps: lw.steps, Hoisted: res.Hoisted + hoisted, Fused: lw.fused},
+		stats:  Stats{Instrs: len(ko.Body), Steps: lw.steps, Hoisted: res.Hoisted, Fused: lw.fused},
 	}, nil
 }
 

@@ -1,6 +1,7 @@
 package compile_test
 
 import (
+	"math"
 	"testing"
 
 	"synergy/internal/kernelir"
@@ -102,7 +103,7 @@ func FuzzCompiledVsInterp(f *testing.F) {
 				t.Fatalf("nx=%d: interpreter err %v, compiled err %v\n%s", nx, errI, errC, k.Disassemble())
 			}
 			for bi := range ai.F32["f"] {
-				if ai.F32["f"][bi] != ac.F32["f"][bi] {
+				if math.Float32bits(ai.F32["f"][bi]) != math.Float32bits(ac.F32["f"][bi]) {
 					t.Fatalf("nx=%d: f[%d]: interpreted %v != compiled %v\n%s",
 						nx, bi, ai.F32["f"][bi], ac.F32["f"][bi], k.Disassemble())
 				}

@@ -66,7 +66,7 @@ func TestCacheSingleflight(t *testing.T) {
 // was compiled from.
 func TestCacheLRUBounded(t *testing.T) {
 	const cap = 2
-	c := compile.NewCache(compile.WithCacheCap(cap))
+	c := compile.NewCacheCap(cap)
 	kernels := make([]*kernelir.Kernel, 4)
 	for i := range kernels {
 		kernels[i] = namedKernel(fmt.Sprintf("lru_%d", i), int64(i+1))

@@ -2,6 +2,7 @@ package kernelir
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -24,7 +25,10 @@ func (k *Kernel) Disassemble() string {
 	}
 	b.WriteString(")")
 	if k.TrafficFactor > 0 && k.TrafficFactor != 1 {
-		fmt.Fprintf(&b, " traffic=%.2f", k.TrafficFactor)
+		// Shortest exact form: Assemble must recover the factor bit for
+		// bit, or a kernel and its text round trip would share a
+		// fingerprint but not a ground truth.
+		b.WriteString(" traffic=" + strconv.FormatFloat(k.TrafficFactor, 'g', -1, 64))
 	}
 	b.WriteString(" {\n")
 	if k.LocalF32 > 0 {

@@ -29,7 +29,7 @@ func TestDisassembleContainsStructure(t *testing.T) {
 		"read f32[in]",
 		"write f32[out]",
 		"i32 n",
-		"traffic=0.50",
+		"traffic=0.5 {",
 		"local f32[8]",
 		"repeat 4 {",
 		"ld.g.f in[",

@@ -1,45 +1,28 @@
 package kernelir
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"sync"
+
+	"synergy/internal/memo"
 )
 
-// fpMemoCap bounds the fingerprint memo. Long-lived callers (the sweep
-// engine, the compiled-program cache) fingerprint a stable population of
-// kernels and always hit the memo; transient kernels — e.g. the fresh
-// instrumented clones ExecuteChecked builds per call, or fuzzer-generated
-// bodies — must not grow it without bound, so past the cap fingerprints
-// are computed without being remembered.
-const fpMemoCap = 4096
-
-var (
-	fpMu   sync.Mutex
-	fpMemo = make(map[*Kernel]string)
-)
+// fingerprints memoizes Fingerprint by kernel pointer (kernels are
+// immutable once built). Long-lived callers fingerprint a stable
+// population and always hit; transient kernels — ExecuteChecked's
+// per-call instrumented clones, fuzzer bodies — age out of the LRU.
+var fingerprints = memo.New[*Kernel, string](memo.Cap)
 
 // Fingerprint returns a stable identity for the kernel: the hex form of
 // the first 16 bytes of the SHA-256 of its disassembly. Textual identity
 // is exactly what both the sweep engine's memo and the compiled-program
 // cache want — two kernels that disassemble identically have identical
 // features, identical ground truth and identical compiled code.
-//
-// Results are memoized by pointer (kernels are immutable once built);
-// the memo is bounded by fpMemoCap.
 func Fingerprint(k *Kernel) string {
-	fpMu.Lock()
-	fp, ok := fpMemo[k]
-	fpMu.Unlock()
-	if ok {
-		return fp
-	}
-	sum := sha256.Sum256([]byte(k.Disassemble()))
-	fp = hex.EncodeToString(sum[:16])
-	fpMu.Lock()
-	if len(fpMemo) < fpMemoCap {
-		fpMemo[k] = fp
-	}
-	fpMu.Unlock()
+	fp, _ := fingerprints.Get(context.Background(), k, func() (string, error) {
+		sum := sha256.Sum256([]byte(k.Disassemble()))
+		return hex.EncodeToString(sum[:16]), nil
+	})
 	return fp
 }

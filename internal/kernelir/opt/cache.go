@@ -1,34 +1,24 @@
 package opt
 
 import (
-	"container/list"
-	"sync"
+	"context"
 
 	"synergy/internal/kernelir"
+	"synergy/internal/memo"
 )
 
-// Fingerprint-keyed memo for Optimize, mirroring the features package's
-// extraction cache: the same kernel arrives on every hot path (compile,
-// feature extraction, sweep, serve), and the pipeline is deterministic,
-// so one run per structural fingerprint suffices. Because Optimize is
-// idempotent, a hit for an already-optimized kernel returns the kernel
-// itself.
+// Fingerprint-keyed memo for Optimize: the same kernel arrives on every
+// hot path (compile, feature extraction, sweep, serve), and the pipeline
+// is deterministic, so one run per structural fingerprint suffices.
+// Because Optimize is idempotent, a hit for an already-optimized kernel
+// returns the kernel itself.
 
-const memoCap = 4096
-
-type memoEntry struct {
-	fp  string
+type optimized struct {
 	k   *kernelir.Kernel
 	res Result
 }
 
-var (
-	memoMu  sync.Mutex
-	memo    = make(map[string]*list.Element)
-	memoLRU list.List // front = most recent; values are *memoEntry
-	hits    uint64
-	runs    uint64
-)
+var cache = memo.New[string, optimized](memo.Cap)
 
 // Cached returns Optimize(k)'s kernel, memoized by fingerprint.
 func Cached(k *kernelir.Kernel) *kernelir.Kernel {
@@ -42,49 +32,17 @@ func Cached(k *kernelir.Kernel) *kernelir.Kernel {
 // Fail-safe results (Result.Err != nil) are cached too: a kernel that
 // defeats the optimizer today will defeat it identically tomorrow.
 func CachedResult(k *kernelir.Kernel) (*kernelir.Kernel, Result) {
-	fp := kernelir.Fingerprint(k)
-	memoMu.Lock()
-	if el, ok := memo[fp]; ok {
-		memoLRU.MoveToFront(el)
-		ent := el.Value.(*memoEntry)
-		hits++
-		memoMu.Unlock()
-		return ent.k, ent.res
-	}
-	memoMu.Unlock()
-
-	nk, res := Optimize(k)
-
-	memoMu.Lock()
-	defer memoMu.Unlock()
-	if el, ok := memo[fp]; ok {
-		// Raced with another optimizer run; the existing entry wins.
-		ent := el.Value.(*memoEntry)
-		return ent.k, ent.res
-	}
-	runs++
-	memo[fp] = memoLRU.PushFront(&memoEntry{fp: fp, k: nk, res: res})
-	for memoLRU.Len() > memoCap {
-		back := memoLRU.Back()
-		memoLRU.Remove(back)
-		delete(memo, back.Value.(*memoEntry).fp)
-	}
-	return nk, res
+	o, _ := cache.Get(context.Background(), kernelir.Fingerprint(k), func() (optimized, error) {
+		nk, res := Optimize(k)
+		return optimized{nk, res}, nil
+	})
+	return o.k, o.res
 }
 
 // CacheStats reports (memoized runs currently held, hits, total runs).
 func CacheStats() (size int, hitCount, runCount uint64) {
-	memoMu.Lock()
-	defer memoMu.Unlock()
-	return len(memo), hits, runs
+	return cache.Len(), uint64(cache.Hits()), uint64(cache.Computes())
 }
 
-// ResetCache clears the memo. Tests use it to make runs deterministic.
-func ResetCache() {
-	memoMu.Lock()
-	defer memoMu.Unlock()
-	memo = make(map[string]*list.Element)
-	memoLRU.Init()
-	hits = 0
-	runs = 0
-}
+// ResetCache drops every memoized run (counters keep counting).
+func ResetCache() { cache.Reset() }

@@ -3,15 +3,13 @@
 // triple across the device's frequency table goes through one
 // concurrency-safe service. The engine fans the per-frequency
 // evaluations out over a bounded worker pool, memoizes completed sweeps
-// under a content key (bounded LRU), and de-duplicates concurrent
-// requests for the same sweep with singleflight semantics — so the
-// figures, target selections and ML training sets that are all derived
-// from the same sweeps share one computation instead of re-running it
-// serially at every call site.
+// under a content key on an internal/memo cache (bounded LRU,
+// singleflight) — so the figures, target selections and ML training sets
+// that are all derived from the same sweeps share one computation
+// instead of re-running it serially at every call site.
 package sweep
 
 import (
-	"container/list"
 	"context"
 	"fmt"
 	"runtime"
@@ -21,15 +19,10 @@ import (
 	"synergy/internal/hw"
 	"synergy/internal/kernelir"
 	"synergy/internal/kernelir/compile"
+	"synergy/internal/memo"
 	"synergy/internal/metrics"
 	"synergy/internal/telemetry"
 )
-
-// DefaultCacheCap is the default memo-cache entry cap. It is far above
-// anything the benchmark suite or the report pipeline allocates (a few
-// hundred keys), so bounded eviction never perturbs existing flows; it
-// exists to stop a long-running service from growing without bound.
-const DefaultCacheCap = 4096
 
 // Key is the content key a memoized sweep is stored under: the device
 // identity, the kernel fingerprint (a hash of its full disassembly, so
@@ -46,15 +39,6 @@ func (k Key) String() string {
 	return fmt.Sprintf("%s/%s/%d", k.Device, k.Kernel, k.Items)
 }
 
-// Fingerprint returns the content fingerprint of a kernel: the SHA-256
-// of its disassembly (name, parameters, body, locals, traffic factor).
-// It is the same identity the compiled-program cache keys on (see
-// kernelir.Fingerprint), so the engine's memo and the program cache
-// agree on when two kernels are the same kernel.
-func Fingerprint(k *kernelir.Kernel) string {
-	return kernelir.Fingerprint(k)
-}
-
 // specKey identifies a device spec: the name plus the shape of its
 // frequency table, so two specs sharing a name but different clock
 // tables cannot alias in the cache.
@@ -63,33 +47,12 @@ func specKey(s *hw.Spec) string {
 		s.Name, len(s.CoreFreqsMHz), s.MinCoreMHz(), s.MaxCoreMHz(), s.BaselineCoreMHz())
 }
 
-// entry is one memoized (or in-flight) sweep. done is closed once sweep
-// and err are final; concurrent requesters of the same key block on it
-// instead of recomputing. elem is the entry's position in the LRU list
-// (nil once evicted). Evicting an in-flight entry is safe: waiters hold
-// the pointer and still see the result; only future requesters miss.
-type entry struct {
-	key   Key
-	done  chan struct{}
-	sweep *metrics.Sweep
-	err   error
-	elem  *list.Element
-}
-
 // Engine is a concurrency-safe, memoizing parallel sweep service.
 // The zero value is not usable; construct with NewEngine.
 type Engine struct {
-	workers  int
-	cacheCap int
-
-	mu      sync.Mutex
-	entries map[Key]*entry
-	order   *list.List // front = most recently used; values are *entry
-	hook    func(Key)
-	tel     *telemetry.Registry
-
-	evals     atomic.Int64
-	evictions atomic.Int64
+	workers int
+	sweeps  *memo.Cache[Key, *metrics.Sweep]
+	tel     atomic.Pointer[telemetry.Registry]
 }
 
 // Option configures an Engine.
@@ -106,27 +69,15 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// WithCacheCap bounds the memo cache to n entries with LRU eviction
-// (n <= 0 removes the bound). The default is DefaultCacheCap.
-func WithCacheCap(n int) Option {
-	return func(e *Engine) { e.cacheCap = n }
-}
-
-// WithHook registers fn to be called once per completed cache-miss
-// evaluation, with the evaluated key. Hooks observe how often the
-// engine really computes — the call-count assertion tools build on it.
-func WithHook(fn func(Key)) Option {
-	return func(e *Engine) { e.hook = fn }
-}
-
 // NewEngine constructs an engine with an empty cache.
 func NewEngine(opts ...Option) *Engine {
 	e := &Engine{
-		workers:  runtime.GOMAXPROCS(0),
-		cacheCap: DefaultCacheCap,
-		entries:  map[Key]*entry{},
-		order:    list.New(),
+		workers: runtime.GOMAXPROCS(0),
+		sweeps:  memo.New[Key, *metrics.Sweep](memo.Cap),
 	}
+	e.sweeps.SetEvictHook(func(Key) {
+		e.tel.Load().Counter("synergy_sweep_evictions_total").Inc()
+	})
 	for _, o := range opts {
 		o(e)
 	}
@@ -141,13 +92,11 @@ var shared = NewEngine()
 // Shared returns the process-wide engine.
 func Shared() *Engine { return shared }
 
-// SetHook replaces the engine's evaluation hook (nil to remove). Meant
-// for diagnostics and call-count assertions on the shared engine.
-func (e *Engine) SetHook(fn func(Key)) {
-	e.mu.Lock()
-	e.hook = fn
-	e.mu.Unlock()
-}
+// SetHook registers fn to be called once per completed cache-miss
+// evaluation, with the evaluated key (nil to remove). Hooks observe how
+// often the engine really computes — the call-count assertion tools
+// build on it.
+func (e *Engine) SetHook(fn func(Key)) { e.sweeps.SetHook(fn) }
 
 // SetTelemetry attaches a telemetry registry (nil detaches): requests
 // are counted as synergy_sweep_requests_total{result="hit"|"miss"} —
@@ -156,77 +105,28 @@ func (e *Engine) SetHook(fn func(Key)) {
 // A miss is a completed computation, so the miss counter equals
 // Evaluations() and the eviction counter equals Evictions(); failed
 // evaluations count as neither (they are not memoized).
-func (e *Engine) SetTelemetry(r *telemetry.Registry) {
-	e.mu.Lock()
-	e.tel = r
-	e.mu.Unlock()
-}
-
-func (e *Engine) telemetry() *telemetry.Registry {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.tel
-}
+func (e *Engine) SetTelemetry(r *telemetry.Registry) { e.tel.Store(r) }
 
 // Evaluations returns how many sweeps the engine has actually computed
 // (cache misses). Requests served from the cache do not count.
-func (e *Engine) Evaluations() int64 { return e.evals.Load() }
+func (e *Engine) Evaluations() int64 { return e.sweeps.Computes() }
 
 // Evictions returns how many memoized sweeps the LRU bound has evicted.
-func (e *Engine) Evictions() int64 { return e.evictions.Load() }
+func (e *Engine) Evictions() int64 { return e.sweeps.Evictions() }
 
 // CacheSize returns the number of memoized sweeps.
-func (e *Engine) CacheSize() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.entries)
-}
+func (e *Engine) CacheSize() int { return e.sweeps.Len() }
 
 // Invalidate drops every memoized sweep. In-flight evaluations complete
 // normally but are not re-inserted for new requesters. Invalidation is
 // not eviction: the Evictions counter is untouched.
-func (e *Engine) Invalidate() {
-	e.mu.Lock()
-	for _, en := range e.entries {
-		en.elem = nil
-	}
-	e.entries = map[Key]*entry{}
-	e.order = list.New()
-	e.mu.Unlock()
-}
-
-// removeLocked unlinks an entry from the cache (caller holds e.mu).
-func (e *Engine) removeLocked(en *entry) {
-	delete(e.entries, en.key)
-	if en.elem != nil {
-		e.order.Remove(en.elem)
-		en.elem = nil
-	}
-}
-
-// insertLocked links a fresh entry at the MRU position and evicts from
-// the LRU end while over cap (caller holds e.mu).
-func (e *Engine) insertLocked(en *entry) {
-	e.entries[en.key] = en
-	en.elem = e.order.PushFront(en)
-	if e.cacheCap <= 0 {
-		return
-	}
-	for len(e.entries) > e.cacheCap {
-		back := e.order.Back()
-		if back == nil {
-			return
-		}
-		victim := back.Value.(*entry)
-		e.removeLocked(victim)
-		e.evictions.Add(1)
-		e.tel.Counter("synergy_sweep_evictions_total").Inc()
-	}
-}
+func (e *Engine) Invalidate() { e.sweeps.Reset() }
 
 // KeyFor returns the content key the engine would use for a request.
+// Its kernel component is kernelir.Fingerprint, the identity the
+// compiled-program cache keys on too.
 func KeyFor(spec *hw.Spec, k *kernelir.Kernel, items int64) Key {
-	return Key{Device: specKey(spec), Kernel: Fingerprint(k), Items: items}
+	return Key{Device: specKey(spec), Kernel: kernelir.Fingerprint(k), Items: items}
 }
 
 // GroundTruth measures (through the device model) the per-item
@@ -253,54 +153,23 @@ func (e *Engine) GroundTruthContext(ctx context.Context, spec *hw.Spec, k *kerne
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	key := KeyFor(spec, k, items)
-
-	e.mu.Lock()
-	if en, ok := e.entries[key]; ok {
-		if en.elem != nil {
-			e.order.MoveToFront(en.elem)
+	tel := e.tel.Load()
+	missed := false
+	sw, err := e.sweeps.Get(ctx, KeyFor(spec, k, items), func() (*metrics.Sweep, error) {
+		missed = true
+		sw, err := e.evaluate(ctx, spec, k, items)
+		if err == nil {
+			tel.Counter("synergy_sweep_requests_total", "result", "miss").Inc()
 		}
-		tel := e.tel
-		e.mu.Unlock()
+		return sw, err
+	})
+	if !missed {
 		tel.Counter("synergy_sweep_requests_total", "result", "hit").Inc()
-		select {
-		case <-en.done:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		if en.err != nil {
-			return nil, en.err
-		}
-		return cloneSweep(en.sweep), nil
 	}
-	en := &entry{key: key, done: make(chan struct{})}
-	e.insertLocked(en)
-	hook := e.hook
-	tel := e.tel
-	e.mu.Unlock()
-
-	en.sweep, en.err = e.evaluate(ctx, spec, k, items)
-	if en.err != nil {
-		// Failed sweeps are not memoized: a later request re-evaluates.
-		// Guard by identity — the slot may already hold a successor
-		// (eviction plus re-request while we were computing).
-		e.mu.Lock()
-		if cur, ok := e.entries[key]; ok && cur == en {
-			e.removeLocked(en)
-		}
-		e.mu.Unlock()
-	} else {
-		e.evals.Add(1)
-		tel.Counter("synergy_sweep_requests_total", "result", "miss").Inc()
-		if hook != nil {
-			hook(key)
-		}
+	if err != nil {
+		return nil, err
 	}
-	close(en.done)
-	if en.err != nil {
-		return nil, en.err
-	}
-	return cloneSweep(en.sweep), nil
+	return cloneSweep(sw), nil
 }
 
 // evaluate computes one sweep, fanning the frequency table out over the

@@ -9,7 +9,9 @@ import (
 	"synergy/internal/features"
 	"synergy/internal/hw"
 	"synergy/internal/kernelir"
+	"synergy/internal/memo"
 	"synergy/internal/metrics"
+	"synergy/internal/telemetry"
 )
 
 // referenceSweep replicates the historical serial ground-truth path
@@ -100,11 +102,12 @@ func TestMemoizationSecondRequestFree(t *testing.T) {
 	}
 	var mu sync.Mutex
 	hookCalls := map[Key]int{}
-	eng := NewEngine(WithHook(func(k Key) {
+	eng := NewEngine()
+	eng.SetHook(func(k Key) {
 		mu.Lock()
 		hookCalls[k]++
 		mu.Unlock()
-	}))
+	})
 	first, err := eng.GroundTruth(spec, b.Kernel, b.CharItems)
 	if err != nil {
 		t.Fatal(err)
@@ -275,11 +278,47 @@ func TestFingerprintContentSensitivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if Fingerprint(a.Kernel) == Fingerprint(b.Kernel) {
+	spec := hw.V100()
+	if KeyFor(spec, a.Kernel, 1) == KeyFor(spec, b.Kernel, 1) {
 		t.Error("different kernels share a fingerprint")
 	}
-	if Fingerprint(a.Kernel) != Fingerprint(a.Kernel) {
+	if KeyFor(spec, a.Kernel, 1) != KeyFor(spec, a.Kernel, 1) {
 		t.Error("fingerprint not stable")
+	}
+}
+
+// TestTelemetryMatchesCounters: the request and eviction counters
+// synergy-top reads agree with the engine's own — misses equal
+// Evaluations, repeats count as hits, and evictions past the shared cap
+// equal Evictions.
+func TestTelemetryMatchesCounters(t *testing.T) {
+	t.Parallel()
+	spec := hw.V100()
+	b, err := benchsuite.ByName("vec_add")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine(WithWorkers(1))
+	reg := telemetry.NewRegistry()
+	eng.SetTelemetry(reg)
+	const keys = memo.Cap + 2
+	for items := int64(1); items <= keys; items++ {
+		if _, err := eng.GroundTruth(spec, b.Kernel, items); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := eng.GroundTruth(spec, b.Kernel, keys); err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	hits := snap.CounterValue("synergy_sweep_requests_total", "result", "hit")
+	misses := snap.CounterValue("synergy_sweep_requests_total", "result", "miss")
+	evictions := snap.CounterTotal("synergy_sweep_evictions_total")
+	if hits != 1 || misses != keys || misses != eng.Evaluations() {
+		t.Errorf("hit/miss counters = %d/%d, want 1/%d (evaluations %d)", hits, misses, keys, eng.Evaluations())
+	}
+	if evictions != 2 || evictions != eng.Evictions() {
+		t.Errorf("eviction counter = %d, want 2 (engine reports %d)", evictions, eng.Evictions())
 	}
 }
 

@@ -11,77 +11,6 @@ import (
 	"synergy/internal/hw"
 )
 
-// TestLRUEvictionBoundsCache: with a cap of 2, sweeping three distinct
-// keys evicts the least recently used; re-requesting the evicted key
-// recomputes, while the surviving keys stay free.
-func TestLRUEvictionBoundsCache(t *testing.T) {
-	t.Parallel()
-	spec := hw.V100()
-	names := []string{"vec_add", "matmul", "black_scholes"}
-	eng := NewEngine(WithCacheCap(2), WithWorkers(1))
-	for _, name := range names {
-		b, err := benchsuite.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := eng.GroundTruth(spec, b.Kernel, b.CharItems); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := eng.CacheSize(); n != 2 {
-		t.Fatalf("cache size = %d, want 2 (capped)", n)
-	}
-	if n := eng.Evictions(); n != 1 {
-		t.Fatalf("evictions = %d, want 1", n)
-	}
-	// vec_add was evicted (oldest); matmul and black_scholes are hits.
-	for _, name := range names[1:] {
-		b, _ := benchsuite.ByName(name)
-		if _, err := eng.GroundTruth(spec, b.Kernel, b.CharItems); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := eng.Evaluations(); n != 3 {
-		t.Fatalf("evaluations = %d, want 3 (recent keys served from cache)", n)
-	}
-	b, _ := benchsuite.ByName("vec_add")
-	if _, err := eng.GroundTruth(spec, b.Kernel, b.CharItems); err != nil {
-		t.Fatal(err)
-	}
-	if n := eng.Evaluations(); n != 4 {
-		t.Fatalf("evaluations = %d, want 4 (evicted key recomputed)", n)
-	}
-}
-
-// TestLRUHitRefreshesRecency: touching the oldest key protects it from
-// the next eviction.
-func TestLRUHitRefreshesRecency(t *testing.T) {
-	t.Parallel()
-	spec := hw.A100()
-	eng := NewEngine(WithCacheCap(2), WithWorkers(1))
-	a, _ := benchsuite.ByName("vec_add")
-	b, _ := benchsuite.ByName("matmul")
-	c, _ := benchsuite.ByName("median")
-	for _, bench := range []*benchsuite.Benchmark{a, b} {
-		if _, err := eng.GroundTruth(spec, bench.Kernel, bench.CharItems); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Touch a: it becomes MRU, so inserting c evicts b.
-	if _, err := eng.GroundTruth(spec, a.Kernel, a.CharItems); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.GroundTruth(spec, c.Kernel, c.CharItems); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.GroundTruth(spec, a.Kernel, a.CharItems); err != nil {
-		t.Fatal(err)
-	}
-	if n := eng.Evaluations(); n != 3 {
-		t.Fatalf("evaluations = %d, want 3 (refreshed key must survive eviction)", n)
-	}
-}
-
 // TestDefaultCapDoesNotEvict: the default cap is far above the whole
 // benchmark suite across all device specs, so nothing is evicted in the
 // existing flows.
