@@ -18,7 +18,6 @@ import (
 	"synergy/internal/hw"
 	"synergy/internal/kernelir"
 	"synergy/internal/metrics"
-	"synergy/internal/microbench"
 	"synergy/internal/model"
 	"synergy/internal/power"
 	"synergy/internal/report"
@@ -288,15 +287,7 @@ func BenchmarkModelTraining(b *testing.B) {
 }
 
 func trainForest(spec *hw.Spec) (*model.Models, error) {
-	ks, err := microbenchKernels()
-	if err != nil {
-		return nil, err
-	}
-	ts, err := model.CollectTraining(spec, ks, evalStride)
-	if err != nil {
-		return nil, err
-	}
-	return model.Train(spec, ts, model.AlgoForest)
+	return model.TrainDefault(spec, model.AlgoForest, evalStride)
 }
 
 // BenchmarkAdvisorInference measures one §6.2 prediction (feature
@@ -329,21 +320,13 @@ func relErr(got, want float64) float64 {
 	return d / want
 }
 
-func microbenchKernels() ([]*kernelir.Kernel, error) {
-	return microbench.Kernels(microbench.DefaultSet())
-}
-
 // BenchmarkAblation_FineVsCoarseGrained runs the §2.2 design-choice
 // ablation: the best single application-wide frequency (exhaustive
 // search) against SYnergy's per-kernel plans (model-driven and oracle),
 // all targeting MIN_EDP on mini-CloverLeaf.
 func BenchmarkAblation_FineVsCoarseGrained(b *testing.B) {
 	spec := hw.V100()
-	ks, err := microbenchKernels()
-	if err != nil {
-		b.Fatal(err)
-	}
-	adv, err := model.DefaultAdvisor(spec, ks, evalStride)
+	adv, err := model.DefaultAdvisor(spec, evalStride)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -375,7 +358,7 @@ func BenchmarkBaseline_OnlineGovernor(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	gt, err := model.GroundTruthSweep(spec, bench.Kernel, bench.CharItems)
+	gt, err := sweep.GroundTruth(spec, bench.Kernel, bench.CharItems)
 	if err != nil {
 		b.Fatal(err)
 	}

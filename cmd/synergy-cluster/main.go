@@ -18,7 +18,6 @@ import (
 	"synergy/internal/core"
 	"synergy/internal/hw"
 	"synergy/internal/metrics"
-	"synergy/internal/microbench"
 	"synergy/internal/model"
 	"synergy/internal/mpi"
 	"synergy/internal/slurm"
@@ -87,11 +86,7 @@ func main() {
 		*maxNodes, *gpusPerNode, spec.Name)
 
 	// Train the per-device models once (§6.1).
-	kernels, err := microbench.Kernels(microbench.DefaultSet())
-	if err != nil {
-		log.Fatal(err)
-	}
-	adv, err := model.DefaultAdvisor(spec, kernels, *stride)
+	adv, err := model.DefaultAdvisor(spec, *stride)
 	if err != nil {
 		log.Fatal(err)
 	}

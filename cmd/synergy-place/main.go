@@ -29,7 +29,6 @@ import (
 	"synergy/internal/features"
 	"synergy/internal/hw"
 	"synergy/internal/metrics"
-	"synergy/internal/microbench"
 	"synergy/internal/model"
 	"synergy/internal/placement"
 	"synergy/internal/sweep"
@@ -166,17 +165,9 @@ func place(fleet *hw.Fleet, benches []*benchsuite.Benchmark, target metrics.Targ
 // trainPredictors fits one model bundle per fleet device on the
 // micro-benchmark suite, sweeping devices through the shared engine.
 func trainPredictors(fleet *hw.Fleet, stride int, algo string) ([]*model.Predictor, error) {
-	ks, err := microbench.Kernels(microbench.DefaultSet())
-	if err != nil {
-		return nil, err
-	}
 	preds := make([]*model.Predictor, len(fleet.Devices))
 	for i, fd := range fleet.Devices {
-		ts, err := model.CollectTraining(fd.Spec, ks, stride)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", fd.Key, err)
-		}
-		m, err := model.Train(fd.Spec, ts, algo)
+		m, err := model.TrainDefault(fd.Spec, algo, stride)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", fd.Key, err)
 		}

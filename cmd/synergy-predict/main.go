@@ -9,14 +9,12 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
 	"strings"
 
 	"synergy/internal/benchsuite"
 	"synergy/internal/features"
 	"synergy/internal/hw"
 	"synergy/internal/metrics"
-	"synergy/internal/microbench"
 	"synergy/internal/model"
 	"synergy/internal/sweep"
 )
@@ -47,33 +45,14 @@ func main() {
 
 	var m *model.Models
 	if *load != "" {
-		f, err := os.Open(*load)
-		if err != nil {
-			log.Fatal(err)
-		}
-		m, err = model.LoadModels(f)
-		if cerr := f.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-		if err != nil {
+		if m, err = model.LoadFile(*load); err != nil {
 			log.Fatal(err)
 		}
 		if m.Spec.Name != spec.Name {
 			log.Fatalf("bundle is for %s, requested device is %s", m.Spec.Name, spec.Name)
 		}
-	} else {
-		kernels, err := microbench.Kernels(microbench.DefaultSet())
-		if err != nil {
-			log.Fatal(err)
-		}
-		ts, err := model.CollectTraining(spec, kernels, *stride)
-		if err != nil {
-			log.Fatal(err)
-		}
-		m, err = model.Train(spec, ts, *algo)
-		if err != nil {
-			log.Fatal(err)
-		}
+	} else if m, err = model.TrainDefault(spec, *algo, *stride); err != nil {
+		log.Fatal(err)
 	}
 
 	v, err := features.Extract(bench.Kernel)
@@ -83,37 +62,24 @@ func main() {
 	fmt.Printf("Kernel %s on %s\n", bench.Name, spec.Name)
 	fmt.Printf("  static features: %s\n", v)
 
-	predFreq, err := m.SearchFrequency(v, target)
+	// The §8.3 error analysis for this one (benchmark, target) pair.
+	errs, err := model.EvaluateModels(m,
+		[]model.BenchCase{{Name: bench.Name, Kernel: bench.Kernel, Items: bench.CharItems}},
+		[]metrics.Target{target})
 	if err != nil {
 		log.Fatal(err)
 	}
-
+	e := errs[0]
 	gt, err := sweep.GroundTruth(spec, bench.Kernel, bench.CharItems)
 	if err != nil {
 		log.Fatal(err)
 	}
-	actual, err := gt.Select(target)
-	if err != nil {
-		log.Fatal(err)
-	}
-	predPoint, ok := gt.PointAt(predFreq)
-	if !ok {
-		log.Fatalf("predicted frequency %d not in ground truth", predFreq)
-	}
-	actObj := metrics.ObjectiveValue(target, actual)
-	preObj := metrics.ObjectiveValue(target, predPoint)
-	ape := 0.0
-	if actObj != 0 {
-		ape = (preObj - actObj) / actObj
-		if ape < 0 {
-			ape = -ape
-		}
-	}
+	predPoint, _ := gt.PointAt(e.PredFreq) // EvaluateModels checked it is in the sweep
 	fmt.Printf("  target %s (%s model):\n", target, m.Algo)
-	fmt.Printf("    predicted frequency: %d MHz\n", predFreq)
-	fmt.Printf("    actual optimum:      %d MHz\n", actual.FreqMHz)
+	fmt.Printf("    predicted frequency: %d MHz\n", e.PredFreq)
+	fmt.Printf("    actual optimum:      %d MHz\n", e.ActualFreq)
 	fmt.Printf("    objective at prediction vs optimum: %.4g vs %.4g (APE %.2f%%)\n",
-		preObj, actObj, 100*ape)
+		e.PredObj, e.ActualObj, 100*e.APE)
 	base := gt.BaselinePoint()
 	fmt.Printf("    vs default (%d MHz): energy saving %.1f%%, perf loss %.1f%%\n",
 		base.FreqMHz, gt.EnergySavingPct(predPoint), gt.PerfLossPct(predPoint))

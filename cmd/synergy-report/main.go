@@ -23,7 +23,6 @@ import (
 	"synergy/internal/apps"
 	"synergy/internal/hw"
 	"synergy/internal/metrics"
-	"synergy/internal/microbench"
 	"synergy/internal/model"
 	"synergy/internal/report"
 )
@@ -217,11 +216,7 @@ func emit(v any) error {
 
 func runAblation(stride int) error {
 	spec := hw.V100()
-	ks, err := microbench.Kernels(microbench.DefaultSet())
-	if err != nil {
-		return err
-	}
-	adv, err := model.DefaultAdvisor(spec, ks, stride)
+	adv, err := model.DefaultAdvisor(spec, stride)
 	if err != nil {
 		return err
 	}

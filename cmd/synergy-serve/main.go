@@ -35,7 +35,6 @@ import (
 	"time"
 
 	"synergy/internal/hw"
-	"synergy/internal/microbench"
 	"synergy/internal/model"
 	"synergy/internal/serve"
 	"synergy/internal/telemetry"
@@ -129,25 +128,12 @@ func main() {
 // artifact when given, otherwise run the §6.1 installation step here.
 func loadOrTrain(bundle, device, algo string, stride int) (*model.Models, error) {
 	if bundle != "" {
-		f, err := os.Open(bundle)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return model.LoadModels(f)
+		return model.LoadFile(bundle)
 	}
 	spec, err := hw.SpecByName(device)
 	if err != nil {
 		return nil, err
 	}
-	kernels, err := microbench.Kernels(microbench.DefaultSet())
-	if err != nil {
-		return nil, err
-	}
 	log.Printf("no bundle given: training %s on %s (stride %d)", algo, spec.Name, stride)
-	ts, err := model.CollectTraining(spec, kernels, stride)
-	if err != nil {
-		return nil, err
-	}
-	return model.Train(spec, ts, algo)
+	return model.TrainDefault(spec, algo, stride)
 }

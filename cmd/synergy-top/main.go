@@ -35,7 +35,6 @@ import (
 	"synergy/internal/apps"
 	"synergy/internal/hw"
 	"synergy/internal/metrics"
-	"synergy/internal/microbench"
 	"synergy/internal/model"
 	"synergy/internal/mpi"
 	"synergy/internal/slurm"
@@ -111,11 +110,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		kernels, err := microbench.Kernels(microbench.DefaultSet())
-		if err != nil {
-			log.Fatal(err)
-		}
-		adv, err := model.DefaultAdvisor(spec, kernels, *stride)
+		adv, err := model.DefaultAdvisor(spec, *stride)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -14,7 +14,6 @@ import (
 	"strings"
 
 	"synergy/internal/hw"
-	"synergy/internal/microbench"
 	"synergy/internal/ml"
 	"synergy/internal/model"
 	"synergy/internal/sweep"
@@ -34,17 +33,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	kernels, err := microbench.Kernels(microbench.DefaultSet())
+	ts, err := model.DefaultTrainingSet(spec, *stride)
 	if err != nil {
 		log.Fatal(err)
+	}
+	kernels := map[string]bool{}
+	for _, smp := range ts.Samples {
+		kernels[smp.Kernel] = true
 	}
 	fmt.Printf("Training on %s: %d micro-benchmarks, frequency stride %d\n",
 		spec.Name, len(kernels), *stride)
-
-	ts, err := model.CollectTraining(spec, kernels, *stride)
-	if err != nil {
-		log.Fatal(err)
-	}
 	fmt.Printf("Collected %d samples (T = (k, f, e, t, edp, ed2p)) via %d pooled sweeps\n",
 		len(ts.Samples), sweep.Shared().Evaluations())
 
@@ -90,18 +88,18 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-14s %10.4f %10.4f %10.4f %10.4f\n", algo,
-			fitR2(ts, m, targetTime), fitR2(ts, m, targetEnergy),
-			fitR2(ts, m, targetEDP), fitR2(ts, m, targetED2P))
+			fitR2(ts, m, selTime), fitR2(ts, m, selEnergy),
+			fitR2(ts, m, selEDP), fitR2(ts, m, selED2P))
 	}
 }
 
 type targetSel int
 
 const (
-	targetTime targetSel = iota
-	targetEnergy
-	targetEDP
-	targetED2P
+	selTime targetSel = iota
+	selEnergy
+	selEDP
+	selED2P
 )
 
 // fitR2 measures in-sample R^2 of one trained model by re-predicting the
@@ -126,16 +124,16 @@ func fitR2(ts *model.TrainingSet, m *model.Models, sel targetSel) float64 {
 				continue
 			}
 			switch sel {
-			case targetTime:
+			case selTime:
 				actual = append(actual, s.TimeNs)
 				pred = append(pred, p.TimeNs)
-			case targetEnergy:
+			case selEnergy:
 				actual = append(actual, s.EnergyNanoJ)
 				pred = append(pred, p.EnergyNanoJ)
-			case targetEDP:
+			case selEDP:
 				actual = append(actual, s.EDP())
 				pred = append(pred, p.EDPPred)
-			case targetED2P:
+			case selED2P:
 				actual = append(actual, s.ED2P())
 				pred = append(pred, p.ED2PPredicted)
 			}

@@ -16,7 +16,6 @@ import (
 	"synergy/internal/core"
 	"synergy/internal/hw"
 	"synergy/internal/metrics"
-	"synergy/internal/microbench"
 	"synergy/internal/model"
 	"synergy/internal/power"
 	"synergy/internal/sycl"
@@ -29,11 +28,7 @@ func main() {
 	// Train the four per-device models on the micro-benchmark suite
 	// (the deployment step of §3.2).
 	fmt.Println("training energy models on the micro-benchmark suite...")
-	kernels, err := microbench.Kernels(microbench.DefaultSet())
-	if err != nil {
-		log.Fatal(err)
-	}
-	advisor, err := model.DefaultAdvisor(spec, kernels, 4)
+	advisor, err := model.DefaultAdvisor(spec, 4)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,7 +14,6 @@ import (
 	"synergy/internal/apps"
 	"synergy/internal/hw"
 	"synergy/internal/metrics"
-	"synergy/internal/microbench"
 	"synergy/internal/model"
 	"synergy/internal/mpi"
 	"synergy/internal/slurm"
@@ -33,11 +32,7 @@ func main() {
 	cluster.RegisterPlugin(&slurm.NVGpuFreqPlugin{Controller: cluster})
 
 	// Train the models and plan ES_50 per kernel.
-	kernels, err := microbench.Kernels(microbench.DefaultSet())
-	if err != nil {
-		log.Fatal(err)
-	}
-	advisor, err := model.DefaultAdvisor(spec, kernels, 8)
+	advisor, err := model.DefaultAdvisor(spec, 8)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -15,8 +15,8 @@ import (
 	"synergy/internal/governor"
 	"synergy/internal/hw"
 	"synergy/internal/metrics"
-	"synergy/internal/microbench"
 	"synergy/internal/model"
+	"synergy/internal/sweep"
 )
 
 func main() {
@@ -26,7 +26,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	gt, err := model.GroundTruthSweep(spec, bench.Kernel, bench.CharItems)
+	gt, err := sweep.GroundTruth(spec, bench.Kernel, bench.CharItems)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -36,11 +36,7 @@ func main() {
 	}
 
 	// SYnergy: train once, predict once.
-	kernels, err := microbench.Kernels(microbench.DefaultSet())
-	if err != nil {
-		log.Fatal(err)
-	}
-	adv, err := model.DefaultAdvisor(spec, kernels, 8)
+	adv, err := model.DefaultAdvisor(spec, 8)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -15,8 +15,8 @@ import (
 	"synergy/internal/core"
 	"synergy/internal/hw"
 	"synergy/internal/metrics"
-	"synergy/internal/model"
 	"synergy/internal/power"
+	"synergy/internal/sweep"
 	"synergy/internal/sycl"
 )
 
@@ -63,11 +63,11 @@ func main() {
 		// Ground-truth ES_50 selection for this device (the per-device
 		// energy models of §6 would predict this; here we show the
 		// portable mechanism with the exact selection).
-		sweep, err := model.GroundTruthSweep(spec, bench.Kernel, items)
+		gt, err := sweep.GroundTruth(spec, bench.Kernel, items)
 		if err != nil {
 			log.Fatal(err)
 		}
-		sel, err := sweep.Select(metrics.ES(50))
+		sel, err := gt.Select(metrics.ES(50))
 		if err != nil {
 			log.Fatal(err)
 		}

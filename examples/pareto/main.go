@@ -13,7 +13,7 @@ import (
 	"synergy/internal/benchsuite"
 	"synergy/internal/hw"
 	"synergy/internal/metrics"
-	"synergy/internal/model"
+	"synergy/internal/sweep"
 )
 
 func main() {
@@ -32,14 +32,14 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		sweep, err := model.GroundTruthSweep(spec, b.Kernel, b.CharItems)
+		gt, err := sweep.GroundTruth(spec, b.Kernel, b.CharItems)
 		if err != nil {
 			log.Fatal(err)
 		}
-		base := sweep.BaselinePoint()
-		front := sweep.ParetoFront()
+		base := gt.BaselinePoint()
+		front := gt.ParetoFront()
 
-		fmt.Printf("%s — Pareto front (%d of %d configurations):\n", name, len(front), len(sweep.Points))
+		fmt.Printf("%s — Pareto front (%d of %d configurations):\n", name, len(front), len(gt.Points))
 		fmt.Printf("  %8s %9s %12s\n", "freqMHz", "speedup", "normEnergy")
 		stride := len(front)/8 + 1
 		for i := 0; i < len(front); i += stride {
@@ -48,7 +48,7 @@ func main() {
 		}
 
 		for _, tgt := range []metrics.Target{metrics.MinEDP, metrics.ES(50), metrics.PL(50)} {
-			p, err := sweep.Select(tgt)
+			p, err := gt.Select(tgt)
 			if err != nil {
 				log.Fatal(err)
 			}

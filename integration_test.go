@@ -23,11 +23,7 @@ import (
 // binary run.
 func trainAdvisor(t *testing.T, spec *hw.Spec) *model.Advisor {
 	t.Helper()
-	ks, err := microbenchKernels()
-	if err != nil {
-		t.Fatal(err)
-	}
-	adv, err := model.DefaultAdvisor(spec, ks, 8)
+	adv, err := model.DefaultAdvisor(spec, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"synergy/internal/hw"
 	"synergy/internal/kernelir"
 	"synergy/internal/metrics"
-	"synergy/internal/microbench"
 	"synergy/internal/model"
 	"synergy/internal/mpi"
 )
@@ -194,11 +193,7 @@ func TestFunctionalCapPreservesTiming(t *testing.T) {
 // way Fig. 10 reports — ES_50 saves substantial energy on both apps.
 func TestFig10TargetsSaveEnergy(t *testing.T) {
 	spec := hw.V100()
-	ks, err := microbench.Kernels(microbench.DefaultSet())
-	if err != nil {
-		t.Fatal(err)
-	}
-	adv, err := model.DefaultAdvisor(spec, ks, 8)
+	adv, err := model.DefaultAdvisor(spec, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,6 @@ import (
 	"synergy/internal/features"
 	"synergy/internal/hw"
 	"synergy/internal/kernelir"
-	"synergy/internal/microbench"
 	"synergy/internal/model"
 	"synergy/internal/resilience"
 	"synergy/internal/serve"
@@ -135,10 +134,6 @@ type serveFixture struct {
 // outcome depends only on injected faults, never on first-compute
 // timing.
 func newServeFixture() (*serveFixture, error) {
-	ks, err := microbench.Kernels(microbench.DefaultSet())
-	if err != nil {
-		return nil, err
-	}
 	spec := hw.V100()
 	f := &serveFixture{}
 	for _, p := range []struct {
@@ -150,11 +145,7 @@ func newServeFixture() (*serveFixture, error) {
 		{16, &f.bundleA, &f.jsonA, &f.fpA},
 		{24, &f.bundleB, &f.jsonB, &f.fpB},
 	} {
-		ts, err := model.CollectTraining(spec, ks, p.stride)
-		if err != nil {
-			return nil, err
-		}
-		m, err := model.Train(spec, ts, model.AlgoForest)
+		m, err := model.TrainDefault(spec, model.AlgoForest, p.stride)
 		if err != nil {
 			return nil, err
 		}

@@ -6,7 +6,7 @@ import (
 	"synergy/internal/benchsuite"
 	"synergy/internal/hw"
 	"synergy/internal/metrics"
-	"synergy/internal/model"
+	"synergy/internal/sweep"
 )
 
 // drive runs the governor loop on one benchmark's ground truth until it
@@ -18,7 +18,7 @@ func drive(t *testing.T, spec *hw.Spec, benchName string, target metrics.Target,
 	if err != nil {
 		t.Fatal(err)
 	}
-	gt, err := model.GroundTruthSweep(spec, b.Kernel, b.CharItems)
+	gt, err := sweep.GroundTruth(spec, b.Kernel, b.CharItems)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestGovernorConvergesNearOptimum(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gt, err := model.GroundTruthSweep(spec, b.Kernel, b.CharItems)
+		gt, err := sweep.GroundTruth(spec, b.Kernel, b.CharItems)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +84,7 @@ func TestGovernorSettlesQuickly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gt, err := model.GroundTruthSweep(spec, b.Kernel, b.CharItems)
+	gt, err := sweep.GroundTruth(spec, b.Kernel, b.CharItems)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestGovernorExplorationCostVsStaticPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gt, err := model.GroundTruthSweep(spec, b.Kernel, b.CharItems)
+	gt, err := sweep.GroundTruth(spec, b.Kernel, b.CharItems)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestGovernorDecisionsAlwaysSupported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gt, err := model.GroundTruthSweep(spec, b.Kernel, b.CharItems)
+	gt, err := sweep.GroundTruth(spec, b.Kernel, b.CharItems)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,13 @@
 // Package metrics implements the energy metrics of §5: the classic
 // energy-delay products (EDP, ED2P), the paper's new energy-saving
 // (ES_x) and performance-loss (PL_x) tradeoff metrics, Pareto fronts
-// over frequency sweeps, and the target selection used by both the
-// ground-truth characterisation and the model's frequency search.
+// over frequency sweeps, and Select — the one implementation of the
+// target definitions, shared by ground-truth sweeps, fleet placement
+// and the model's frequency search.
 package metrics
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -133,6 +135,15 @@ func (p Point) EDP() float64 { return p.EnergyJ * p.TimeSec }
 // ED2P returns energy × time².
 func (p Point) ED2P() float64 { return p.EnergyJ * p.TimeSec * p.TimeSec }
 
+// Check reports an error unless the point's time and energy are both
+// positive and finite — the invariant every selection relies on.
+func (p Point) Check() error {
+	if !(p.TimeSec > 0 && p.EnergyJ > 0) || math.IsInf(p.TimeSec, 0) || math.IsInf(p.EnergyJ, 0) {
+		return fmt.Errorf("metrics: invalid point at %d MHz", p.FreqMHz)
+	}
+	return nil
+}
+
 // Sweep is a full frequency characterisation of one kernel, with the
 // baseline (default-frequency) configuration identified.
 type Sweep struct {
@@ -151,8 +162,8 @@ func NewSweep(points []Point, baselineFreq int) (*Sweep, error) {
 	sort.Slice(ps, func(i, j int) bool { return ps[i].FreqMHz < ps[j].FreqMHz })
 	base := -1
 	for i, p := range ps {
-		if p.TimeSec <= 0 || p.EnergyJ <= 0 || math.IsNaN(p.TimeSec) || math.IsNaN(p.EnergyJ) {
-			return nil, fmt.Errorf("metrics: invalid point at %d MHz", p.FreqMHz)
+		if err := p.Check(); err != nil {
+			return nil, err
 		}
 		if i > 0 && ps[i].FreqMHz == ps[i-1].FreqMHz {
 			return nil, fmt.Errorf("metrics: duplicate frequency %d MHz", p.FreqMHz)
@@ -227,91 +238,97 @@ func (s *Sweep) ParetoFront() []Point {
 // Select applies the target definition of §5 to the sweep and returns
 // the chosen configuration.
 func (s *Sweep) Select(t Target) (Point, error) {
-	if err := t.Validate(); err != nil {
+	i, err := Select(s.Points, s.Baseline, t)
+	if err != nil {
 		return Point{}, err
 	}
+	return s.Points[i], nil
+}
+
+// ErrNoBaseline is Select's error for an ES_x or PL_x target over
+// candidates without a baseline configuration to anchor the interval.
+var ErrNoBaseline = errors.New("metrics: ES/PL target needs a baseline configuration")
+
+// Select is the one implementation of the §5 target definitions. It
+// applies t to the candidate points and returns the index of the
+// chosen one. base indexes the default configuration the ES_x/PL_x
+// intervals are anchored to, or is -1 when there is none (then only the
+// argmin targets can be selected). Every scan takes the first strict
+// optimum, so ties resolve to the earliest candidate in pts order. A
+// device sweep, a fleet's feasible grid and a predicted curve all
+// select through it.
+func Select(pts []Point, base int, t Target) (int, error) {
+	if err := t.Validate(); err != nil {
+		return 0, err
+	}
+	if len(pts) == 0 {
+		return 0, fmt.Errorf("metrics: no candidate points")
+	}
+	energy := func(i int) float64 { return pts[i].EnergyJ }
 	switch t.Kind {
 	case KindMaxPerf:
-		return s.argmin(func(p Point) float64 { return p.TimeSec }), nil
+		return Argmin(len(pts), func(i int) float64 { return pts[i].TimeSec }), nil
 	case KindMinEnergy:
-		return s.argmin(Point.energy), nil
+		return Argmin(len(pts), energy), nil
 	case KindMinEDP:
-		return s.argmin(Point.EDP), nil
+		return Argmin(len(pts), func(i int) float64 { return pts[i].EDP() }), nil
 	case KindMinED2P:
-		return s.argmin(Point.ED2P), nil
-	case KindES:
-		return s.selectES(t.X), nil
-	case KindPL:
-		return s.selectPL(t.X), nil
+		return Argmin(len(pts), func(i int) float64 { return pts[i].ED2P() }), nil
 	}
-	return Point{}, fmt.Errorf("metrics: unreachable target kind")
-}
-
-func (p Point) energy() float64 { return p.EnergyJ }
-
-func (s *Sweep) argmin(f func(Point) float64) Point {
-	best := s.Points[0]
-	bestV := f(best)
-	for _, p := range s.Points[1:] {
-		if v := f(p); v < bestV {
-			best, bestV = p, v
+	if base < 0 {
+		return 0, ErrNoBaseline
+	}
+	def := pts[base]
+	lo := Argmin(len(pts), energy)
+	best := -1
+	if t.Kind == KindES {
+		// ES_x (§5.2): on the interval between the default energy and the
+		// minimum achievable energy, the target energy is e_def - x% of
+		// the potential saving; among configurations at or below it,
+		// pick the best-performing one. With no saving possible the
+		// default configuration is returned.
+		if pts[lo].EnergyJ >= def.EnergyJ {
+			return base, nil
 		}
-	}
-	return best
-}
-
-// selectES implements ES_x (§5.2): on the interval between the default
-// configuration's energy and the minimum achievable energy, the target
-// energy is e_def - x% of the potential saving; among configurations at
-// or below that energy, pick the best-performing one. When no savings
-// are possible the default configuration is returned.
-func (s *Sweep) selectES(x float64) Point {
-	def := s.BaselinePoint()
-	minE := s.argmin(Point.energy)
-	if minE.EnergyJ >= def.EnergyJ {
-		return def
-	}
-	targetE := def.EnergyJ - x/100*(def.EnergyJ-minE.EnergyJ)
-	best := Point{TimeSec: math.Inf(1)}
-	found := false
-	for _, p := range s.Points {
-		if p.EnergyJ <= targetE+1e-12*def.EnergyJ {
-			if !found || p.TimeSec < best.TimeSec {
-				best = p
-				found = true
+		targetE := def.EnergyJ - t.X/100*(def.EnergyJ-pts[lo].EnergyJ)
+		for i, p := range pts {
+			if p.EnergyJ <= targetE+1e-12*def.EnergyJ && (best < 0 || p.TimeSec < pts[best].TimeSec) {
+				best = i
 			}
 		}
+		if best < 0 {
+			return lo, nil
+		}
+		return best, nil
 	}
-	if !found {
-		return minE
-	}
-	return best
-}
-
-// selectPL implements PL_x (§5.3): the potential performance loss is the
-// slowdown from the default configuration to the minimum-energy one; the
-// target time is t_def + x% of that interval; among configurations at or
-// below the target time, pick the most energy-efficient one.
-func (s *Sweep) selectPL(x float64) Point {
-	def := s.BaselinePoint()
-	minE := s.argmin(Point.energy)
-	slow := minE.TimeSec
+	// PL_x (§5.3): the potential performance loss is the slowdown from
+	// the default configuration to the minimum-energy one; the target
+	// time is t_def + x% of that interval; among configurations at or
+	// below it, pick the most energy-efficient one.
+	slow := pts[lo].TimeSec
 	if slow < def.TimeSec {
 		slow = def.TimeSec
 	}
-	targetT := def.TimeSec + x/100*(slow-def.TimeSec)
-	best := Point{EnergyJ: math.Inf(1)}
-	found := false
-	for _, p := range s.Points {
-		if p.TimeSec <= targetT+1e-12*def.TimeSec {
-			if !found || p.EnergyJ < best.EnergyJ {
-				best = p
-				found = true
-			}
+	targetT := def.TimeSec + t.X/100*(slow-def.TimeSec)
+	for i, p := range pts {
+		if p.TimeSec <= targetT+1e-12*def.TimeSec && (best < 0 || p.EnergyJ < pts[best].EnergyJ) {
+			best = i
 		}
 	}
-	if !found {
-		return def
+	if best < 0 {
+		return base, nil
+	}
+	return best, nil
+}
+
+// Argmin returns the index of the first strict minimum of f over
+// 0..n-1 (n >= 1): ties resolve to the lower index.
+func Argmin(n int, f func(i int) float64) int {
+	best, bestV := 0, f(0)
+	for i := 1; i < n; i++ {
+		if v := f(i); v < bestV {
+			best, bestV = i, v
+		}
 	}
 	return best
 }
@@ -337,20 +354,28 @@ func ObjectiveValue(t Target, p Point) float64 {
 }
 
 // EnergySavingPct returns the energy saving of a configuration relative
-// to the sweep's baseline, in percent: 100·(e_def − e)/e_def. The
-// baseline itself saves exactly 0%; since energies are positive the
-// saving is always strictly below 100%. Negative values mean the
-// configuration costs more energy than the default.
-func (s *Sweep) EnergySavingPct(p Point) float64 {
-	def := s.BaselinePoint()
+// to the sweep's baseline, in percent (see the package-level
+// EnergySavingPct).
+func (s *Sweep) EnergySavingPct(p Point) float64 { return EnergySavingPct(s.BaselinePoint(), p) }
+
+// PerfLossPct returns the performance loss of a configuration relative
+// to the sweep's baseline, in percent (see the package-level
+// PerfLossPct).
+func (s *Sweep) PerfLossPct(p Point) float64 { return PerfLossPct(s.BaselinePoint(), p) }
+
+// EnergySavingPct returns the energy saving of p relative to the
+// default configuration def, in percent: 100·(e_def − e)/e_def. The
+// default itself saves exactly 0%; since energies are positive the
+// saving is always strictly below 100%. Negative values mean p costs
+// more energy than the default.
+func EnergySavingPct(def, p Point) float64 {
 	return 100 * (def.EnergyJ - p.EnergyJ) / def.EnergyJ
 }
 
-// PerfLossPct returns the performance loss of a configuration relative
-// to the sweep's baseline, in percent: 100·(t − t_def)/t_def, clamped
-// at 0 — a configuration faster than the default loses nothing.
-func (s *Sweep) PerfLossPct(p Point) float64 {
-	def := s.BaselinePoint()
+// PerfLossPct returns the performance loss of p relative to the default
+// configuration def, in percent: 100·(t − t_def)/t_def, clamped at 0 —
+// a configuration faster than the default loses nothing.
+func PerfLossPct(def, p Point) float64 {
 	if pl := 100 * (p.TimeSec - def.TimeSec) / def.TimeSec; pl > 0 {
 		return pl
 	}

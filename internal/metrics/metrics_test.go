@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -88,6 +89,51 @@ func TestNewSweepValidation(t *testing.T) {
 	bad := []Point{{FreqMHz: 100, TimeSec: -1, EnergyJ: 1}}
 	if _, err := NewSweep(bad, 100); err == nil {
 		t.Error("negative time accepted")
+	}
+	inf := []Point{{FreqMHz: 100, TimeSec: 1, EnergyJ: math.Inf(1)}}
+	if _, err := NewSweep(inf, 100); err == nil {
+		t.Error("infinite energy accepted")
+	}
+}
+
+// TestSelectCore pins the index-level contract of Select shared by
+// sweeps, fleet grids and predicted curves: ties go to the lower index,
+// the argmin targets need no baseline, ES_x/PL_x without one fail with
+// ErrNoBaseline, and an empty candidate set is an error.
+func TestSelectCore(t *testing.T) {
+	t.Parallel()
+	pts := []Point{
+		{FreqMHz: 100, TimeSec: 2, EnergyJ: 1},
+		{FreqMHz: 200, TimeSec: 1, EnergyJ: 2},
+		{FreqMHz: 300, TimeSec: 1, EnergyJ: 1.5},
+	}
+	for _, c := range []struct {
+		target Target
+		base   int
+		want   int
+	}{
+		{MaxPerf, -1, 1}, // time tie between 1 and 2
+		{MinEnergy, -1, 0},
+		{MinEDP, -1, 2},
+		{MinED2P, -1, 2},
+		{ES(50), 1, 2}, // target energy 1.5: points 0 and 2 qualify, 2 is faster
+		{PL(50), 1, 2}, // target time 1.5: points 1 and 2 qualify, 2 is cheaper
+	} {
+		got, err := Select(pts, c.base, c.target)
+		if err != nil || got != c.want {
+			t.Errorf("Select(%v, base %d) = %d, %v; want %d", c.target, c.base, got, err, c.want)
+		}
+	}
+	for _, target := range []Target{ES(50), PL(50)} {
+		if _, err := Select(pts, -1, target); !errors.Is(err, ErrNoBaseline) {
+			t.Errorf("%v without a baseline: err %v, want ErrNoBaseline", target, err)
+		}
+	}
+	if _, err := Select(nil, -1, MinEnergy); err == nil {
+		t.Error("empty candidate set accepted")
+	}
+	if _, err := Select(pts, 0, ES(0)); err == nil {
+		t.Error("invalid target accepted")
 	}
 }
 

@@ -20,20 +20,6 @@ type BenchCase struct {
 	Items  int64
 }
 
-// GroundTruthSweep measures (through the device model) the per-item
-// time/energy of the kernel at every supported frequency. Points carry
-// per-item units: ns in TimeSec, nJ in EnergyJ — target selection is
-// invariant to this uniform scaling.
-//
-// It routes through the shared sweep engine: the frequency table is
-// evaluated on a worker pool and the result is memoized, so repeated
-// requests for the same (spec, kernel, items) are served from cache.
-// A non-positive launch size is rejected with a descriptive error
-// instead of poisoning the sweep with ±Inf/NaN per-item points.
-func GroundTruthSweep(spec *hw.Spec, k *kernelir.Kernel, items int64) (*metrics.Sweep, error) {
-	return sweep.GroundTruth(spec, k, items)
-}
-
 // PredictionError is one Fig. 9 data point: for a benchmark, target and
 // algorithm, the absolute percentage error between the objective value
 // at the predicted frequency and at the actual optimal frequency — the
@@ -64,7 +50,7 @@ func EvaluateModels(m *Models, cases []BenchCase, targets []metrics.Target) ([]P
 	}
 	var out []PredictionError
 	for _, c := range cases {
-		gt, err := GroundTruthSweep(m.Spec, c.Kernel, c.Items)
+		gt, err := sweep.GroundTruth(m.Spec, c.Kernel, c.Items)
 		if err != nil {
 			return nil, err
 		}

@@ -16,6 +16,7 @@ import (
 	"synergy/internal/hw"
 	"synergy/internal/kernelir"
 	"synergy/internal/metrics"
+	"synergy/internal/microbench"
 	"synergy/internal/ml"
 	"synergy/internal/sweep"
 )
@@ -234,13 +235,17 @@ type PredictedPoint struct {
 }
 
 // Check verifies the bundle is able to serve predictions: the device
-// spec is present and all four models are in a fitted state. A bundle
-// that was never trained — or was loaded from a corrupt artifact — is
-// refused with a descriptive error here instead of silently predicting
-// garbage (an unfit forest, for instance, used to return a flat 0).
+// spec is present and valid and all four models are in a fitted state.
+// A bundle that was never trained — or was loaded from a corrupt
+// artifact — is refused with a descriptive error here instead of
+// silently predicting garbage (an unfit forest, for instance, used to
+// return a flat 0).
 func (m *Models) Check() error {
 	if m.Spec == nil {
 		return fmt.Errorf("model: bundle has no device spec")
+	}
+	if err := m.Spec.Validate(); err != nil {
+		return err
 	}
 	for _, part := range []struct {
 		name string
@@ -283,17 +288,6 @@ func (m *Models) SearchFrequency(v features.Vector, target metrics.Target) (int,
 	return a.FreqMHz, nil
 }
 
-func argminFreq(curve []PredictedPoint, f func(PredictedPoint) float64) int {
-	best := curve[0].FreqMHz
-	bestV := f(curve[0])
-	for _, p := range curve[1:] {
-		if v := f(p); v < bestV {
-			best, bestV = p.FreqMHz, v
-		}
-	}
-	return best
-}
-
 // Advisor adapts Models to the core.FrequencyAdvisor interface used by
 // target-annotated queue submissions. Feature extraction happens here —
 // in the real system it is the compiler pass output compiled into the
@@ -311,16 +305,33 @@ func (a *Advisor) AdviseCoreFreq(k *kernelir.Kernel, items int, target metrics.T
 	return a.Models.SearchFrequency(v, target)
 }
 
-// DefaultAdvisor trains the paper's per-device deployment in one call:
-// micro-benchmark training set, best-in-class algorithms (Random Forest
-// — the Table-2 winner for the energy-family targets — for all four
-// models by default).
-func DefaultAdvisor(spec *hw.Spec, kernels []*kernelir.Kernel, freqStride int) (*Advisor, error) {
-	ts, err := CollectTraining(spec, kernels, freqStride)
+// DefaultTrainingSet runs the §6.1 measurement campaign on the paper's
+// micro-benchmark suite (microbench.DefaultSet), subsampling the
+// frequency table by freqStride.
+func DefaultTrainingSet(spec *hw.Spec, freqStride int) (*TrainingSet, error) {
+	ks, err := microbench.Kernels(microbench.DefaultSet())
 	if err != nil {
 		return nil, err
 	}
-	m, err := Train(spec, ts, AlgoForest)
+	return CollectTraining(spec, ks, freqStride)
+}
+
+// TrainDefault is the per-device installation step of §3.2 in one call:
+// the micro-benchmark training set, then the four models fitted with
+// algo.
+func TrainDefault(spec *hw.Spec, algo string, freqStride int) (*Models, error) {
+	ts, err := DefaultTrainingSet(spec, freqStride)
+	if err != nil {
+		return nil, err
+	}
+	return Train(spec, ts, algo)
+}
+
+// DefaultAdvisor trains the paper's per-device deployment in one call:
+// the micro-benchmark training set and Random Forest — the Table-2
+// winner for the energy-family targets — for all four models.
+func DefaultAdvisor(spec *hw.Spec, freqStride int) (*Advisor, error) {
+	m, err := TrainDefault(spec, AlgoForest, freqStride)
 	if err != nil {
 		return nil, err
 	}

@@ -8,16 +8,13 @@ import (
 	"synergy/internal/hw"
 	"synergy/internal/metrics"
 	"synergy/internal/microbench"
+	"synergy/internal/sweep"
 )
 
 // trainingSet collects a (cached) training set on the V100 model.
 func trainingSet(t *testing.T, spec *hw.Spec) *TrainingSet {
 	t.Helper()
-	ks, err := microbench.Kernels(microbench.DefaultSet())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts, err := CollectTraining(spec, ks, 4)
+	ts, err := DefaultTrainingSet(spec, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +223,7 @@ func TestGroundTruthSweepUnits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gt, err := GroundTruthSweep(spec, bm.Kernel, bm.CharItems)
+	gt, err := sweep.GroundTruth(spec, bm.Kernel, bm.CharItems)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,11 +237,7 @@ func TestGroundTruthSweepUnits(t *testing.T) {
 
 func TestDefaultAdvisor(t *testing.T) {
 	spec := hw.V100()
-	ks, err := microbench.Kernels(microbench.DefaultSet())
-	if err != nil {
-		t.Fatal(err)
-	}
-	adv, err := DefaultAdvisor(spec, ks, 8)
+	adv, err := DefaultAdvisor(spec, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,11 +262,7 @@ func TestDefaultAdvisor(t *testing.T) {
 // backend: only 16 DPM states, no default clock (baseline = max).
 func TestAdvisorOnMI100(t *testing.T) {
 	spec := hw.MI100()
-	ks, err := microbench.Kernels(microbench.DefaultSet())
-	if err != nil {
-		t.Fatal(err)
-	}
-	adv, err := DefaultAdvisor(spec, ks, 1) // 16 states: full sweep
+	adv, err := DefaultAdvisor(spec, 1) // 16 states: full sweep
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +282,7 @@ func TestAdvisorOnMI100(t *testing.T) {
 			t.Errorf("%s: ES_50 advised the maximum frequency; expected down-scaling", name)
 		}
 		// Achieved energy at the advised frequency must beat baseline.
-		gt, err := GroundTruthSweep(spec, bm.Kernel, bm.CharItems)
+		gt, err := sweep.GroundTruth(spec, bm.Kernel, bm.CharItems)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 
 	"synergy/internal/hw"
 	"synergy/internal/ml"
@@ -91,6 +92,17 @@ func LoadModels(r io.Reader) (*Models, error) {
 		return nil, err
 	}
 	return m, nil
+}
+
+// LoadFile reads a bundle file written by SaveModels (synergy-train
+// -save).
+func LoadFile(path string) (*Models, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return LoadModels(f)
 }
 
 // Fingerprint returns a short content fingerprint of the bundle: the

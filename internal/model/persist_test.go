@@ -2,6 +2,10 @@ package model
 
 import (
 	"bytes"
+	"errors"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -61,5 +65,37 @@ func TestLoadModelsRejectsGarbage(t *testing.T) {
 	}
 	if _, err := LoadModels(strings.NewReader(`{"device":"v100","algo":"Linear"}`)); err == nil {
 		t.Error("bundle without models accepted")
+	}
+}
+
+// TestLoadFile round-trips a bundle through a file and keeps the open
+// error of a missing file inspectable.
+func TestLoadFile(t *testing.T) {
+	m, err := TrainDefault(hw.V100(), AlgoLinear, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "bundle.json")
+	var buf bytes.Buffer
+	if err := SaveModels(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := m.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := loaded.Fingerprint(); err != nil || got != want {
+		t.Errorf("loaded bundle fingerprint %q (%v), want %q", got, err, want)
+	}
+	if _, err := LoadFile(filepath.Join(dir, "missing.json")); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("missing file: got %v, want a not-exist error", err)
 	}
 }

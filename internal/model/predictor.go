@@ -1,7 +1,9 @@
 package model
 
 import (
+	"fmt"
 	"math"
+	"sort"
 
 	"synergy/internal/features"
 	"synergy/internal/metrics"
@@ -10,7 +12,7 @@ import (
 
 // Predictor is a reusable prediction session over one Models bundle:
 // all scratch buffers (feature rows, per-model outputs, the predicted
-// curve and the sweep points) are allocated once and reused, and the
+// curve and the selection points) are allocated once and reused, and the
 // four models are driven through their batch path, so evaluating the
 // whole frequency curve performs no per-call allocations. A Predictor
 // is not safe for concurrent use — the serve daemon pools them.
@@ -24,6 +26,8 @@ type Predictor struct {
 	yED2P []float64
 	curve []PredictedPoint
 	pts   []metrics.Point
+	// base indexes the baseline clock in the (ascending) clock table.
+	base int
 }
 
 // predictor builds the scratch without checking fitted state (the
@@ -40,6 +44,7 @@ func (m *Models) predictor() *Predictor {
 		yED2P: make([]float64, n),
 		curve: make([]PredictedPoint, n),
 		pts:   make([]metrics.Point, n),
+		base:  sort.SearchInts(m.Spec.CoreFreqsMHz, m.Spec.BaselineCoreMHz()),
 	}
 	for i := range p.rows {
 		p.rows[i] = p.back[i*rowLen : (i+1)*rowLen : (i+1)*rowLen]
@@ -104,57 +109,73 @@ type Advice struct {
 	ESPct, PLPct float64
 }
 
+// Points evaluates the predicted curve (as Curve does) and returns it as
+// selection candidates: per-item time in TimeSec and energy in EnergyJ.
+// Predicted values can go slightly non-positive at the edges of the
+// training distribution, so finite non-positive values are clamped to
+// a positive floor; a point that still fails metrics.Point.Check (NaN
+// or infinite) is an error. The returned slice is the session's
+// internal buffer, valid until the next Curve, Points or Advise call.
+func (p *Predictor) Points(v features.Vector) ([]metrics.Point, error) {
+	for i, pt := range p.Curve(v) {
+		q := metrics.Point{FreqMHz: pt.FreqMHz, TimeSec: clampPositive(pt.TimeNs), EnergyJ: clampPositive(pt.EnergyNanoJ)}
+		if err := q.Check(); err != nil {
+			return nil, err
+		}
+		p.pts[i] = q
+	}
+	return p.pts, nil
+}
+
+// clampPositive floors finite non-positive predictions at 1e-9; -Inf
+// stays as it is, for metrics.Point.Check to refuse.
+func clampPositive(x float64) float64 {
+	if x <= 0 && !math.IsInf(x, -1) {
+		return 1e-9
+	}
+	return x
+}
+
 // Advise runs the full §6.2 frequency search for one kernel and target
 // and reports the predicted energy-saving / performance-loss tradeoff
-// of the chosen configuration.
+// of the chosen configuration. MIN_EDP and MIN_ED2P take the argmin of
+// their dedicated product models; every other target is selected from
+// the predicted time/energy points by metrics.Select. The clock table
+// is strictly ascending (hw.Spec.Validate), so the points are already
+// in sweep order. Advise refuses predictions whose ES or PL figure is
+// not finite.
 func (p *Predictor) Advise(v features.Vector, target metrics.Target) (Advice, error) {
 	if err := target.Validate(); err != nil {
 		return Advice{}, err
 	}
-	curve := p.Curve(v)
-	for i, pt := range curve {
-		t := pt.TimeNs
-		e := pt.EnergyNanoJ
-		// Predicted values can go slightly non-positive at the edges of
-		// the training distribution; clamp for the sweep invariants.
-		if t <= 0 {
-			t = 1e-9
-		}
-		if e <= 0 {
-			e = 1e-9
-		}
-		p.pts[i] = metrics.Point{FreqMHz: pt.FreqMHz, TimeSec: t, EnergyJ: e}
-	}
-	sweep, err := metrics.NewSweep(p.pts, p.m.Spec.BaselineCoreMHz())
+	pts, err := p.Points(v)
 	if err != nil {
 		return Advice{}, err
 	}
-	var freq int
+	var i int
 	switch target.Kind {
 	case metrics.KindMinEDP:
-		freq = argminFreq(curve, func(p PredictedPoint) float64 { return p.EDPPred })
+		i = metrics.Argmin(len(p.curve), func(j int) float64 { return p.curve[j].EDPPred })
 	case metrics.KindMinED2P:
-		freq = argminFreq(curve, func(p PredictedPoint) float64 { return p.ED2PPredicted })
+		i = metrics.Argmin(len(p.curve), func(j int) float64 { return p.curve[j].ED2PPredicted })
 	default:
-		sel, err := sweep.Select(target)
-		if err != nil {
+		if i, err = metrics.Select(pts, p.base, target); err != nil {
 			return Advice{}, err
 		}
-		freq = sel.FreqMHz
 	}
-	chosen, _ := sweep.PointAt(freq)
-	a := Advice{
+	es := metrics.EnergySavingPct(pts[p.base], pts[i])
+	pl := metrics.PerfLossPct(pts[p.base], pts[i])
+	if math.IsInf(es, 0) || math.IsNaN(es) || math.IsInf(pl, 0) || math.IsNaN(pl) {
+		return Advice{}, fmt.Errorf("model: predicted tradeoff at %d MHz is out of range (ES %g%%, PL %g%%)",
+			pts[i].FreqMHz, es, pl)
+	}
+	return Advice{
 		Target:      target,
-		FreqMHz:     freq,
-		BaselineMHz: p.m.Spec.BaselineCoreMHz(),
-		ESPct:       sweep.EnergySavingPct(chosen),
-		PLPct:       sweep.PerfLossPct(chosen),
-	}
-	for _, pt := range curve {
-		if pt.FreqMHz == freq {
-			a.TimeNs, a.EnergyNanoJ = pt.TimeNs, pt.EnergyNanoJ
-			break
-		}
-	}
-	return a, nil
+		FreqMHz:     pts[i].FreqMHz,
+		BaselineMHz: pts[p.base].FreqMHz,
+		TimeNs:      p.curve[i].TimeNs,
+		EnergyNanoJ: p.curve[i].EnergyNanoJ,
+		ESPct:       es,
+		PLPct:       pl,
+	}, nil
 }

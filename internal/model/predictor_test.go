@@ -9,7 +9,6 @@ import (
 	"synergy/internal/features"
 	"synergy/internal/hw"
 	"synergy/internal/metrics"
-	"synergy/internal/microbench"
 	"synergy/internal/ml"
 )
 
@@ -29,15 +28,7 @@ func forestBundle(t testing.TB, spec *hw.Spec) *Models {
 	if m, ok := forestBundles[spec.Name]; ok {
 		return m
 	}
-	ks, err := microbench.Kernels(microbench.DefaultSet())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts, err := CollectTraining(spec, ks, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := Train(spec, ts, AlgoForest)
+	m, err := TrainDefault(spec, AlgoForest, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package model
 
 import (
-	"strings"
 	"testing"
 
 	"synergy/internal/benchsuite"
@@ -9,26 +8,6 @@ import (
 	"synergy/internal/kernelir"
 	"synergy/internal/sweep"
 )
-
-// TestGroundTruthSweepRejectsNonPositiveItems is the regression test
-// for the silent ±Inf/NaN per-item normalisation: a non-positive launch
-// size must surface a descriptive error, not poisoned metrics.
-func TestGroundTruthSweepRejectsNonPositiveItems(t *testing.T) {
-	spec := hw.V100()
-	b, err := benchsuite.ByName("vec_add")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, items := range []int64{0, -1} {
-		_, err := GroundTruthSweep(spec, b.Kernel, items)
-		if err == nil {
-			t.Fatalf("items=%d: expected error", items)
-		}
-		if !strings.Contains(err.Error(), "launch size must be positive") {
-			t.Errorf("items=%d: undescriptive error %q", items, err)
-		}
-	}
-}
 
 // TestCollectTrainingMatchesGroundTruth proves the engine-backed
 // training campaign subsamples the exact per-item measurements a direct

@@ -1,6 +1,7 @@
 package placement_test
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -228,4 +229,57 @@ func TestConcurrentSelect(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestNoFeasibleBaselineRefusesRelativeTargets: when the budget admits
+// some configurations but no device's default clock, the argmin
+// targets still place, while ES_x and PL_x — whose intervals are
+// anchored at the baseline — refuse with the budget error.
+func TestNoFeasibleBaselineRefusesRelativeTargets(t *testing.T) {
+	t.Parallel()
+	bm, err := benchsuite.ByName("matmul")
+	if err != nil {
+		t.Fatal(err)
+	}
+	open, err := hw.FleetFromNames([]string{"v100"}, hw.Budget{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := placement.BuildGroundTruth(sweep.Shared(), open, bm.Kernel, bm.CharItems)
+	if err != nil {
+		t.Fatal(err)
+	}
+	def, err := g.BaselineCandidate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	minW := def.PowerW
+	for _, c := range g.Candidates {
+		minW = math.Min(minW, c.PowerW)
+	}
+	f, err := hw.FleetFromNames([]string{"v100"}, hw.Budget{PowerW: (minW + def.PowerW) / 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err = placement.BuildGroundTruth(sweep.Shared(), f, bm.Kernel, bm.CharItems)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want := g.BaselineCandidate()
+	if want == nil || g.FeasibleCount() == 0 {
+		t.Fatalf("budget %s: want some feasible configurations but no feasible baseline", f.Budget)
+	}
+	for _, target := range metrics.StandardTargets {
+		p, err := g.Select(target)
+		switch target.Kind {
+		case metrics.KindES, metrics.KindPL:
+			if err == nil || err.Error() != want.Error() {
+				t.Errorf("%v: got (%+v, %v), want error %q", target, p, err, want)
+			}
+		default:
+			if err != nil || !p.Feasible || p.BaselineDevice != "" || p.ESPct != 0 || p.PLPct != 0 {
+				t.Errorf("%v: got (%+v, %v), want a feasible placement with no baseline figures", target, p, err)
+			}
+		}
+	}
 }

@@ -9,19 +9,20 @@
 // any of the paper's targets (MAX_PERF, MIN_ENERGY, MIN_EDP, MIN_ED2P,
 // ES_x, PL_x).
 //
-// The target semantics deliberately mirror internal/metrics bit for
-// bit, with the fleet baseline (the best-performing feasible device at
-// its default clock) standing in for the single device's default
-// configuration. A single-device fleet with no budget therefore
-// reduces exactly — bit-identically — to metrics.Sweep.Select on that
-// device's sweep, which the degenerate-fleet tests pin, and the joint
-// search is provably the argmin over the brute-forced grid, which the
-// enumeration-oracle test pins.
+// Selection is metrics.Select — the same code metrics.Sweep.Select
+// runs — over the feasible candidates, with the fleet baseline (the
+// best-performing feasible device at its default clock) standing in
+// for the single device's default configuration. A single-device fleet
+// with no budget therefore reduces exactly — bit-identically — to
+// metrics.Sweep.Select on that device's sweep, which the
+// degenerate-fleet tests pin, and the joint search is the argmin over
+// the brute-forced grid, which the independent enumeration-oracle test
+// pins.
 package placement
 
 import (
+	"errors"
 	"fmt"
-	"math"
 
 	"synergy/internal/features"
 	"synergy/internal/hw"
@@ -56,12 +57,6 @@ type Candidate struct {
 	Baseline bool `json:"baseline"`
 }
 
-// EDP returns energy × time.
-func (c Candidate) EDP() float64 { return c.EnergyJ * c.TimeSec }
-
-// ED2P returns energy × time².
-func (c Candidate) ED2P() float64 { return c.EnergyJ * c.TimeSec * c.TimeSec }
-
 // Grid is the joint (device × frequency) characterisation of one kernel
 // on a fleet.
 type Grid struct {
@@ -70,10 +65,14 @@ type Grid struct {
 	// Candidates holds every (device, frequency) point, device-major in
 	// fleet order, frequencies ascending within a device.
 	Candidates []Candidate
-	// baseline indexes the fleet baseline candidate (the best-performing
+	// feas indexes the feasible candidates in grid order and pts holds
+	// their selection points, the candidate set Select searches. base
+	// is the position in pts of the fleet baseline (the best-performing
 	// feasible device at its default clock), -1 when no device's
 	// baseline configuration is feasible under the budget.
-	baseline int
+	feas []int
+	pts  []metrics.Point
+	base int
 }
 
 // BuildGroundTruth assembles the grid from ground-truth frequency
@@ -98,15 +97,15 @@ func BuildGroundTruth(eng *sweep.Engine, fleet *hw.Fleet, k *kernelir.Kernel, it
 			g.add(di, fd, p.FreqMHz, p.TimeSec, p.EnergyJ, base)
 		}
 	}
-	g.locateBaseline()
+	g.index()
 	return g, nil
 }
 
 // BuildPredicted assembles the grid from per-device prediction
 // sessions: preds[i] must be a Predictor over fleet device i's spec.
-// Predicted times/energies are clamped to a positive floor exactly as
-// model.Predictor.Advise does, so the grid keeps the sweep invariants
-// at the edges of the training distribution.
+// The candidates are model.Predictor.Points — the same clamped points
+// Predictor.Advise selects from — so the grid keeps the sweep
+// invariants at the edges of the training distribution.
 func BuildPredicted(fleet *hw.Fleet, preds []*model.Predictor, v features.Vector) (*Grid, error) {
 	if fleet == nil {
 		return nil, fmt.Errorf("placement: nil fleet")
@@ -127,19 +126,16 @@ func BuildPredicted(fleet *hw.Fleet, preds []*model.Predictor, v features.Vector
 			return nil, fmt.Errorf("placement: predictor for %q bound to fleet device %s (%s)",
 				got, fd.Key, fd.Spec.Name)
 		}
+		pts, err := p.Points(v)
+		if err != nil {
+			return nil, fmt.Errorf("placement: device %s: %w", fd.Key, err)
+		}
 		base := fd.Spec.BaselineCoreMHz()
-		for _, pt := range p.Curve(v) {
-			t, e := pt.TimeNs, pt.EnergyNanoJ
-			if t <= 0 {
-				t = 1e-9
-			}
-			if e <= 0 {
-				e = 1e-9
-			}
-			g.add(di, fd, pt.FreqMHz, t, e, base)
+		for _, pt := range pts {
+			g.add(di, fd, pt.FreqMHz, pt.TimeSec, pt.EnergyJ, base)
 		}
 	}
-	g.locateBaseline()
+	g.index()
 	return g, nil
 }
 
@@ -159,20 +155,25 @@ func (g *Grid) add(di int, fd hw.FleetDevice, freqMHz int, timeSec, energyJ floa
 	})
 }
 
-// locateBaseline picks the fleet baseline: the best-performing feasible
-// device at its default clock (what a performance-oriented scheduler
-// would run with no energy awareness). Strict-< argmin over the
-// device-major order keeps ties deterministic: earlier fleet device,
-// then lower frequency.
-func (g *Grid) locateBaseline() {
-	g.baseline = -1
+// index lists the feasible candidates as selection points, in grid
+// order, and picks the fleet baseline among them: the best-performing
+// feasible device at its default clock (what a performance-oriented
+// scheduler would run with no energy awareness). Strict-< argmin over
+// the device-major order keeps ties deterministic: earlier fleet
+// device, then lower frequency.
+func (g *Grid) index() {
+	g.feas = make([]int, 0, len(g.Candidates))
+	g.pts = make([]metrics.Point, 0, len(g.Candidates))
+	g.base = -1
 	for i, c := range g.Candidates {
-		if !c.Baseline || !c.Feasible {
+		if !c.Feasible {
 			continue
 		}
-		if g.baseline < 0 || c.TimeSec < g.Candidates[g.baseline].TimeSec {
-			g.baseline = i
+		if c.Baseline && (g.base < 0 || c.TimeSec < g.pts[g.base].TimeSec) {
+			g.base = len(g.pts)
 		}
+		g.feas = append(g.feas, i)
+		g.pts = append(g.pts, metrics.Point{FreqMHz: c.FreqMHz, TimeSec: c.TimeSec, EnergyJ: c.EnergyJ})
 	}
 }
 
@@ -180,24 +181,16 @@ func (g *Grid) locateBaseline() {
 // figures are relative to, or an error when no device's default-clock
 // configuration fits the power budget.
 func (g *Grid) BaselineCandidate() (Candidate, error) {
-	if g.baseline < 0 {
+	if g.base < 0 {
 		return Candidate{}, fmt.Errorf(
 			"placement: no device baseline configuration is feasible under the %s fleet power budget",
 			g.Fleet.Budget)
 	}
-	return g.Candidates[g.baseline], nil
+	return g.Candidates[g.feas[g.base]], nil
 }
 
 // FeasibleCount returns how many grid candidates fit the power budget.
-func (g *Grid) FeasibleCount() int {
-	n := 0
-	for _, c := range g.Candidates {
-		if c.Feasible {
-			n++
-		}
-	}
-	return n
-}
+func (g *Grid) FeasibleCount() int { return len(g.feas) }
 
 // Placement is one joint (device, frequency) recommendation.
 type Placement struct {
@@ -217,143 +210,35 @@ type Placement struct {
 	PLPct float64 `json:"pl_pct"`
 }
 
-// Select runs the joint placement search for one target. The result is
-// exactly the argmin over the feasible (device × frequency) grid under
-// the metrics-package target semantics, with deterministic tie-breaking
-// (earlier fleet device, then lower frequency).
+// Select runs the joint placement search for one target: metrics.Select
+// over the feasible candidates in grid order, anchored at the fleet
+// baseline. The result is exactly the argmin over the feasible
+// (device × frequency) grid under the metrics-package target semantics,
+// with deterministic tie-breaking (earlier fleet device, then lower
+// frequency).
 func (g *Grid) Select(t metrics.Target) (Placement, error) {
 	if err := t.Validate(); err != nil {
 		return Placement{}, err
 	}
-	feas := make([]int, 0, len(g.Candidates))
-	for i, c := range g.Candidates {
-		if c.Feasible {
-			feas = append(feas, i)
-		}
-	}
-	if len(feas) == 0 {
+	if len(g.pts) == 0 {
 		return Placement{}, fmt.Errorf(
 			"placement: no (device, frequency) configuration of fleet %s fits the %s power budget",
 			g.Fleet.Name, g.Fleet.Budget)
 	}
-
-	var chosen int
-	switch t.Kind {
-	case metrics.KindMaxPerf:
-		chosen = g.argmin(feas, Candidate.time)
-	case metrics.KindMinEnergy:
-		chosen = g.argmin(feas, Candidate.energy)
-	case metrics.KindMinEDP:
-		chosen = g.argmin(feas, Candidate.EDP)
-	case metrics.KindMinED2P:
-		chosen = g.argmin(feas, Candidate.ED2P)
-	case metrics.KindES:
-		i, err := g.selectES(feas, t.X)
-		if err != nil {
-			return Placement{}, err
-		}
-		chosen = i
-	case metrics.KindPL:
-		i, err := g.selectPL(feas, t.X)
-		if err != nil {
-			return Placement{}, err
-		}
-		chosen = i
-	default:
-		return Placement{}, fmt.Errorf("placement: unreachable target kind")
+	chosen, err := metrics.Select(g.pts, g.base, t)
+	if errors.Is(err, metrics.ErrNoBaseline) {
+		_, err = g.BaselineCandidate()
 	}
-
-	p := Placement{Target: t, TargetName: t.String(), Candidate: g.Candidates[chosen]}
-	if g.baseline >= 0 {
-		def := g.Candidates[g.baseline]
+	if err != nil {
+		return Placement{}, err
+	}
+	p := Placement{Target: t, TargetName: t.String(), Candidate: g.Candidates[g.feas[chosen]]}
+	if g.base >= 0 {
+		def := g.Candidates[g.feas[g.base]]
 		p.BaselineDevice = def.Device
 		p.BaselineFreqMHz = def.FreqMHz
-		p.ESPct = 100 * (def.EnergyJ - p.EnergyJ) / def.EnergyJ
-		if pl := 100 * (p.TimeSec - def.TimeSec) / def.TimeSec; pl > 0 {
-			p.PLPct = pl
-		}
+		p.ESPct = metrics.EnergySavingPct(g.pts[g.base], g.pts[chosen])
+		p.PLPct = metrics.PerfLossPct(g.pts[g.base], g.pts[chosen])
 	}
 	return p, nil
-}
-
-func (c Candidate) time() float64   { return c.TimeSec }
-func (c Candidate) energy() float64 { return c.EnergyJ }
-
-// argmin returns the index (into Candidates) of the first strict
-// minimum of f over idxs — idxs is in device-major grid order, so ties
-// resolve to the earlier device, then the lower frequency, exactly as
-// metrics.Sweep.argmin resolves them to the lower frequency.
-func (g *Grid) argmin(idxs []int, f func(Candidate) float64) int {
-	best := idxs[0]
-	bestV := f(g.Candidates[best])
-	for _, i := range idxs[1:] {
-		if v := f(g.Candidates[i]); v < bestV {
-			best, bestV = i, v
-		}
-	}
-	return best
-}
-
-// selectES mirrors metrics.Sweep.selectES over the feasible joint grid:
-// on the interval between the fleet baseline's energy and the minimum
-// achievable energy, the target energy is e_def - x% of the potential
-// saving; among configurations at or below it, pick the best-performing
-// one. When no savings are possible the baseline is returned.
-func (g *Grid) selectES(feas []int, x float64) (int, error) {
-	if g.baseline < 0 {
-		_, err := g.BaselineCandidate()
-		return 0, err
-	}
-	def := g.Candidates[g.baseline]
-	minE := g.argmin(feas, Candidate.energy)
-	if g.Candidates[minE].EnergyJ >= def.EnergyJ {
-		return g.baseline, nil
-	}
-	targetE := def.EnergyJ - x/100*(def.EnergyJ-g.Candidates[minE].EnergyJ)
-	best := -1
-	for _, i := range feas {
-		c := g.Candidates[i]
-		if c.EnergyJ <= targetE+1e-12*def.EnergyJ {
-			if best < 0 || c.TimeSec < g.Candidates[best].TimeSec {
-				best = i
-			}
-		}
-	}
-	if best < 0 {
-		return minE, nil
-	}
-	return best, nil
-}
-
-// selectPL mirrors metrics.Sweep.selectPL over the feasible joint grid:
-// the potential performance loss is the slowdown from the fleet
-// baseline to the minimum-energy configuration; the target time is
-// t_def + x% of that interval; among configurations at or below it,
-// pick the most energy-efficient one.
-func (g *Grid) selectPL(feas []int, x float64) (int, error) {
-	if g.baseline < 0 {
-		_, err := g.BaselineCandidate()
-		return 0, err
-	}
-	def := g.Candidates[g.baseline]
-	minE := g.argmin(feas, Candidate.energy)
-	slow := g.Candidates[minE].TimeSec
-	if slow < def.TimeSec {
-		slow = def.TimeSec
-	}
-	targetT := def.TimeSec + x/100*(slow-def.TimeSec)
-	best := -1
-	bestE := math.Inf(1)
-	for _, i := range feas {
-		c := g.Candidates[i]
-		if c.TimeSec <= targetT+1e-12*def.TimeSec {
-			if best < 0 || c.EnergyJ < bestE {
-				best, bestE = i, c.EnergyJ
-			}
-		}
-	}
-	if best < 0 {
-		return g.baseline, nil
-	}
-	return best, nil
 }

@@ -161,9 +161,55 @@ func TestBuildGroundTruthErrors(t *testing.T) {
 	if _, err := g.Select(metrics.ES(-5)); err == nil {
 		t.Error("invalid target accepted")
 	}
-	// Candidate product helpers.
-	c := g.Candidates[0]
-	if c.EDP() != c.EnergyJ*c.TimeSec || c.ED2P() != c.EnergyJ*c.TimeSec*c.TimeSec {
-		t.Error("EDP/ED2P products wrong")
+}
+
+// TestDegenerateFleetMatchesAdvise is the predicted-grid analogue of
+// TestDegenerateFleetMatchesSweepSelect: on a one-device fleet with no
+// budget, BuildPredicted plus Select must return Predictor.Advise's
+// frequency and bit-identical ES/PL figures for every suite benchmark
+// and every time/energy target. MIN_EDP and MIN_ED2P are left out on
+// purpose: Advise scores them with the dedicated EDP/ED2P product
+// models, the grid with time × energy of the predicted curve, and the
+// two pick different frequencies on most benchmarks (DESIGN.md §16).
+func TestDegenerateFleetMatchesAdvise(t *testing.T) {
+	t.Parallel()
+	for _, device := range []string{"v100", "mi100", "xeon8480", "alveo"} {
+		device := device
+		t.Run(device, func(t *testing.T) {
+			t.Parallel()
+			f, err := hw.FleetFromNames([]string{device}, hw.Budget{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			preds := trainFleetPredictors(t, f)
+			for _, bm := range benchsuite.All() {
+				v, err := features.Extract(bm.Kernel)
+				if err != nil {
+					t.Fatal(err)
+				}
+				g, err := placement.BuildPredicted(f, preds, v)
+				if err != nil {
+					t.Fatalf("%s: %v", bm.Name, err)
+				}
+				for _, target := range metrics.StandardTargets {
+					if target.Kind == metrics.KindMinEDP || target.Kind == metrics.KindMinED2P {
+						continue
+					}
+					want, err := preds[0].Advise(v, target)
+					if err != nil {
+						t.Fatalf("%s %v: %v", bm.Name, target, err)
+					}
+					got, err := g.Select(target)
+					if err != nil {
+						t.Fatalf("%s %v: %v", bm.Name, target, err)
+					}
+					if got.FreqMHz != want.FreqMHz || got.ESPct != want.ESPct || got.PLPct != want.PLPct {
+						t.Errorf("%s %v: grid (%d MHz, ES %v, PL %v) != Advise (%d MHz, ES %v, PL %v)",
+							bm.Name, target, got.FreqMHz, got.ESPct, got.PLPct,
+							want.FreqMHz, want.ESPct, want.PLPct)
+					}
+				}
+			}
+		})
 	}
 }

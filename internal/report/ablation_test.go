@@ -6,17 +6,12 @@ import (
 
 	"synergy/internal/apps"
 	"synergy/internal/hw"
-	"synergy/internal/microbench"
 	"synergy/internal/model"
 )
 
 func TestAblationFineGrainedCompetitive(t *testing.T) {
 	spec := hw.V100()
-	ks, err := microbench.Kernels(microbench.DefaultSet())
-	if err != nil {
-		t.Fatal(err)
-	}
-	adv, err := model.DefaultAdvisor(spec, ks, 16)
+	adv, err := model.DefaultAdvisor(spec, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"synergy/internal/apps"
 	"synergy/internal/hw"
 	"synergy/internal/metrics"
-	"synergy/internal/microbench"
 	"synergy/internal/model"
 	"synergy/internal/mpi"
 	"synergy/internal/sweep"
@@ -64,11 +63,7 @@ func DefaultFig10Config() Fig10Config {
 
 // BuildFig10 runs the weak-scaling energy study for both applications.
 func BuildFig10(cfg Fig10Config) ([]Fig10Point, error) {
-	ks, err := microbench.Kernels(microbench.DefaultSet())
-	if err != nil {
-		return nil, err
-	}
-	adv, err := model.DefaultAdvisor(cfg.Spec, ks, cfg.TrainStride)
+	adv, err := model.DefaultAdvisor(cfg.Spec, cfg.TrainStride)
 	if err != nil {
 		return nil, err
 	}

@@ -15,7 +15,6 @@ import (
 	"synergy/internal/hw"
 	"synergy/internal/kernelir/analysis"
 	"synergy/internal/metrics"
-	"synergy/internal/microbench"
 	"synergy/internal/model"
 	"synergy/internal/sweep"
 )
@@ -395,11 +394,7 @@ type ModelEvaluation struct {
 // frequency predictions over the 23-benchmark suite (§8.3). freqStride
 // subsamples the training sweep (1 = full table).
 func BuildModelEvaluation(spec *hw.Spec, freqStride int) (*ModelEvaluation, error) {
-	ks, err := microbench.Kernels(microbench.DefaultSet())
-	if err != nil {
-		return nil, err
-	}
-	ts, err := model.CollectTraining(spec, ks, freqStride)
+	ts, err := model.DefaultTrainingSet(spec, freqStride)
 	if err != nil {
 		return nil, err
 	}

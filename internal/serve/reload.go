@@ -4,10 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"math"
 	"net/http"
-	"os"
 	"sync"
 
 	"synergy/internal/features"
@@ -167,12 +168,11 @@ func (s *Server) Reload(cand *model.Models) error {
 // ReloadFromPath loads a bundle file (SaveModels format) and Reloads
 // it. This is the SIGHUP path in cmd/synergy-serve.
 func (s *Server) ReloadFromPath(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return s.rejectReload(fmt.Errorf("serve: opening bundle: %w", err))
+	cand, err := model.LoadFile(path)
+	var pe *fs.PathError
+	if errors.As(err, &pe) && pe.Op == "open" {
+		err = fmt.Errorf("serve: opening bundle: %w", err)
 	}
-	defer f.Close()
-	cand, err := model.LoadModels(f)
 	if err != nil {
 		return s.rejectReload(err)
 	}

@@ -19,6 +19,7 @@ import (
 	"synergy/internal/metrics"
 	"synergy/internal/microbench"
 	"synergy/internal/model"
+	"synergy/internal/sweep"
 	"synergy/internal/telemetry"
 )
 
@@ -153,7 +154,7 @@ func TestAdviseKIRGroundTruth(t *testing.T) {
 	if resp.ActualFreqMHz == 0 {
 		t.Fatal("ground-truth optimum missing")
 	}
-	gt, err := model.GroundTruthSweep(s.Models().Spec, b.Kernel, b.CharItems)
+	gt, err := sweep.GroundTruth(s.Models().Spec, b.Kernel, b.CharItems)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,6 +247,53 @@ func TestBatchEndpoint(t *testing.T) {
 	big := make([]Request, MaxBatch+1)
 	if w, _ := postJSON(t, s, "/v1/batch", big); w.Code != http.StatusBadRequest {
 		t.Errorf("oversized batch: status %d, want 400", w.Code)
+	}
+}
+
+// TestAdviseRejectsHugeFeatureCounts is the regression test for finite
+// but huge feature counts. They overflow the predicted curve — to +Inf
+// times, or to ES/PL figures beyond float range — which must be a 400
+// with a JSON error body rather than a 200 with an empty one; inside a
+// batch such an item must get its own error while the good items stay
+// intact.
+func TestAdviseRejectsHugeFeatureCounts(t *testing.T) {
+	s, _ := testServer(t)
+	bad := []Request{
+		{Target: "ES_50", Features: map[string]float64{"k_float_add": 1e308, "k_float_mul": 1e308}},
+		{Target: "MIN_EDP", Features: map[string]float64{"k_float_add": 1e308}},
+	}
+	for _, req := range bad {
+		w, out := postJSON(t, s, "/v1/advise", req)
+		var body map[string]string
+		if err := json.Unmarshal(out, &body); err != nil || body["error"] == "" || w.Code != http.StatusBadRequest {
+			t.Errorf("%s %v: status %d body %q (%v), want 400 with a JSON error", req.Target, req.Features, w.Code, out, err)
+		}
+	}
+
+	good := Request{Target: "ES_50", Features: featureMap(t, "black_scholes")}
+	_, out := postJSON(t, s, "/v1/advise", good)
+	var want Response
+	if err := json.Unmarshal(out, &want); err != nil {
+		t.Fatal(err)
+	}
+	w, out := postJSON(t, s, "/v1/batch", []Request{good, bad[0], bad[1]})
+	if w.Code != http.StatusOK {
+		t.Fatalf("batch: status %d: %s", w.Code, out)
+	}
+	var results []BatchResult
+	if err := json.Unmarshal(out, &results); err != nil {
+		t.Fatalf("batch body %q: %v", out, err)
+	}
+	if len(results) != 3 {
+		t.Fatalf("%d results, want 3", len(results))
+	}
+	if results[0].Error != "" || results[0].Response == nil || *results[0].Response != want {
+		t.Errorf("good item: %+v, want %+v", results[0], want)
+	}
+	for i, r := range results[1:] {
+		if r.Error == "" || r.Response != nil {
+			t.Errorf("huge item %d: %+v, want a per-item error", i+1, r)
+		}
 	}
 }
 
