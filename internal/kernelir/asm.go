@@ -85,7 +85,9 @@ func parseHeader(line string) (*Kernel, error) {
 	if open < 0 || close_ < open {
 		return nil, fmt.Errorf("kernelir: malformed parameter list in %q", line)
 	}
-	k := &Kernel{Name: rest[:open]}
+	// Names are cloned: a substring would keep the whole source text
+	// alive for as long as the kernel lives (in a memo, say).
+	k := &Kernel{Name: strings.Clone(rest[:open])}
 	if k.Name == "" {
 		return nil, fmt.Errorf("kernelir: kernel has no name")
 	}
@@ -128,13 +130,13 @@ func parseParam(s string) (Param, error) {
 			if err != nil {
 				return Param{}, err
 			}
-			return Param{Name: rest, IsBuffer: true, Type: st, Access: acc}, nil
+			return Param{Name: strings.Clone(rest), IsBuffer: true, Type: st, Access: acc}, nil
 		}
 		st, err := parseScalarType(fields[0])
 		if err != nil {
 			return Param{}, err
 		}
-		return Param{Name: fields[1], Type: st}, nil
+		return Param{Name: strings.Clone(fields[1]), Type: st}, nil
 	default:
 		return Param{}, fmt.Errorf("kernelir: malformed parameter %q", s)
 	}

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func sampleKernel() *Kernel {
@@ -54,6 +55,29 @@ func TestAssembleRoundTripsDisassembly(t *testing.T) {
 	}
 	if !reflect.DeepEqual(k2.Body, k.Body) {
 		t.Fatalf("instruction stream changed:\n%+v\n%+v", k2.Body, k.Body)
+	}
+}
+
+// The kernel and parameter names Assemble returns must be copies, not
+// substrings of its input: a kernel kept in a memo would otherwise pin
+// the whole source text (a daemon's request body, for one).
+func TestAssembledNamesDoNotAliasInput(t *testing.T) {
+	t.Parallel()
+	text := sampleKernel().Disassemble()
+	k, err := Assemble(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(text)))
+	hi := lo + uintptr(len(text))
+	names := []string{k.Name}
+	for _, p := range k.Params {
+		names = append(names, p.Name)
+	}
+	for _, name := range names {
+		if at := uintptr(unsafe.Pointer(unsafe.StringData(name))); at >= lo && at < hi {
+			t.Errorf("name %q points into the assembly text", name)
+		}
 	}
 }
 

@@ -275,54 +275,60 @@ func constantTargets(y []float64, idx []int) bool {
 	return true
 }
 
-// Predict implements Regressor by walking the flattened arrays; it
-// performs no allocations. An unfitted forest returns NaN — callers that
-// can surface errors should gate on CheckFitted (the model layer does),
-// and NaN poisons any downstream arithmetic instead of masquerading as
-// a confident zero prediction.
+// Predict implements Regressor: it is PredictInto over one row, so the
+// two never disagree. It performs no allocations. An unfitted forest
+// returns NaN — callers that can surface errors should gate on
+// CheckFitted (the model layer does), and NaN poisons any downstream
+// arithmetic instead of masquerading as a confident zero prediction.
 func (f *Forest) Predict(x []float64) float64 {
-	if len(f.flat.roots) == 0 {
-		return math.NaN()
-	}
-	return f.flat.predict(x)
-}
-
-func (ff *flatForest) predict(x []float64) float64 {
-	feature, thresh := ff.feature, ff.thresh
-	lo, hi, value := ff.lo, ff.hi, ff.value
-	s := 0.0
-	for _, n := range ff.roots {
-		for feature[n] >= 0 {
-			if x[feature[n]] <= thresh[n] {
-				n = lo[n]
-			} else {
-				n = hi[n]
-			}
-		}
-		s += value[n]
-	}
-	return s / float64(len(ff.roots))
+	var y [1]float64
+	f.PredictInto(y[:], [][]float64{x})
+	return y[0]
 }
 
 // PredictInto implements BatchRegressor: it fills dst[i] with the
 // prediction for rows[i], allocation-free. dst must be at least as long
-// as rows.
+// as rows. The walk is tree-major: each tree runs over every row before
+// the next tree starts, so one tree's nodes stay in cache across the
+// whole batch. Each row still adds its leaf values in tree order,
+// starting from zero, and is divided by the tree count once at the end
+// — the same additions in the same order as a row-at-a-time walk, so
+// the results are bit-identical to it (and to PredictReference).
 func (f *Forest) PredictInto(dst []float64, rows [][]float64) {
-	if len(f.flat.roots) == 0 {
-		for i := range rows {
+	dst = dst[:len(rows)]
+	ff := &f.flat
+	if len(ff.roots) == 0 {
+		for i := range dst {
 			dst[i] = math.NaN()
 		}
 		return
 	}
-	for i, r := range rows {
-		dst[i] = f.flat.predict(r)
+	feature, thresh := ff.feature, ff.thresh
+	lo, hi, value := ff.lo, ff.hi, ff.value
+	clear(dst)
+	for _, root := range ff.roots {
+		for i, x := range rows {
+			n := root
+			for feature[n] >= 0 {
+				if x[feature[n]] <= thresh[n] {
+					n = lo[n]
+				} else {
+					n = hi[n]
+				}
+			}
+			dst[i] += value[n]
+		}
+	}
+	trees := float64(len(ff.roots))
+	for i := range dst {
+		dst[i] /= trees
 	}
 }
 
 // PredictReference walks the original pointer-linked trees. It is the
-// differential oracle for the flattened Predict: both walks visit the
-// same nodes in the same order and accumulate in the same order, so the
-// results are bit-identical.
+// differential oracle for the flattened walk: both visit the same nodes
+// and add each row's leaf values in the same order, so the results are
+// bit-identical.
 func (f *Forest) PredictReference(x []float64) float64 {
 	if len(f.trees) == 0 {
 		return math.NaN()

@@ -37,9 +37,10 @@ func TestPredictorCurveZeroAlloc(t *testing.T) {
 	_ = sink
 }
 
-// Advise selects from the session's own point buffer through
-// metrics.Select, so a whole frequency search — curve, clamp, selection
-// and ES/PL — allocates nothing.
+// Advise predicts into the session's own buffers and selects through
+// metrics.Select or metrics.Argmin, so a whole frequency search — the
+// target's models over the table, clamp, selection, the chosen and
+// baseline points and ES/PL — allocates nothing, for every target.
 func TestAdviseZeroAlloc(t *testing.T) {
 	m := forestBundle(t, hw.V100())
 	p, err := m.NewPredictor()
@@ -51,7 +52,7 @@ func TestAdviseZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := bundleFeatures(t, b)
-	for _, tgt := range []metrics.Target{metrics.ES(50), metrics.PL(25), metrics.MinEDP} {
+	for _, tgt := range metrics.StandardTargets {
 		if _, err := p.Advise(v, tgt); err != nil { // warm
 			t.Fatal(err)
 		}

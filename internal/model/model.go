@@ -3,9 +3,11 @@
 // energy, EDP and ED2P — over (static feature vector, frequency) inputs
 // gathered by sweeping micro-benchmarks across the device's frequency
 // table; the prediction phase extracts the features of a new kernel,
-// predicts all four metrics at every supported frequency and searches
-// the predicted curves for the configuration that optimises the
-// user-selected energy target.
+// predicts the metrics the user-selected energy target reads at every
+// supported frequency and searches those curves for the configuration
+// that optimises the target (Predictor.Advise). ES_x and PL_x read time
+// and energy, MAX_PERF time, MIN_ENERGY energy, and MIN_EDP/MIN_ED2P
+// their own product model; PredictCurve still gives all four metrics.
 package model
 
 import (

@@ -12,10 +12,12 @@ import (
 
 // Predictor is a reusable prediction session over one Models bundle:
 // all scratch buffers (feature rows, per-model outputs, the predicted
-// curve and the selection points) are allocated once and reused, and the
-// four models are driven through their batch path, so evaluating the
-// whole frequency curve performs no per-call allocations. A Predictor
-// is not safe for concurrent use — the serve daemon pools them.
+// curve and the selection points) are allocated once and reused, and
+// the models are driven through their batch path, so neither Curve,
+// Points nor Advise allocates per call. Each runs only the models its
+// result needs: Curve all four, Points Time and Energy, and Advise the
+// ones its target reads. A Predictor is not safe for concurrent use —
+// the serve daemon pools them.
 type Predictor struct {
 	m     *Models
 	rows  [][]float64
@@ -66,14 +68,11 @@ func (p *Predictor) Models() *Models { return p.m }
 
 // Curve evaluates the four models at every supported frequency. The
 // returned slice is the session's internal buffer: it is valid until
-// the next Curve or Advise call and must not be retained. The values
-// are bit-identical to Models.PredictCurve.
+// the next Curve, Points or Advise call and must not be retained. The
+// values are bit-identical to Models.PredictCurve.
 func (p *Predictor) Curve(v features.Vector) []PredictedPoint {
 	m := p.m
-	sc := kernelScale(v)
-	for i, f := range m.Spec.CoreFreqsMHz {
-		featuresRowInto(p.rows[i], v, f)
-	}
+	sc := p.fillRows(v)
 	ml.PredictAllInto(m.Time, p.yT, p.rows)
 	ml.PredictAllInto(m.Energy, p.yE, p.rows)
 	ml.PredictAllInto(m.EDP, p.yEDP, p.rows)
@@ -88,6 +87,15 @@ func (p *Predictor) Curve(v features.Vector) []PredictedPoint {
 		}
 	}
 	return p.curve
+}
+
+// fillRows writes the model input of every supported frequency into the
+// session's rows and returns the kernel's scale (kernelScale).
+func (p *Predictor) fillRows(v features.Vector) float64 {
+	for i, f := range p.m.Spec.CoreFreqsMHz {
+		featuresRowInto(p.rows[i], v, f)
+	}
+	return kernelScale(v)
 }
 
 // Advice is one frequency recommendation: the chosen configuration and
@@ -107,24 +115,48 @@ type Advice struct {
 	// loss at FreqMHz relative to the baseline configuration (percent,
 	// from the predicted curve).
 	ESPct, PLPct float64
+	// Predictions is the number of model evaluations the search made:
+	// one per model per clock it was run at.
+	Predictions int
 }
 
-// Points evaluates the predicted curve (as Curve does) and returns it as
-// selection candidates: per-item time in TimeSec and energy in EnergyJ.
-// Predicted values can go slightly non-positive at the edges of the
-// training distribution, so finite non-positive values are clamped to
-// a positive floor; a point that still fails metrics.Point.Check (NaN
-// or infinite) is an error. The returned slice is the session's
-// internal buffer, valid until the next Curve, Points or Advise call.
+// Points runs the Time and Energy models at every supported frequency
+// and returns the predictions as selection candidates: per-item time in
+// TimeSec and energy in EnergyJ. Predicted values can go slightly
+// non-positive at the edges of the training distribution, so finite
+// non-positive values are clamped to a positive floor; a point that
+// still fails metrics.Point.Check (NaN or infinite) is an error. The
+// returned slice is the session's internal buffer, valid until the next
+// Curve, Points or Advise call.
 func (p *Predictor) Points(v features.Vector) ([]metrics.Point, error) {
-	for i, pt := range p.Curve(v) {
-		q := metrics.Point{FreqMHz: pt.FreqMHz, TimeSec: clampPositive(pt.TimeNs), EnergyJ: clampPositive(pt.EnergyNanoJ)}
-		if err := q.Check(); err != nil {
+	return p.points(p.fillRows(v))
+}
+
+// points is Points over rows fillRows has already written; sc is the
+// kernel's scale.
+func (p *Predictor) points(sc float64) ([]metrics.Point, error) {
+	ml.PredictAllInto(p.m.Time, p.yT, p.rows)
+	ml.PredictAllInto(p.m.Energy, p.yE, p.rows)
+	for i := range p.pts {
+		q, err := p.point(i, sc)
+		if err != nil {
 			return nil, err
 		}
 		p.pts[i] = q
 	}
 	return p.pts, nil
+}
+
+// point is the selection candidate at clock index i from the session's
+// time and energy predictions there, scaled back to the kernel by sc
+// and clamped; it is an error unless it passes metrics.Point.Check.
+func (p *Predictor) point(i int, sc float64) (metrics.Point, error) {
+	q := metrics.Point{
+		FreqMHz: p.m.Spec.CoreFreqsMHz[i],
+		TimeSec: clampPositive(p.yT[i] * sc),
+		EnergyJ: clampPositive(p.yE[i] * sc),
+	}
+	return q, q.Check()
 }
 
 // clampPositive floors finite non-positive predictions at 1e-9; -Inf
@@ -136,46 +168,115 @@ func clampPositive(x float64) float64 {
 	return x
 }
 
-// Advise runs the full §6.2 frequency search for one kernel and target
-// and reports the predicted energy-saving / performance-loss tradeoff
-// of the chosen configuration. MIN_EDP and MIN_ED2P take the argmin of
-// their dedicated product models; every other target is selected from
-// the predicted time/energy points by metrics.Select. The clock table
-// is strictly ascending (hw.Spec.Validate), so the points are already
-// in sweep order. Advise refuses predictions whose ES or PL figure is
-// not finite.
+// argminTable runs r over every supported frequency into y and returns
+// the index of the first minimum of its predictions, scaled back to the
+// kernel by sc and clamped as in Points. Each value is first held to
+// metrics.Point.Check's rule (positive and finite) by checking it as
+// both coordinates of a point.
+func (p *Predictor) argminTable(r ml.Regressor, y []float64, sc float64) (int, error) {
+	ml.PredictAllInto(r, y, p.rows)
+	for i, f := range p.m.Spec.CoreFreqsMHz {
+		x := clampPositive(y[i] * sc)
+		if err := (metrics.Point{FreqMHz: f, TimeSec: x, EnergyJ: x}).Check(); err != nil {
+			return 0, err
+		}
+	}
+	return metrics.Argmin(len(y), func(i int) float64 { return clampPositive(y[i] * sc) }), nil
+}
+
+// Advise runs the §6.2 frequency search for one kernel and target and
+// reports the predicted energy-saving / performance-loss tradeoff of
+// the chosen configuration. It runs over the clock table only the
+// models its target reads:
+//
+//   - ES_x and PL_x: Time and Energy, through Points, selected by
+//     metrics.Select;
+//   - MAX_PERF: Time alone, and MIN_ENERGY: Energy alone, each the
+//     metrics.Argmin of its clamped and checked predictions;
+//   - MIN_EDP and MIN_ED2P: their dedicated product model alone, the
+//     metrics.Argmin of its predictions.
+//
+// Time and energy the search did not need are then predicted only at
+// the chosen and baseline clocks, for the ES/PL report; those two
+// points are clamped and must pass metrics.Point.Check too. Every value
+// is the one the four-model Curve would give, so the advice is
+// bit-identical to selecting over the full curve. The clock table is
+// strictly ascending (hw.Spec.Validate), so the points are already in
+// sweep order. Advise refuses predictions whose ES or PL figure is not
+// finite.
 func (p *Predictor) Advise(v features.Vector, target metrics.Target) (Advice, error) {
 	if err := target.Validate(); err != nil {
 		return Advice{}, err
 	}
-	pts, err := p.Points(v)
+	m, n := p.m, len(p.rows)
+	var i int
+	var err error
+	// preds counts model evaluations: one model over the table unless
+	// the target reads two. needT and needE say whether Time and Energy
+	// are still to be predicted at the chosen and baseline clocks.
+	preds := n
+	needT, needE := true, true
+	sc := p.fillRows(v)
+	switch target.Kind {
+	case metrics.KindMaxPerf:
+		i, err = p.argminTable(m.Time, p.yT, sc)
+		needT = false
+	case metrics.KindMinEnergy:
+		i, err = p.argminTable(m.Energy, p.yE, sc)
+		needE = false
+	case metrics.KindMinEDP:
+		ml.PredictAllInto(m.EDP, p.yEDP, p.rows)
+		i = metrics.Argmin(n, func(j int) float64 { return p.yEDP[j] * sc * sc })
+	case metrics.KindMinED2P:
+		ml.PredictAllInto(m.ED2P, p.yED2P, p.rows)
+		i = metrics.Argmin(n, func(j int) float64 { return math.Exp(p.yED2P[j]) * sc * sc * sc })
+	default:
+		var pts []metrics.Point
+		if pts, err = p.points(sc); err == nil {
+			i, err = metrics.Select(pts, p.base, target)
+		}
+		needT, needE = false, false
+		preds = 2 * n
+	}
 	if err != nil {
 		return Advice{}, err
 	}
-	var i int
-	switch target.Kind {
-	case metrics.KindMinEDP:
-		i = metrics.Argmin(len(p.curve), func(j int) float64 { return p.curve[j].EDPPred })
-	case metrics.KindMinED2P:
-		i = metrics.Argmin(len(p.curve), func(j int) float64 { return p.curve[j].ED2PPredicted })
-	default:
-		if i, err = metrics.Select(pts, p.base, target); err != nil {
-			return Advice{}, err
+	clocks := []int{i, p.base}
+	if i == p.base {
+		clocks = clocks[:1]
+	}
+	for _, j := range clocks {
+		if needT {
+			p.yT[j] = m.Time.Predict(p.rows[j])
+			preds++
+		}
+		if needE {
+			p.yE[j] = m.Energy.Predict(p.rows[j])
+			preds++
 		}
 	}
-	es := metrics.EnergySavingPct(pts[p.base], pts[i])
-	pl := metrics.PerfLossPct(pts[p.base], pts[i])
+	def, err := p.point(p.base, sc)
+	if err != nil {
+		return Advice{}, err
+	}
+	chosen, err := p.point(i, sc)
+	if err != nil {
+		return Advice{}, err
+	}
+	es := metrics.EnergySavingPct(def, chosen)
+	pl := metrics.PerfLossPct(def, chosen)
 	if math.IsInf(es, 0) || math.IsNaN(es) || math.IsInf(pl, 0) || math.IsNaN(pl) {
 		return Advice{}, fmt.Errorf("model: predicted tradeoff at %d MHz is out of range (ES %g%%, PL %g%%)",
-			pts[i].FreqMHz, es, pl)
+			chosen.FreqMHz, es, pl)
 	}
 	return Advice{
 		Target:      target,
-		FreqMHz:     pts[i].FreqMHz,
-		BaselineMHz: pts[p.base].FreqMHz,
-		TimeNs:      p.curve[i].TimeNs,
-		EnergyNanoJ: p.curve[i].EnergyNanoJ,
+		FreqMHz:     chosen.FreqMHz,
+		BaselineMHz: def.FreqMHz,
+		TimeNs:      p.yT[i] * sc,
+		EnergyNanoJ: p.yE[i] * sc,
 		ESPct:       es,
 		PLPct:       pl,
+		Predictions: preds,
 	}, nil
 }

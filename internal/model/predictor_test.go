@@ -39,7 +39,9 @@ func forestBundle(t testing.TB, spec *hw.Spec) *Models {
 // The flattened forest is the production predictor; the pointer trees it
 // was built from stay around as the differential oracle. Across every
 // builtin device, every suite benchmark and every supported frequency,
-// all four target models must agree bit-for-bit.
+// all four target models must agree bit-for-bit, both one row at a time
+// (Predict) and over the device's whole clock table at once
+// (PredictInto, the tree-major batch walk Advise uses).
 func TestFlattenedForestMatchesReferenceAcrossDevices(t *testing.T) {
 	devices := hw.BuiltinSpecs()
 	freqStep := 1
@@ -58,17 +60,22 @@ func TestFlattenedForestMatchesReferenceAcrossDevices(t *testing.T) {
 				"time": m.Time.(*ml.Forest), "energy": m.Energy.(*ml.Forest),
 				"edp": m.EDP.(*ml.Forest), "ed2p": m.ED2P.(*ml.Forest),
 			}
+			rows := make([][]float64, len(spec.CoreFreqsMHz))
+			batch := make([]float64, len(rows))
 			for _, b := range benchsuite.All() {
 				v := bundleFeatures(t, b)
-				for i := 0; i < len(spec.CoreFreqsMHz); i += freqStep {
-					f := spec.CoreFreqsMHz[i]
-					row := featuresRow(v, f)
-					for which, fr := range forests {
-						got := fr.Predict(row)
-						want := fr.PredictReference(row)
-						if got != want {
-							t.Fatalf("%s/%s@%dMHz %s model: flat %v != reference %v",
-								name, b.Name, f, which, got, want)
+				for i, f := range spec.CoreFreqsMHz {
+					rows[i] = featuresRow(v, f)
+				}
+				for which, fr := range forests {
+					fr.PredictInto(batch, rows)
+					for i := 0; i < len(rows); i += freqStep {
+						f := spec.CoreFreqsMHz[i]
+						got := fr.Predict(rows[i])
+						want := fr.PredictReference(rows[i])
+						if got != want || batch[i] != want {
+							t.Fatalf("%s/%s@%dMHz %s model: flat %v, batch %v != reference %v",
+								name, b.Name, f, which, got, batch[i], want)
 						}
 					}
 				}
@@ -77,7 +84,7 @@ func TestFlattenedForestMatchesReferenceAcrossDevices(t *testing.T) {
 	}
 }
 
-func bundleFeatures(t *testing.T, b *benchsuite.Benchmark) features.Vector {
+func bundleFeatures(t testing.TB, b *benchsuite.Benchmark) features.Vector {
 	t.Helper()
 	v, err := features.Extract(b.Kernel)
 	if err != nil {

@@ -14,18 +14,19 @@ import (
 
 // BenchmarkServePredict is the daemon's in-process hot path: one advice
 // resolution — target parse, feature-map decode, pooled predictor,
-// whole-curve batch prediction, target search. The preds/s metric
-// counts individual model evaluations (four models x every supported
-// frequency per advise); BENCH_serve.json records the reference rate.
+// the target's batch predictions, target search. The preds/s metric
+// counts individual model evaluations as serve_predictions_total does
+// (the Advice.Predictions of every advise); BENCH_serve.json records the
+// reference rate of the earlier four-models-per-clock search.
 func BenchmarkServePredict(b *testing.B) {
-	s, _ := testServer(b)
+	s, reg := testServer(b)
 	fm := featureMap(b, "black_scholes")
 	req := Request{Target: "MIN_ENERGY", Features: fm}
 	ctx := context.Background()
 	if _, err := s.advise(ctx, &req); err != nil {
 		b.Fatal(err)
 	}
-	perAdvise := 4 * len(s.Models().Spec.CoreFreqsMHz)
+	before := reg.Snapshot().CounterValue("serve_predictions_total")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -34,8 +35,8 @@ func BenchmarkServePredict(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	perSec := float64(perAdvise) * float64(b.N) / b.Elapsed().Seconds()
-	b.ReportMetric(perSec, "preds/s")
+	preds := reg.Snapshot().CounterValue("serve_predictions_total") - before
+	b.ReportMetric(float64(preds)/b.Elapsed().Seconds(), "preds/s")
 }
 
 // BenchmarkServeCurve isolates the prediction kernel itself: the four

@@ -448,8 +448,10 @@ func (s *Server) advise(ctx context.Context, req *Request) (*Response, error) {
 		return nil, err
 	}
 	s.advises.Inc()
-	// One advise evaluates four models over the whole frequency table.
-	s.predicts.Add(int64(4 * len(b.m.Spec.CoreFreqsMHz)))
+	// The model evaluations this advise made: its target's models over
+	// the frequency table, plus time/energy at the chosen and baseline
+	// clocks where the target did not need them over the table.
+	s.predicts.Add(int64(a.Predictions))
 
 	resp := &Response{
 		Device:      b.m.Spec.Name,

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -253,15 +254,16 @@ func TestBatchEndpoint(t *testing.T) {
 // TestAdviseRejectsHugeFeatureCounts is the regression test for finite
 // but huge feature counts. They overflow the predicted curve — to +Inf
 // times, or to ES/PL figures beyond float range — which must be a 400
-// with a JSON error body rather than a 200 with an empty one; inside a
-// batch such an item must get its own error while the good items stay
-// intact.
+// with a JSON error body rather than a 200 with an empty one, whichever
+// models the target reads; inside a batch such an item must get its own
+// error while the good items stay intact.
 func TestAdviseRejectsHugeFeatureCounts(t *testing.T) {
 	s, _ := testServer(t)
-	bad := []Request{
-		{Target: "ES_50", Features: map[string]float64{"k_float_add": 1e308, "k_float_mul": 1e308}},
-		{Target: "MIN_EDP", Features: map[string]float64{"k_float_add": 1e308}},
+	var bad []Request
+	for _, tgt := range metrics.StandardTargets {
+		bad = append(bad, Request{Target: tgt.String(), Features: map[string]float64{"k_float_add": 1e308, "k_float_mul": 1e308}})
 	}
+	bad = append(bad, Request{Target: "MIN_EDP", Features: map[string]float64{"k_float_add": 1e308}})
 	for _, req := range bad {
 		w, out := postJSON(t, s, "/v1/advise", req)
 		var body map[string]string
@@ -276,7 +278,7 @@ func TestAdviseRejectsHugeFeatureCounts(t *testing.T) {
 	if err := json.Unmarshal(out, &want); err != nil {
 		t.Fatal(err)
 	}
-	w, out := postJSON(t, s, "/v1/batch", []Request{good, bad[0], bad[1]})
+	w, out := postJSON(t, s, "/v1/batch", append([]Request{good}, bad...))
 	if w.Code != http.StatusOK {
 		t.Fatalf("batch: status %d: %s", w.Code, out)
 	}
@@ -284,8 +286,8 @@ func TestAdviseRejectsHugeFeatureCounts(t *testing.T) {
 	if err := json.Unmarshal(out, &results); err != nil {
 		t.Fatalf("batch body %q: %v", out, err)
 	}
-	if len(results) != 3 {
-		t.Fatalf("%d results, want 3", len(results))
+	if len(results) != 1+len(bad) {
+		t.Fatalf("%d results, want %d", len(results), 1+len(bad))
 	}
 	if results[0].Error != "" || results[0].Response == nil || *results[0].Response != want {
 		t.Errorf("good item: %+v, want %+v", results[0], want)
@@ -440,7 +442,7 @@ func TestServeLoadProfile(t *testing.T) {
 	if testing.Short() {
 		t.Skip("load profile skipped in -short")
 	}
-	s, _ := testServer(t)
+	s, reg := testServer(t)
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -493,7 +495,89 @@ func TestServeLoadProfile(t *testing.T) {
 	q := func(p float64) time.Duration { return all[int(p*float64(len(all)-1))] }
 	total := clients * perClient
 	rps := float64(total) / wall.Seconds()
-	preds := float64(4*len(s.Models().Spec.CoreFreqsMHz)) * rps
+	preds := float64(reg.Snapshot().CounterValue("serve_predictions_total")) / wall.Seconds()
 	t.Logf("%d requests, %d clients: %.0f req/s (%.0f model predictions/s), p50 %v, p99 %v",
 		total, clients, rps, preds, q(0.50), q(0.99))
+}
+
+// TestPredictionCountPerTarget pins the model evaluations one advise
+// makes on the V100's 196-clock table, for every standard target:
+// ES_x/PL_x run Time and Energy over the table; MAX_PERF and MIN_ENERGY
+// run one of them over it and the other at the chosen and baseline
+// clocks; MIN_EDP and MIN_ED2P run their product model over it and Time
+// and Energy at those clocks. The lower count applies when the chosen
+// clock is the baseline, which the two literal feature maps reach (for
+// MIN_ENERGY and MIN_EDP). Advice reports the count, and
+// serve_predictions_total on /metrics grows by exactly that much.
+func TestPredictionCountPerTarget(t *testing.T) {
+	s, _ := testServer(t)
+	if n := len(s.Models().Spec.CoreFreqsMHz); n != 196 {
+		t.Fatalf("V100 clock table has %d entries, want 196", n)
+	}
+	want := map[metrics.TargetKind][2]int{ // {chosen is baseline, otherwise}
+		metrics.KindES: {392, 392}, metrics.KindPL: {392, 392},
+		metrics.KindMaxPerf: {197, 198}, metrics.KindMinEnergy: {197, 198},
+		metrics.KindMinEDP: {198, 200}, metrics.KindMinED2P: {198, 200},
+	}
+	p, err := s.Models().NewPredictor()
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := []map[string]float64{
+		featureMap(t, "black_scholes"),
+		featureMap(t, "matmul"),
+		{"k_float_add": 3, "k_sf": 4},
+		{"k_int_bw": 1, "k_int_mul": 1},
+	}
+	atBase := map[metrics.TargetKind]bool{}
+	for _, fm := range inputs {
+		v, err := features.FromMap(fm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tgt := range metrics.StandardTargets {
+			a, err := p.Advise(v, tgt)
+			if err != nil {
+				t.Fatalf("%v %v: %v", fm, tgt, err)
+			}
+			w := want[tgt.Kind][1]
+			if a.FreqMHz == a.BaselineMHz {
+				w = want[tgt.Kind][0]
+				atBase[tgt.Kind] = true
+			}
+			if a.Predictions != w {
+				t.Errorf("%v %v (%d MHz, baseline %d): Advice.Predictions = %d, want %d",
+					fm, tgt, a.FreqMHz, a.BaselineMHz, a.Predictions, w)
+			}
+			before := scrapeCounter(t, s, "serve_predictions_total")
+			if w, out := postJSON(t, s, "/v1/advise", Request{Target: tgt.String(), Features: fm}); w.Code != http.StatusOK {
+				t.Fatalf("%v %v: status %d: %s", fm, tgt, w.Code, out)
+			}
+			if got := scrapeCounter(t, s, "serve_predictions_total") - before; got != int64(a.Predictions) {
+				t.Errorf("%v %v: serve_predictions_total grew by %d, want %d", fm, tgt, got, a.Predictions)
+			}
+		}
+	}
+	if !atBase[metrics.KindMinEnergy] || !atBase[metrics.KindMinEDP] {
+		t.Errorf("targets that chose the baseline clock: %v; want MIN_ENERGY and MIN_EDP among them", atBase)
+	}
+}
+
+// scrapeCounter reads an unlabelled counter from the /metrics text
+// exposition.
+func scrapeCounter(t *testing.T, h http.Handler, name string) int64 {
+	t.Helper()
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	for _, line := range strings.Split(w.Body.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("/metrics has no %s", name)
+	return 0
 }
