@@ -6,8 +6,7 @@ import (
 	"synergy/internal/memo"
 )
 
-// cache is the extraction memo, keyed by the original kernel's
-// fingerprint.
+// cache is the extraction memo, keyed by the kernel's fingerprint.
 var cache = memo.New[string, Vector](memo.Cap)
 
 // SetHook registers fn to be called once per memoized extraction with

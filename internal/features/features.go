@@ -123,7 +123,7 @@ func classify(op kernelir.Op) (field int, counted bool) {
 // vector. Counts inside Repeat blocks are multiplied by the trip counts
 // of every enclosing block.
 //
-// The kernel is first brought into optimizer normal form (opt.Cached),
+// The kernel is first brought into optimizer normal form (opt.Optimize),
 // so the vector describes the instructions a device would actually
 // execute rather than folded constants, duplicate subexpressions and
 // dead code the optimizer removes. Extraction is the single choke point
@@ -133,10 +133,11 @@ func classify(op kernelir.Op) (field int, counted bool) {
 // original body is measured (never an error: unoptimized counts are a
 // valid over-approximation).
 //
-// Results are memoized under the ORIGINAL kernel's content fingerprint
-// (the same identity the sweep engine keys on), so on the repeat path —
-// the serve daemon's hot path — Extract is a map lookup that skips the
-// optimizer, Validate and BuildLoopTree entirely and performs no
+// Results are memoized under the kernel's content fingerprint (the same
+// identity every kernel-keyed memo uses); the memo keeps only the
+// vector, and the optimizer runs on a miss alone. So on the repeat path
+// — the serve daemon's hot path — Extract is a map lookup that skips
+// the optimizer, Validate and BuildLoopTree entirely and performs no
 // allocations. Concurrent misses share one extraction (see
 // internal/memo); failed extractions are not memoized.
 func Extract(k *kernelir.Kernel) (Vector, error) {
@@ -153,7 +154,8 @@ func ExtractContext(ctx context.Context, k *kernelir.Kernel) (Vector, error) {
 		if err := ctx.Err(); err != nil {
 			return Vector{}, err
 		}
-		return extract(opt.Cached(k))
+		ko, _ := opt.Optimize(k)
+		return extract(ko)
 	})
 }
 

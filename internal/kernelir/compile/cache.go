@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"synergy/internal/kernelir"
-	"synergy/internal/kernelir/opt"
 	"synergy/internal/memo"
 )
 
@@ -31,18 +30,12 @@ func NewCache() *Cache {
 func (c *Cache) SetHook(fn func(fingerprint string)) { c.progs.SetHook(fn) }
 
 // Get returns the compiled program for the kernel, compiling it at most
-// once per fingerprint. Concurrent callers for the same kernel block on
-// the single in-flight compilation. Compile errors are returned but not
-// memoized, so a later call may retry.
-//
-// The cache key is the fingerprint of the kernel's optimizer normal
-// form: Optimize is deterministic and idempotent, so kernels that are
-// structurally equal after optimization — however differently they were
-// written — share one compiled program. (For an invalid kernel the
-// optimizer fails safe and returns the kernel itself, so the key falls
-// back to the raw fingerprint and Compile reports the Validate error.)
+// once per kernelir.Fingerprint (the key every kernel-keyed memo uses).
+// Concurrent callers for the same kernel block on the single in-flight
+// compilation. Compile errors are returned but not memoized, so a later
+// call may retry.
 func (c *Cache) Get(k *kernelir.Kernel) (*Program, error) {
-	return c.progs.Get(context.Background(), kernelir.Fingerprint(opt.Cached(k)), func() (*Program, error) {
+	return c.progs.Get(context.Background(), kernelir.Fingerprint(k), func() (*Program, error) {
 		return Compile(k)
 	})
 }

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"math"
 
-	"synergy/internal/features"
 	"synergy/internal/kernelir"
 	"synergy/internal/kernelir/opt"
 )
@@ -33,20 +32,17 @@ import (
 // Validate fails (with the same error), so Compile-then-run and
 // interpret report identical errors for invalid kernels.
 //
-// The kernel is first brought into optimizer normal form (opt.Cached:
-// constant folding, CSE, copy propagation, IR-level LICM, dead-code
-// elimination — each application translation-validated), then lowered.
-// Stats.Hoisted counts the optimizer's LICM moves; Stats.Instrs reports
-// the optimized body size.
+// The kernel is first brought into optimizer normal form
+// (opt.CachedResult: constant folding, CSE, copy propagation, IR-level
+// LICM, dead-code elimination — each application translation-validated),
+// then lowered. Stats.Hoisted counts the optimizer's LICM moves;
+// Stats.Instrs reports the optimized body size. A program holds only
+// what execution needs; its feature view is features.Extract's.
 func Compile(k *kernelir.Kernel) (*Program, error) {
 	if err := k.Validate(); err != nil {
 		return nil, err
 	}
 	ko, res := opt.CachedResult(k)
-	vec, err := features.Extract(k)
-	if err != nil {
-		return nil, err
-	}
 	tree, err := kernelir.BuildLoopTree(ko.Body)
 	if err != nil {
 		return nil, err
@@ -59,7 +55,6 @@ func Compile(k *kernelir.Kernel) (*Program, error) {
 		numI:   k.NumIntRegs,
 		numF:   k.NumFloatRegs,
 		localN: k.LocalF32,
-		vec:    vec,
 		stats:  Stats{Instrs: len(ko.Body), Steps: lw.steps, Hoisted: res.Hoisted, Fused: lw.fused},
 	}, nil
 }

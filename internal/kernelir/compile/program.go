@@ -56,7 +56,6 @@ type Program struct {
 	numI   int
 	numF   int
 	localN int
-	vec    features.Vector
 	stats  Stats
 }
 
@@ -66,20 +65,11 @@ func (p *Program) Kernel() *kernelir.Kernel { return p.k }
 // Stats returns the compilation statistics.
 func (p *Program) Stats() Stats { return p.stats }
 
-// Features returns the kernel's static feature vector, extracted once at
-// compile time from the original (pre-hoisting) body, so cached programs
-// make repeated workload construction free for the sweep engine.
-func (p *Program) Features() features.Vector { return p.vec }
-
-// Workload converts the cached feature vector into the device-model
-// workload for a launch of the given size. It reproduces
-// features.KernelWorkload exactly, including the DRAM traffic-factor
-// scaling, without re-walking the kernel body.
+// Workload is features.KernelWorkload for the program's kernel: the
+// device-model workload of a launch of the given size. The kernel
+// compiled, so it is valid and extraction cannot fail.
 func (p *Program) Workload(items int64) hw.Workload {
-	w := features.Workload(p.k.Name, p.vec, items)
-	if p.k.TrafficFactor > 0 {
-		w.GlobalBytes *= p.k.TrafficFactor
-	}
+	w, _ := features.KernelWorkload(p.k, items)
 	return w
 }
 

@@ -3,10 +3,12 @@ package compile_test
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"synergy/internal/kernelir"
 	"synergy/internal/kernelir/compile"
+	"synergy/internal/kernelir/opt"
 )
 
 // namedKernel builds a trivial distinct kernel per name so each has its
@@ -130,5 +132,51 @@ func TestCacheFailedCompileNotMemoized(t *testing.T) {
 	}
 	if c.Len() != 0 {
 		t.Fatalf("failed compiles left %d resident entries", c.Len())
+	}
+}
+
+var runnerRuns atomic.Int64
+
+// TestRunnerCompilesOncePerRawFingerprint: concurrent kernelir.Execute
+// calls for one kernel dispatch through the default cache, which
+// compiles it exactly once, keyed on the kernel's own fingerprint
+// rather than its optimizer normal form's.
+func TestRunnerCompilesOncePerRawFingerprint(t *testing.T) {
+	// A fresh name per run gives a fresh fingerprint, so -count=N runs
+	// do not hit the previous run's program. The constant product folds,
+	// so the normal form's fingerprint differs from the raw one.
+	b := kernelir.NewBuilder(fmt.Sprintf("runner_once_%d", runnerRuns.Add(1)))
+	out := b.BufferI32("out", kernelir.Write)
+	gid := b.GlobalID()
+	b.StoreI(out, gid, b.AddI(gid, b.MulI(b.ConstI(3), b.ConstI(5))))
+	k := b.MustBuild()
+	fp := kernelir.Fingerprint(k)
+	if kernelir.Fingerprint(opt.Cached(k)) == fp {
+		t.Fatal("test kernel is already in optimizer normal form")
+	}
+
+	var compilations atomic.Int64
+	compile.Default().SetHook(func(got string) {
+		if got == fp {
+			compilations.Add(1)
+		}
+	})
+	defer compile.Default().SetHook(nil)
+
+	const callers = 8
+	var wg sync.WaitGroup
+	wg.Add(callers)
+	for i := 0; i < callers; i++ {
+		go func() {
+			defer wg.Done()
+			args := kernelir.Args{I32: map[string][]int32{"out": make([]int32, 64)}}
+			if err := kernelir.Execute(k, args, 64); err != nil {
+				t.Errorf("Execute: %v", err)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := compilations.Load(); got != 1 {
+		t.Fatalf("kernel compiled %d times under its raw fingerprint across %d concurrent executions, want exactly once", got, callers)
 	}
 }

@@ -7,11 +7,13 @@ import (
 	"synergy/internal/memo"
 )
 
-// Fingerprint-keyed memo for Optimize: the same kernel arrives on every
-// hot path (compile, feature extraction, sweep, serve), and the pipeline
-// is deterministic, so one run per structural fingerprint suffices.
-// Because Optimize is idempotent, a hit for an already-optimized kernel
-// returns the kernel itself.
+// Fingerprint-keyed memo for Optimize, for callers that want the
+// optimized kernel or its justification log: compile.Compile, the
+// synergy-opt and synergy-lint commands. The pipeline is deterministic,
+// so one run per structural fingerprint suffices. Feature extraction
+// does not use it: its own memo keeps only the vector. Because Optimize
+// is idempotent, a hit for an already-optimized kernel returns the
+// kernel itself.
 
 type optimized struct {
 	k   *kernelir.Kernel

@@ -38,9 +38,7 @@
 //     order and ExecuteChecked traps fire identically.
 //
 // Optimize is deterministic and idempotent (passes run to fixpoint), so
-// optimizing an already-optimized kernel returns it unchanged — the
-// property that lets compile key its program cache on the post-opt
-// fingerprint.
+// optimizing an already-optimized kernel returns it unchanged.
 package opt
 
 import (
