@@ -2,6 +2,7 @@ package features
 
 import (
 	"fmt"
+	"math"
 
 	"synergy/internal/memo"
 )
@@ -29,8 +30,9 @@ func CacheSize() int { return cache.Len() }
 func ResetCache() { cache.Reset() }
 
 // FromMap builds a Vector from canonical Table-1 feature names
-// (features.Names); it rejects unknown names and negative counts. This
-// is the serve daemon's JSON input format for pre-extracted kernels.
+// (features.Names); it rejects unknown names and counts that are
+// negative, NaN or infinite. This is the serve daemon's JSON input
+// format for pre-extracted kernels.
 func FromMap(m map[string]float64) (Vector, error) {
 	var v Vector
 	fields := [...]*float64{
@@ -49,6 +51,9 @@ func FromMap(m map[string]float64) (Vector, error) {
 		if idx < 0 {
 			return Vector{}, fmt.Errorf("features: unknown feature %q (want one of %v)", name, Names)
 		}
+		if math.IsNaN(val) || math.IsInf(val, 0) {
+			return Vector{}, fmt.Errorf("features: feature %q must be finite, got %g", name, val)
+		}
 		if val < 0 {
 			return Vector{}, fmt.Errorf("features: feature %q must be non-negative, got %g", name, val)
 		}
@@ -58,7 +63,7 @@ func FromMap(m map[string]float64) (Vector, error) {
 }
 
 // ToMap renders the vector under canonical names (the inverse of
-// FromMap for all non-negative vectors).
+// FromMap for all finite non-negative vectors).
 func (v Vector) ToMap() map[string]float64 {
 	s := v.Slice()
 	m := make(map[string]float64, len(s))

@@ -1,6 +1,7 @@
 package features
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -91,4 +92,49 @@ func TestFromMapRoundTrip(t *testing.T) {
 	if _, err := FromMap(map[string]float64{"k_sf": -1}); err == nil {
 		t.Error("negative count accepted")
 	}
+	// NaN and +Inf pass a plain val < 0 check; the error must name the
+	// feature, not surface later as an invalid predicted point.
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, err := FromMap(map[string]float64{"k_float_add": bad, "k_sf": 2})
+		if err == nil || !strings.Contains(err.Error(), `"k_float_add"`) || !strings.Contains(err.Error(), "finite") {
+			t.Errorf("FromMap(k_float_add=%v) = %v, want an error naming the feature", bad, err)
+		}
+	}
+}
+
+// FromMap is the serve daemon's boundary for pre-extracted kernels: any
+// map gives either an error or a finite, non-negative vector that
+// round-trips through ToMap, and never panics. The fuzzer names up to a
+// few features (comma-separated; unknown names and repeats included)
+// and gives them the three values in turn.
+func FuzzFeaturesFromMap(f *testing.F) {
+	f.Add("k_float_add,k_sf", 1.0, 2.5, 0.0)
+	f.Add("k_int_add,k_bogus", 3.0, 1.0, 1.0)
+	f.Add("k_gl_access", math.NaN(), 0.0, 0.0)
+	f.Add("k_loc_access,k_int_bw,k_int_bw", math.Inf(1), -1.0, 7.0)
+	f.Add("k_float_mul,k_float_div", math.MaxFloat64, math.SmallestNonzeroFloat64, 0.0)
+	f.Add("k_int_div", math.Copysign(0, -1), 0.0, 0.0)
+	f.Fuzz(func(t *testing.T, names string, a, b, c float64) {
+		vals := [3]float64{a, b, c}
+		m := map[string]float64{}
+		for i, name := range strings.Split(names, ",") {
+			m[name] = vals[i%len(vals)]
+		}
+		v, err := FromMap(m)
+		if err != nil {
+			return
+		}
+		for i, x := range v.Slice() {
+			if math.IsNaN(x) || math.IsInf(x, 0) || x < 0 {
+				t.Fatalf("FromMap(%v) accepted %s = %v", m, Names[i], x)
+			}
+		}
+		back, err := FromMap(v.ToMap())
+		if err != nil {
+			t.Fatalf("FromMap(ToMap(%+v)): %v", v, err)
+		}
+		if back != v {
+			t.Fatalf("round trip %+v != %+v", back, v)
+		}
+	})
 }

@@ -288,12 +288,21 @@ func (f *Forest) Predict(x []float64) float64 {
 
 // PredictInto implements BatchRegressor: it fills dst[i] with the
 // prediction for rows[i], allocation-free. dst must be at least as long
-// as rows. The walk is tree-major: each tree runs over every row before
-// the next tree starts, so one tree's nodes stay in cache across the
-// whole batch. Each row still adds its leaf values in tree order,
-// starting from zero, and is divided by the tree count once at the end
-// — the same additions in the same order as a row-at-a-time walk, so
-// the results are bit-identical to it (and to PredictReference).
+// as rows. The walk is tree-major: each tree runs over the whole batch
+// before the next tree starts, so one tree's nodes stay in cache.
+//
+// A batch whose every column is monotone down the rows (monotone) — a
+// kernel's model input over an ascending clock table is one — takes the
+// range walk instead: a split sends a prefix of such a range one way
+// and the suffix the other, so each tree takes the whole row range at
+// its root, binary-searches the cut at each split and adds each leaf
+// value to its sub-range (walkRange). Any other batch, a single row
+// included, walks each row down each tree.
+//
+// Either way each row adds its leaf values in tree order, starting from
+// zero, and is divided by the tree count once at the end — the same
+// additions in the same order as a row-at-a-time walk, so the results
+// are bit-identical to it (and to PredictReference).
 func (f *Forest) PredictInto(dst []float64, rows [][]float64) {
 	dst = dst[:len(rows)]
 	ff := &f.flat
@@ -306,7 +315,12 @@ func (f *Forest) PredictInto(dst []float64, rows [][]float64) {
 	feature, thresh := ff.feature, ff.thresh
 	lo, hi, value := ff.lo, ff.hi, ff.value
 	clear(dst)
+	ranged := monotone(rows)
 	for _, root := range ff.roots {
+		if ranged {
+			ff.walkRange(dst, rows, root, 0, len(rows))
+			continue
+		}
 		for i, x := range rows {
 			n := root
 			for feature[n] >= 0 {
@@ -322,6 +336,87 @@ func (f *Forest) PredictInto(dst []float64, rows [][]float64) {
 	trees := float64(len(ff.roots))
 	for i := range dst {
 		dst[i] /= trees
+	}
+}
+
+// monotone reports whether a batch can take the range walk: at least
+// two rows, all of one length, and every column non-decreasing or
+// non-increasing down the rows with no NaN. For such a column and any
+// threshold t, the rows with x <= t are a prefix of every row range
+// (non-decreasing) or a suffix (non-increasing).
+func monotone(rows [][]float64) bool {
+	if len(rows) < 2 {
+		return false
+	}
+	d := len(rows[0])
+	for _, r := range rows[1:] {
+		if len(r) != d {
+			return false
+		}
+	}
+	for j := 0; j < d; j++ {
+		prev := rows[0][j]
+		if math.IsNaN(prev) {
+			return false
+		}
+		up, down := true, true
+		for _, r := range rows[1:] {
+			x := r[j]
+			switch {
+			case x > prev:
+				down = false
+			case x < prev:
+				up = false
+			case x != prev: // NaN
+				return false
+			}
+			if !up && !down {
+				return false
+			}
+			prev = x
+		}
+	}
+	return true
+}
+
+// walkRange adds the leaf values of the subtree at node n to dst[a:b]:
+// every row in rows[a:b] reaches n, and the batch is monotone. At a
+// split whose first and last rows go the same way the whole range
+// follows them; otherwise a binary search finds the first row that goes
+// the other way, one side recurses and the other continues the loop.
+func (ff *flatForest) walkRange(dst []float64, rows [][]float64, n int32, a, b int) {
+	for ff.feature[n] >= 0 {
+		j, t := ff.feature[n], ff.thresh[n]
+		first := rows[a][j] <= t
+		if first == (rows[b-1][j] <= t) {
+			if first {
+				n = ff.lo[n]
+			} else {
+				n = ff.hi[n]
+			}
+			continue
+		}
+		// Row a goes one way and row b-1 the other: c becomes the
+		// first row of the range that does not go row a's way.
+		c, end := a+1, b-1
+		for c < end {
+			mid := int(uint(c+end) >> 1)
+			if (rows[mid][j] <= t) == first {
+				c = mid + 1
+			} else {
+				end = mid
+			}
+		}
+		head, tail := ff.lo[n], ff.hi[n]
+		if !first {
+			head, tail = tail, head
+		}
+		ff.walkRange(dst, rows, head, a, c)
+		n, a = tail, c
+	}
+	v := ff.value[n]
+	for i := a; i < b; i++ {
+		dst[i] += v
 	}
 }
 

@@ -41,7 +41,7 @@ func forestBundle(t testing.TB, spec *hw.Spec) *Models {
 // builtin device, every suite benchmark and every supported frequency,
 // all four target models must agree bit-for-bit, both one row at a time
 // (Predict) and over the device's whole clock table at once
-// (PredictInto, the tree-major batch walk Advise uses).
+// (PredictInto, whose clock-table batches take the range walk).
 func TestFlattenedForestMatchesReferenceAcrossDevices(t *testing.T) {
 	devices := hw.BuiltinSpecs()
 	freqStep := 1
@@ -81,6 +81,50 @@ func TestFlattenedForestMatchesReferenceAcrossDevices(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// ml.Forest.PredictInto takes its fast range walk only when every
+// column of a batch is monotone down the rows, with no NaN. A
+// Predictor's rows over the ascending clock table are such a batch:
+// the mix fractions are constant, f rises, and 1/f and every mix/f
+// fall. This pins that property for every builtin device and suite
+// kernel, the zero vector and huge finite counts, so a change to
+// featuresRowInto that broke it cannot silently send Advise back to the
+// row-by-row walk.
+func TestPredictorRowsMonotone(t *testing.T) {
+	vectors := map[string]features.Vector{
+		"zero":        {},
+		"huge":        {FloatAdd: math.MaxFloat64, GlAccess: 1},
+		"huge-sum":    {IntAdd: math.MaxFloat64, FloatMul: math.MaxFloat64, SF: 3},
+		"huge-single": {LocAccess: 1e300},
+	}
+	for _, b := range benchsuite.All() {
+		vectors[b.Name] = bundleFeatures(t, b)
+	}
+	for name, spec := range hw.BuiltinSpecs() {
+		p := (&Models{Spec: spec}).predictor()
+		if len(p.rows) < 2 {
+			t.Fatalf("%s: clock table of %d entries", name, len(p.rows))
+		}
+		for vname, v := range vectors {
+			p.fillRows(v)
+			for j := 0; j < rowLen; j++ {
+				up, down := true, true
+				for i, r := range p.rows {
+					if math.IsNaN(r[j]) {
+						t.Fatalf("%s/%s: column %d is NaN at %d MHz", name, vname, j, spec.CoreFreqsMHz[i])
+					}
+					if i > 0 {
+						up = up && r[j] >= p.rows[i-1][j]
+						down = down && r[j] <= p.rows[i-1][j]
+					}
+				}
+				if !up && !down {
+					t.Fatalf("%s/%s: column %d is not monotone over the clock table", name, vname, j)
+				}
+			}
+		}
 	}
 }
 

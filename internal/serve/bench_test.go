@@ -16,8 +16,8 @@ import (
 // resolution — target parse, feature-map decode, pooled predictor,
 // the target's batch predictions, target search. The preds/s metric
 // counts individual model evaluations as serve_predictions_total does
-// (the Advice.Predictions of every advise); BENCH_serve.json records the
-// reference rate of the earlier four-models-per-clock search.
+// (the Advice.Predictions of every advise); EXPERIMENTS.md ("Performance
+// record") keeps reference rates.
 func BenchmarkServePredict(b *testing.B) {
 	s, reg := testServer(b)
 	fm := featureMap(b, "black_scholes")

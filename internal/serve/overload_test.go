@@ -374,8 +374,7 @@ func TestDegradedSweepBreaker(t *testing.T) {
 // slowed-down predict path and checks the overload contract end to
 // end: admitted requests finish with bounded latency, the excess is
 // shed as 429 (never queued to death), and every request gets exactly
-// one terminal outcome. The measured figures feed BENCH_serve.json's
-// shed_profile entry.
+// one terminal outcome. It logs the measured figures (-v).
 func TestShedProfileAtSaturation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("saturation profile skipped in -short")

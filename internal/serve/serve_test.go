@@ -433,11 +433,10 @@ func featureMapQuiet(name string) map[string]float64 {
 	return v.ToMap()
 }
 
-// TestServeLoadProfile is the load-generation harness behind
-// BENCH_serve.json: N concurrent clients hammer /v1/advise over real
-// HTTP and the test reports throughput and latency quantiles. It
-// asserts only sanity (all responses OK); the reference numbers live
-// in BENCH_serve.json.
+// TestServeLoadProfile is a load-generation harness: N concurrent
+// clients hammer /v1/advise over real HTTP and the test logs throughput
+// and latency quantiles (-v). It asserts only sanity (all responses
+// OK); cmd/synergy-bench is the end-to-end yardstick.
 func TestServeLoadProfile(t *testing.T) {
 	if testing.Short() {
 		t.Skip("load profile skipped in -short")
