@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 )
 
 // Forest is a random-forest regressor: bootstrap-aggregated CART trees
@@ -163,34 +166,84 @@ func (f *Forest) Fit(x [][]float64, y []float64) error {
 		maxFeat = d
 	}
 
+	// Every random draw comes from the forest's generator in tree order,
+	// before any tree is built: each tree's bootstrap sample, then the
+	// seed of its builder. The trees then do not depend on how many
+	// goroutines build them or in which order they finish.
 	rng := rand.New(rand.NewSource(f.Seed + 0x5deece66d))
 	n := len(x)
-	f.trees = make([]*treeNode, nTrees)
-	for t := 0; t < nTrees; t++ {
+	samples := make([][]int, nTrees)
+	seeds := make([]int64, nTrees)
+	for t := range samples {
 		idx := make([]int, n)
 		for i := range idx {
 			idx[i] = rng.Intn(n)
 		}
-		b := &treeBuilder{
-			x: x, y: y,
-			minLeaf: minLeaf, maxFeat: maxFeat, d: d,
-			rng: rand.New(rand.NewSource(rng.Int63())),
-		}
-		f.trees[t] = b.build(idx, maxDepth)
+		samples[t], seeds[t] = idx, rng.Int63()
 	}
+	// The builders read x a column at a time.
+	cols := make([][]float64, d)
+	for j := range cols {
+		cols[j] = make([]float64, n)
+		for i, r := range x {
+			cols[j][i] = r[j]
+		}
+	}
+	f.trees = make([]*treeNode, nTrees)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), nTrees); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			b := &treeBuilder{
+				cols: cols, y: y,
+				minLeaf: minLeaf, maxFeat: maxFeat, d: d,
+				pairs: make([]valueTarget, n), hi: make([]int, n),
+			}
+			for t := int(next.Add(1) - 1); t < nTrees; t = int(next.Add(1) - 1) {
+				b.rng = rand.New(rand.NewSource(seeds[t]))
+				f.trees[t] = b.build(samples[t], maxDepth)
+			}
+		}()
+	}
+	wg.Wait()
 	f.flat = flatten(f.trees)
 	return nil
 }
 
+// treeBuilder grows one tree at a time. pairs and hi are scratch sized
+// to the bootstrap sample and reused by every node of every tree the
+// builder grows.
 type treeBuilder struct {
-	x       [][]float64
+	cols    [][]float64 // x by column
 	y       []float64
 	minLeaf int
 	maxFeat int
 	d       int
 	rng     *rand.Rand
+	pairs   []valueTarget
+	hi      []int
 }
 
+// valueTarget is one sample in the split search: its value of the
+// candidate feature and its target.
+type valueTarget struct{ v, y float64 }
+
+// byValue orders split-search pairs by feature value: it is negative
+// exactly when a.v < b.v, the only question pdqsort asks of it.
+func byValue(a, b valueTarget) int {
+	switch {
+	case a.v < b.v:
+		return -1
+	case a.v > b.v:
+		return 1
+	}
+	return 0
+}
+
+// build grows the subtree over the samples idx, which it reorders: the
+// samples that go low end up first, each side in its original order.
 func (b *treeBuilder) build(idx []int, depth int) *treeNode {
 	mean := 0.0
 	for _, i := range idx {
@@ -203,23 +256,29 @@ func (b *treeBuilder) build(idx []int, depth int) *treeNode {
 
 	bestFeat, bestThresh, bestScore := -1, 0.0, math.Inf(1)
 	feats := b.sampleFeatures()
-	sorted := make([]int, len(idx))
+	sorted := b.pairs[:len(idx)]
 	for _, feat := range feats {
-		copy(sorted, idx)
-		sort.Slice(sorted, func(a, c int) bool { return b.x[sorted[a]][feat] < b.x[sorted[c]][feat] })
+		col := b.cols[feat]
+		for k, i := range idx {
+			sorted[k] = valueTarget{col[i], b.y[i]}
+		}
+		// slices.SortFunc and sort.Slice are one pdqsort, generated
+		// from one template, so ties land where the row-index sort of
+		// the reference builder put them.
+		slices.SortFunc(sorted, byValue)
 		// Prefix sums for O(n) split scan.
 		sumL, sqL := 0.0, 0.0
 		sumT, sqT := 0.0, 0.0
-		for _, i := range sorted {
-			sumT += b.y[i]
-			sqT += b.y[i] * b.y[i]
+		for _, p := range sorted {
+			sumT += p.y
+			sqT += p.y * p.y
 		}
 		for k := 0; k < len(sorted)-1; k++ {
-			yi := b.y[sorted[k]]
+			yi := sorted[k].y
 			sumL += yi
 			sqL += yi * yi
 			// Can't split between equal feature values.
-			if b.x[sorted[k]][feat] == b.x[sorted[k+1]][feat] {
+			if sorted[k].v == sorted[k+1].v {
 				continue
 			}
 			nl := float64(k + 1)
@@ -233,7 +292,7 @@ func (b *treeBuilder) build(idx []int, depth int) *treeNode {
 			if score := sseL + sseR; score < bestScore {
 				bestScore = score
 				bestFeat = feat
-				bestThresh = (b.x[sorted[k]][feat] + b.x[sorted[k+1]][feat]) / 2
+				bestThresh = (sorted[k].v + sorted[k+1].v) / 2
 			}
 		}
 	}
@@ -241,22 +300,26 @@ func (b *treeBuilder) build(idx []int, depth int) *treeNode {
 		return &treeNode{leafFlag: true, value: mean}
 	}
 
-	var loIdx, hiIdx []int
+	// Stable partition in place: low samples move forward over the ones
+	// already read, high ones wait in b.hi until the low side is done.
+	nLo, hi, col := 0, b.hi[:0], b.cols[bestFeat]
 	for _, i := range idx {
-		if b.x[i][bestFeat] <= bestThresh {
-			loIdx = append(loIdx, i)
+		if col[i] <= bestThresh {
+			idx[nLo] = i
+			nLo++
 		} else {
-			hiIdx = append(hiIdx, i)
+			hi = append(hi, i)
 		}
 	}
-	if len(loIdx) == 0 || len(hiIdx) == 0 {
+	if nLo == 0 || len(hi) == 0 {
 		return &treeNode{leafFlag: true, value: mean}
 	}
+	copy(idx[nLo:], hi)
 	return &treeNode{
 		feature: bestFeat,
 		thresh:  bestThresh,
-		lo:      b.build(loIdx, depth-1),
-		hi:      b.build(hiIdx, depth-1),
+		lo:      b.build(idx[:nLo], depth-1),
+		hi:      b.build(idx[nLo:], depth-1),
 	}
 }
 

@@ -4,16 +4,18 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 )
 
 // Model persistence: trained regressors serialise to a JSON envelope
 // {"algo": ..., "data": ...} so a deployment can train once per device
 // (the §3.2 installation step) and ship the models with the binary.
 
-// envelope wraps any serialised model with its algorithm tag.
-type envelope struct {
-	Algo string          `json:"algo"`
-	Data json.RawMessage `json:"data"`
+// envelope wraps a serialised model with its algorithm tag. Data is the
+// model's state when saving and json.RawMessage when loading.
+type envelope[T any] struct {
+	Algo string `json:"algo"`
+	Data T      `json:"data"`
 }
 
 type linearState struct {
@@ -69,6 +71,11 @@ func stateToNode(s *nodeState) (*treeNode, error) {
 		if s.Lo == nil || s.Hi == nil {
 			return nil, fmt.Errorf("ml: interior tree node missing children")
 		}
+		// The flattened forest stores features as int32, where a wider
+		// index could wrap into range or onto leafFeature.
+		if s.Feature < 0 || s.Feature > math.MaxInt32 {
+			return nil, fmt.Errorf("ml: interior tree node splits on feature %d", s.Feature)
+		}
 		var err error
 		if n.lo, err = stateToNode(s.Lo); err != nil {
 			return nil, err
@@ -82,6 +89,17 @@ func stateToNode(s *nodeState) (*treeNode, error) {
 
 // SaveModel writes a trained regressor to w.
 func SaveModel(w io.Writer, m Regressor) error {
+	st, err := State(m)
+	if err != nil {
+		return err
+	}
+	return json.NewEncoder(w).Encode(st)
+}
+
+// State returns the value SaveModel encodes for m, its algorithm tag
+// and fitted state, so a larger document can embed the model and
+// marshal everything in one pass.
+func State(m Regressor) (any, error) {
 	var data any
 	switch r := m.(type) {
 	case *Linear:
@@ -96,7 +114,7 @@ func SaveModel(w io.Writer, m Regressor) error {
 		data = st
 	case *SVR:
 		if r.scaler == nil {
-			return fmt.Errorf("ml: cannot save unfitted SVR")
+			return nil, fmt.Errorf("ml: cannot save unfitted SVR")
 		}
 		data = svrState{
 			Gamma: r.gamma, YMean: r.yMean,
@@ -104,18 +122,14 @@ func SaveModel(w io.Writer, m Regressor) error {
 			Beta: r.beta, Support: r.support,
 		}
 	default:
-		return fmt.Errorf("ml: cannot save model type %T", m)
+		return nil, fmt.Errorf("ml: cannot save model type %T", m)
 	}
-	raw, err := json.Marshal(data)
-	if err != nil {
-		return err
-	}
-	return json.NewEncoder(w).Encode(envelope{Algo: m.Name(), Data: raw})
+	return envelope[any]{Algo: m.Name(), Data: data}, nil
 }
 
 // LoadModel reads a regressor previously written by SaveModel.
 func LoadModel(r io.Reader) (Regressor, error) {
-	var env envelope
+	var env envelope[json.RawMessage]
 	if err := json.NewDecoder(r).Decode(&env); err != nil {
 		return nil, fmt.Errorf("ml: decoding model envelope: %w", err)
 	}

@@ -69,6 +69,16 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		`{"algo":"RandomForest","data":{"trees":[{"f":0,"t":1,"leaf":false}]}}`)); err == nil {
 		t.Error("malformed tree accepted")
 	}
+	// Negative split features, and ones the int32 flat arrays cannot
+	// hold: -1 and 2^32-1 would land on leafFeature and turn the split
+	// into a leaf silently.
+	for _, f := range []string{"-1", "-2", "4294967295", "4294967296"} {
+		if _, err := LoadModel(strings.NewReader(
+			`{"algo":"RandomForest","data":{"trees":[{"f":` + f + `,"t":1,"leaf":false,` +
+				`"lo":{"v":1,"leaf":true},"hi":{"v":2,"leaf":true}}]}}`)); err == nil {
+			t.Errorf("split on feature %s accepted", f)
+		}
+	}
 }
 
 func TestSaveRejectsUnknownType(t *testing.T) {

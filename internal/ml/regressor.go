@@ -43,6 +43,43 @@ func CheckFitted(r Regressor) error {
 	return nil
 }
 
+// CheckWidth reports whether a regressor reads at most the first d
+// values of a feature vector, so a d-wide row cannot send it out of
+// bounds: a linear model has d coefficients, a forest splits only on
+// features below d, and an SVR has a d-wide scaler and d-wide support
+// vectors, one weight each. Models of other types pass.
+func CheckWidth(r Regressor, d int) error {
+	switch m := r.(type) {
+	case *Linear:
+		if len(m.Coef) != d {
+			return fmt.Errorf("ml: Linear has %d coefficients for %d features", len(m.Coef), d)
+		}
+	case *Lasso:
+		if len(m.Coef) != d {
+			return fmt.Errorf("ml: Lasso has %d coefficients for %d features", len(m.Coef), d)
+		}
+	case *Forest:
+		for i, f := range m.flat.feature {
+			if int(f) >= d {
+				return fmt.Errorf("ml: RandomForest node %d splits on feature %d of %d", i, f, d)
+			}
+		}
+	case *SVR:
+		if m.scaler == nil || len(m.scaler.Mean) != d || len(m.scaler.Scale) != d {
+			return fmt.Errorf("ml: SVR_RBF scaler is not %d wide", d)
+		}
+		if len(m.beta) != len(m.support) {
+			return fmt.Errorf("ml: SVR_RBF has %d weights for %d support vectors", len(m.beta), len(m.support))
+		}
+		for i, sv := range m.support {
+			if len(sv) != d {
+				return fmt.Errorf("ml: SVR_RBF support vector %d has %d features, want %d", i, len(sv), d)
+			}
+		}
+	}
+	return nil
+}
+
 // PredictAll applies the model to every row.
 func PredictAll(m Regressor, x [][]float64) []float64 {
 	out := make([]float64, len(x))

@@ -36,3 +36,35 @@ func BenchmarkAdvise(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkTrain fits the V100 forest bundle, four models of 80 trees,
+// on the stride-8 training set: the fit synergy-serve and
+// cmd/synergy-bench run at start-up.
+func BenchmarkTrain(b *testing.B) {
+	spec := hw.V100()
+	ts, err := DefaultTrainingSet(spec, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Train(spec, ts, AlgoForest); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFingerprint hashes the SaveModels bytes of the V100 stride-8
+// forest bundle, which serve.New and every reload do once.
+func BenchmarkFingerprint(b *testing.B) {
+	m, err := TrainDefault(hw.V100(), AlgoForest, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.Fingerprint(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -53,22 +53,61 @@ func adviseRows(t *testing.T, device string) string {
 // rows are recomputed and compared. Regenerate with -update only after
 // an intentional model change.
 func TestAdviseGolden(t *testing.T) {
-	devices := hw.BuiltinNames()
-	if raceEnabled {
-		devices = []string{"v100"}
-	}
 	var sb strings.Builder
-	for _, d := range devices {
+	for _, d := range goldenDevices() {
 		sb.WriteString(adviseRows(t, d))
 	}
-	got := strings.Split(sb.String(), "\n")
+	checkGolden(t, "advise.golden", sb.String())
+}
 
-	golden := filepath.Join("testdata", "advise.golden")
+// TestBundlesGolden pins training and serialization byte for byte: the
+// fingerprint (truncated SHA-256 of the SaveModels bytes) of every
+// builtin device's stride-16 forest bundle, and of the v100 bundle of
+// every other algorithm, must reproduce testdata/bundles.golden.
+// advise.golden sees only what a bundle predicts on the suite; this
+// covers every split, threshold, leaf and coefficient, and every byte
+// SaveModels writes. Under -race only the v100 rows are checked.
+func TestBundlesGolden(t *testing.T) {
+	var sb strings.Builder
+	for _, d := range goldenDevices() {
+		spec, err := hw.SpecByName(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, algo := range AllAlgos {
+			if algo != AlgoForest && d != "v100" {
+				continue
+			}
+			fp, err := trainedBundle(t, spec, algo).Fingerprint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&sb, "%s\t%s\t%s\n", d, algo, fp)
+		}
+	}
+	checkGolden(t, "bundles.golden", sb.String())
+}
+
+// goldenDevices lists the devices a golden table recomputes: every
+// builtin device, or only v100 under -race.
+func goldenDevices() []string {
+	if raceEnabled {
+		return []string{"v100"}
+	}
+	return hw.BuiltinNames()
+}
+
+// checkGolden compares got, one tab-separated row per line with the
+// device first, against testdata/name, which -update rewrites. Under
+// -race only the golden's v100 rows are compared.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
 	if *update && !raceEnabled {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(golden, []byte(sb.String()), 0o644); err != nil {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -82,18 +121,19 @@ func TestAdviseGolden(t *testing.T) {
 			want = append(want, line)
 		}
 	}
-	if len(got) != len(want) {
-		t.Fatalf("%d advise rows, golden %s has %d", len(got), golden, len(want))
+	rows := strings.Split(got, "\n")
+	if len(rows) != len(want) {
+		t.Fatalf("%d rows, golden %s has %d", len(rows), golden, len(want))
 	}
 	bad := 0
 	for i := range want {
-		if got[i] != want[i] {
+		if rows[i] != want[i] {
 			if bad++; bad <= 10 {
-				t.Errorf("row %d:\n got  %s\n want %s", i, got[i], want[i])
+				t.Errorf("row %d:\n got  %s\n want %s", i, rows[i], want[i])
 			}
 		}
 	}
 	if bad > 0 {
-		t.Errorf("%d of %d advise rows drifted from %s", bad, len(want)-1, golden)
+		t.Errorf("%d of %d rows drifted from %s", bad, len(want)-1, golden)
 	}
 }

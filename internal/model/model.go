@@ -237,7 +237,8 @@ type PredictedPoint struct {
 }
 
 // Check verifies the bundle is able to serve predictions: the device
-// spec is present and valid and all four models are in a fitted state.
+// spec is present and valid and all four models are in a fitted state
+// and read no further than the rowLen-wide model row.
 // A bundle that was never trained — or was loaded from a corrupt
 // artifact — is refused with a descriptive error here instead of
 // silently predicting garbage (an unfit forest, for instance, used to
@@ -260,6 +261,9 @@ func (m *Models) Check() error {
 		}
 		if err := ml.CheckFitted(part.r); err != nil {
 			return fmt.Errorf("model: %s model for %s cannot predict: %w", part.name, m.Spec.Name, err)
+		}
+		if err := ml.CheckWidth(part.r, rowLen); err != nil {
+			return fmt.Errorf("model: %s model for %s does not fit the model row: %w", part.name, m.Spec.Name, err)
 		}
 	}
 	return nil

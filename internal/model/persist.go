@@ -15,14 +15,15 @@ import (
 
 // bundleState serialises the four trained models with their device and
 // algorithm, so the §3.2 installation step (train once per device) can
-// ship its output as a single JSON artifact.
-type bundleState struct {
-	Device string          `json:"device"`
-	Algo   string          `json:"algo"`
-	Time   json.RawMessage `json:"time"`
-	Energy json.RawMessage `json:"energy"`
-	EDP    json.RawMessage `json:"edp"`
-	ED2P   json.RawMessage `json:"ed2p"`
+// ship its output as a single JSON artifact. Each model is its ml.State
+// when saving and json.RawMessage when loading.
+type bundleState[T any] struct {
+	Device string `json:"device"`
+	Algo   string `json:"algo"`
+	Time   T      `json:"time"`
+	Energy T      `json:"energy"`
+	EDP    T      `json:"edp"`
+	ED2P   T      `json:"ed2p"`
 }
 
 // deviceKey maps a spec to the identifier used by hw.SpecByName.
@@ -41,18 +42,16 @@ func SaveModels(w io.Writer, m *Models) error {
 	if err != nil {
 		return err
 	}
-	st := bundleState{Device: key, Algo: m.Algo}
+	st := bundleState[any]{Device: key, Algo: m.Algo}
 	for _, part := range []struct {
-		dst *json.RawMessage
+		dst *any
 		r   ml.Regressor
 	}{
 		{&st.Time, m.Time}, {&st.Energy, m.Energy}, {&st.EDP, m.EDP}, {&st.ED2P, m.ED2P},
 	} {
-		var buf bytes.Buffer
-		if err := ml.SaveModel(&buf, part.r); err != nil {
+		if *part.dst, err = ml.State(part.r); err != nil {
 			return err
 		}
-		*part.dst = json.RawMessage(buf.Bytes())
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
@@ -61,7 +60,7 @@ func SaveModels(w io.Writer, m *Models) error {
 
 // LoadModels reads a bundle written by SaveModels.
 func LoadModels(r io.Reader) (*Models, error) {
-	var st bundleState
+	var st bundleState[json.RawMessage]
 	if err := json.NewDecoder(r).Decode(&st); err != nil {
 		return nil, fmt.Errorf("model: decoding bundle: %w", err)
 	}
@@ -112,10 +111,9 @@ func LoadFile(path string) (*Models, error) {
 // response and prove reload atomicity (no response computed from a mix
 // of two bundles).
 func (m *Models) Fingerprint() (string, error) {
-	var buf bytes.Buffer
-	if err := SaveModels(&buf, m); err != nil {
+	h := sha256.New()
+	if err := SaveModels(h, m); err != nil {
 		return "", fmt.Errorf("model: fingerprinting bundle: %w", err)
 	}
-	sum := sha256.Sum256(buf.Bytes())
-	return hex.EncodeToString(sum[:6]), nil
+	return hex.EncodeToString(h.Sum(nil)[:6]), nil
 }

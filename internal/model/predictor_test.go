@@ -13,27 +13,34 @@ import (
 )
 
 var (
-	forestBundleMu sync.Mutex
-	forestBundles  = map[string]*Models{}
+	bundleMu sync.Mutex
+	bundles  = map[[2]string]*Models{}
 )
 
-// forestBundle trains a forest bundle on the device with a coarse
-// training stride, once per device per test binary (forest fitting is
-// the expensive part; the sweeps themselves are memoized
+// trainedBundle trains a bundle of algo on the device with a coarse
+// training stride, once per device and algorithm per test binary
+// (fitting is the expensive part; the sweeps themselves are memoized
 // full-resolution in the sweep engine).
-func forestBundle(t testing.TB, spec *hw.Spec) *Models {
+func trainedBundle(t testing.TB, spec *hw.Spec, algo string) *Models {
 	t.Helper()
-	forestBundleMu.Lock()
-	defer forestBundleMu.Unlock()
-	if m, ok := forestBundles[spec.Name]; ok {
+	bundleMu.Lock()
+	defer bundleMu.Unlock()
+	key := [2]string{spec.Name, algo}
+	if m, ok := bundles[key]; ok {
 		return m
 	}
-	m, err := TrainDefault(spec, AlgoForest, 16)
+	m, err := TrainDefault(spec, algo, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	forestBundles[spec.Name] = m
+	bundles[key] = m
 	return m
+}
+
+// forestBundle is the device's trainedBundle of the forest.
+func forestBundle(t testing.TB, spec *hw.Spec) *Models {
+	t.Helper()
+	return trainedBundle(t, spec, AlgoForest)
 }
 
 // The flattened forest is the production predictor; the pointer trees it

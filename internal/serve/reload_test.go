@@ -7,6 +7,9 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -116,6 +119,45 @@ func TestReloadFromPath(t *testing.T) {
 	}
 	if s.BundleFingerprint() != altFP {
 		t.Errorf("fingerprint %s, want %s", s.BundleFingerprint(), altFP)
+	}
+}
+
+// A bundle file whose forest splits on feature 4000 of the 22-wide model
+// row used to load and pass Check, then panic in the reload self-test.
+// synergy-serve reloads from its SIGHUP goroutine, which has no
+// recover, so one bad file killed the daemon. ReloadFromPath refuses
+// it, and the live bundle keeps serving under its stamp.
+func TestReloadFromPathRefusesOutOfRowFeature(t *testing.T) {
+	s, reg := testServer(t)
+	live := s.bundle.Load()
+	raw := bundleJSON(t, altBundle(t))
+	loc := regexp.MustCompile(`"f": \d+`).FindIndex(raw)
+	if loc == nil {
+		t.Fatal("bundle has no split")
+	}
+	bad := append(append(slices.Clip(raw[:loc[0]]), `"f": 4000`...), raw[loc[1]:]...)
+	path := filepath.Join(t.TempDir(), "bundle.json")
+	if err := os.WriteFile(path, bad, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	err := s.ReloadFromPath(path)
+	if err == nil || !strings.Contains(err.Error(), "feature 4000") {
+		t.Fatalf("ReloadFromPath: %v, want an error naming feature 4000", err)
+	}
+	if s.bundle.Load() != live || s.BundleFingerprint() != live.fp {
+		t.Fatalf("live bundle changed to %s", s.BundleFingerprint())
+	}
+	w, out := postJSON(t, s, "/v1/advise", Request{Target: "MIN_ENERGY", Features: featureMap(t, "vec_add")})
+	var resp Response
+	if err := json.Unmarshal(out, &resp); w.Code != http.StatusOK || err != nil || resp.Bundle != live.fp {
+		t.Fatalf("advise after the refused reload: status %d, bundle %q, want %q (%s)", w.Code, resp.Bundle, live.fp, out)
+	}
+	snap := reg.Snapshot()
+	if got := snap.CounterValue("serve_reloads_total", "result", "ok"); got != 0 {
+		t.Errorf("serve_reloads_total{ok} = %d, want 0", got)
+	}
+	if got := snap.CounterValue("serve_reloads_total", "result", "rejected"); got != 1 {
+		t.Errorf("serve_reloads_total{rejected} = %d, want 1", got)
 	}
 }
 
