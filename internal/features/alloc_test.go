@@ -4,12 +4,12 @@ package features
 
 import "testing"
 
-// The repeat path of Extract — fingerprint lookup plus memo hit — is on
-// the serve daemon's hot path and must not allocate. (Skipped under
-// -race, whose instrumentation allocates.)
+// The repeat path of Extract — the kernel's stored fingerprint plus a
+// memo hit — is on the serve daemon's hot path and must not allocate.
+// (Skipped under -race, whose instrumentation allocates.)
 func TestExtractCachedZeroAlloc(t *testing.T) {
 	k := buildSaxpy(t)
-	if _, err := Extract(k); err != nil { // warm fingerprint memo + vector memo
+	if _, err := Extract(k); err != nil { // fingerprint the kernel + fill the vector memo
 		t.Fatal(err)
 	}
 	var sink Vector

@@ -22,7 +22,6 @@ func Assemble(text string) (*Kernel, error) {
 	if err != nil {
 		return nil, err
 	}
-	ops := opsByName()
 	depth := 0
 	closed := false
 	for no, raw := range lines[1:] {
@@ -60,7 +59,7 @@ func Assemble(text string) (*Kernel, error) {
 			k.Body = append(k.Body, Instr{Op: OpRepeatBegin, Imm: float64(n)})
 			depth++
 		default:
-			in, err := parseInstr(k, ops, line)
+			in, err := parseInstr(k, line)
 			if err != nil {
 				return nil, fail("%v", err)
 			}
@@ -173,15 +172,17 @@ func parseScalarType(s string) (ScalarType, error) {
 	return 0, fmt.Errorf("kernelir: unknown scalar type %q", s)
 }
 
-func opsByName() map[string]Op {
+// opsByName maps each mnemonic to its opcode.
+var opsByName = func() map[string]Op {
 	m := make(map[string]Op, int(opCount))
 	for op := Op(0); op < opCount; op++ {
 		m[op.String()] = op
 	}
 	return m
-}
+}()
 
-// parseReg parses "f3" / "i0" and checks the file prefix.
+// parseReg parses "f3" / "i0", checks the file prefix and keeps the
+// register inside a MaxRegs-sized file.
 func parseReg(tok string, file ScalarType) (int, error) {
 	if tok == "" || tok[:1] != filePrefix(file) {
 		return 0, fmt.Errorf("operand %q is not a %s register", tok, file)
@@ -190,10 +191,13 @@ func parseReg(tok string, file ScalarType) (int, error) {
 	if err != nil || n < 0 {
 		return 0, fmt.Errorf("bad register %q", tok)
 	}
+	if n >= MaxRegs {
+		return 0, fmt.Errorf("register %q outside a %d-register file", tok, MaxRegs)
+	}
 	return n, nil
 }
 
-func parseInstr(k *Kernel, ops map[string]Op, line string) (Instr, error) {
+func parseInstr(k *Kernel, line string) (Instr, error) {
 	var in Instr
 	body := line
 	dstTok := ""
@@ -201,7 +205,7 @@ func parseInstr(k *Kernel, ops map[string]Op, line string) (Instr, error) {
 		dstTok, body = lhs, rhs
 	}
 	mnemonic, operands, _ := strings.Cut(body, " ")
-	op, ok := ops[mnemonic]
+	op, ok := opsByName[mnemonic]
 	if !ok {
 		return in, fmt.Errorf("unknown mnemonic %q", mnemonic)
 	}

@@ -118,30 +118,7 @@ func FuzzDisasmRoundTrip(f *testing.F) {
 	f.Add([]byte{byte(OpLoadLF), 1, 2, 3, 4, byte(OpSelF), 0, 1, 2, 3})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		const numRegs = 4
-		k := &Kernel{
-			Name: "fuzz",
-			Params: []Param{
-				{Name: "f", IsBuffer: true, Type: F32, Access: ReadWrite},
-				{Name: "i", IsBuffer: true, Type: I32, Access: ReadWrite},
-				{Name: "s", Type: F32},
-			},
-			NumIntRegs:   numRegs,
-			NumFloatRegs: numRegs,
-			LocalF32:     2,
-		}
-		for i := 0; i+5 <= len(data) && len(k.Body) < 64; i += 5 {
-			in := Instr{
-				Op:  Op(int(data[i]) % int(opCount)),
-				Dst: int(data[i+1]) % (numRegs + 2),
-				A:   int(data[i+2]) % (numRegs + 2),
-				B:   int(data[i+3]) % (numRegs + 2),
-				C:   int(data[i+3]) % (numRegs + 2),
-				Imm: float64(data[i+4]%8) + 1,
-				Buf: int(data[i+4]) % 4,
-			}
-			k.Body = append(k.Body, in)
-		}
+		k := fuzzKernel(data)
 		if err := k.Validate(); err != nil {
 			return
 		}

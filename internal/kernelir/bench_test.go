@@ -49,13 +49,3 @@ func BenchmarkValidate(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkDisassemble(b *testing.B) {
-	k := benchKernel()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if k.Disassemble() == "" {
-			b.Fatal("empty disassembly")
-		}
-	}
-}

@@ -38,17 +38,19 @@ func (b *Builder) emit(in Instr) {
 	b.k.Body = append(b.k.Body, in)
 }
 
-func (b *Builder) allocI() IntReg {
-	r := IntReg{b.nextI}
-	b.nextI++
-	return r
+// alloc hands out the next register of a file; like Repeat past
+// MaxRepeatTrip, a kernel past MaxRegs is a programming error.
+func alloc(next *int, file ScalarType) int {
+	if *next == MaxRegs {
+		panic(fmt.Sprintf("kernelir: more than %d %s registers", MaxRegs, file))
+	}
+	*next++
+	return *next - 1
 }
 
-func (b *Builder) allocF() FloatReg {
-	r := FloatReg{b.nextF}
-	b.nextF++
-	return r
-}
+func (b *Builder) allocI() IntReg { return IntReg{alloc(&b.nextI, I32)} }
+
+func (b *Builder) allocF() FloatReg { return FloatReg{alloc(&b.nextF, F32)} }
 
 // BufferF32 declares a float32 global buffer parameter.
 func (b *Builder) BufferF32(name string, access AccessMode) BufF32 {
@@ -354,13 +356,13 @@ func (b *Builder) Build() (*Kernel, error) {
 		return nil, fmt.Errorf("kernelir: builder reused after Build")
 	}
 	b.built = true
-	k := b.k
+	k := b.k.WithBody(b.k.Body)
 	k.NumIntRegs = b.nextI
 	k.NumFloatRegs = b.nextF
 	if err := k.Validate(); err != nil {
 		return nil, err
 	}
-	return &k, nil
+	return k, nil
 }
 
 // MustBuild is Build that panics on error; kernels are static program

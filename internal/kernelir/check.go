@@ -142,7 +142,7 @@ func instrumentLocalBounds(k *Kernel) (*Kernel, string) {
 		}
 		flagName += "_"
 	}
-	ik := *k
+	ik := k.WithBody(nil)
 	ik.Params = append(append([]Param{}, k.Params...),
 		Param{Name: flagName, IsBuffer: true, Type: I32, Access: ReadWrite})
 	flagBuf := len(ik.Params) - 1
@@ -176,5 +176,5 @@ func instrumentLocalBounds(k *Kernel) (*Kernel, string) {
 		body = append(body, in)
 	}
 	ik.Body = body
-	return &ik, flagName
+	return ik, flagName
 }

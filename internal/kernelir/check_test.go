@@ -2,6 +2,7 @@ package kernelir
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -44,6 +45,48 @@ func TestBuilderRepeatRejectsTripCountBounds(t *testing.T) {
 			b := NewBuilder("bad")
 			b.Repeat(count, func() {})
 		}()
+	}
+}
+
+// TestRegisterFilesBounded: Assemble, Validate and the Builder all keep
+// each register file within MaxRegs.
+func TestRegisterFilesBounded(t *testing.T) {
+	t.Parallel()
+	asm := func(reg string) string {
+		return "kernel regs(write f32[out]) {\n  i0 = gid\n  " + reg + " = const.f 1\n  st.g.f out[i0], " + reg + "\n}\n"
+	}
+	k, err := Assemble(asm(fmt.Sprintf("f%d", MaxRegs-1)))
+	if err != nil || k.NumFloatRegs != MaxRegs {
+		t.Fatalf("Assemble at the bound: %v", err)
+	}
+	for _, reg := range []string{fmt.Sprintf("f%d", MaxRegs), "f20000000", "f200000000"} {
+		if _, err := Assemble(asm(reg)); err == nil {
+			t.Errorf("Assemble accepted register %s", reg)
+		}
+	}
+
+	for _, n := range [][2]int{{MaxRegs + 1, 1}, {1, MaxRegs + 1}, {-1, 1}, {1, -1}} {
+		bad := &Kernel{Name: "regs", NumIntRegs: n[0], NumFloatRegs: n[1]}
+		if err := bad.Validate(); err == nil {
+			t.Errorf("Validate accepted %d int and %d float registers", n[0], n[1])
+		}
+	}
+
+	b := NewBuilder("regs")
+	for range MaxRegs {
+		b.ConstI(0)
+	}
+	if k, err := b.Build(); err != nil || k.NumIntRegs != MaxRegs {
+		t.Fatalf("Builder at the bound: %v", err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Builder allocated a register past MaxRegs")
+		}
+	}()
+	b = NewBuilder("regs")
+	for range MaxRegs + 1 {
+		b.ConstF(0)
 	}
 }
 

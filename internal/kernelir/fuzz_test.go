@@ -17,30 +17,7 @@ func FuzzValidateAndExecute(f *testing.F) {
 	f.Add([]byte{255, 255, 255})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		const numRegs = 4
-		k := &Kernel{
-			Name: "fuzz",
-			Params: []Param{
-				{Name: "f", IsBuffer: true, Type: F32, Access: ReadWrite},
-				{Name: "i", IsBuffer: true, Type: I32, Access: ReadWrite},
-				{Name: "s", Type: F32},
-			},
-			NumIntRegs:   numRegs,
-			NumFloatRegs: numRegs,
-			LocalF32:     2,
-		}
-		for i := 0; i+5 <= len(data) && len(k.Body) < 64; i += 5 {
-			in := Instr{
-				Op:  Op(int(data[i]) % int(opCount)),
-				Dst: int(data[i+1]) % (numRegs + 2), // may exceed range
-				A:   int(data[i+2]) % (numRegs + 2),
-				B:   int(data[i+3]) % (numRegs + 2),
-				C:   int(data[i+3]) % (numRegs + 2),
-				Imm: float64(data[i+4]%8) + 1,
-				Buf: int(data[i+4]) % 4, // may exceed params
-			}
-			k.Body = append(k.Body, in)
-		}
+		k := fuzzKernel(data)
 		if err := k.Validate(); err != nil {
 			return // rejected streams are fine; no panic happened
 		}
@@ -53,4 +30,35 @@ func FuzzValidateAndExecute(f *testing.F) {
 			t.Fatalf("validated kernel failed to execute: %v", err)
 		}
 	})
+}
+
+// fuzzKernel decodes a fuzz input into a kernel over three parameters
+// and two 4-register files: each 5-byte group is one instruction whose
+// registers and parameter index may fall out of range, up to 64
+// instructions. The result need not validate.
+func fuzzKernel(data []byte) *Kernel {
+	const numRegs = 4
+	k := &Kernel{
+		Name: "fuzz",
+		Params: []Param{
+			{Name: "f", IsBuffer: true, Type: F32, Access: ReadWrite},
+			{Name: "i", IsBuffer: true, Type: I32, Access: ReadWrite},
+			{Name: "s", Type: F32},
+		},
+		NumIntRegs:   numRegs,
+		NumFloatRegs: numRegs,
+		LocalF32:     2,
+	}
+	for i := 0; i+5 <= len(data) && len(k.Body) < 64; i += 5 {
+		k.Body = append(k.Body, Instr{
+			Op:  Op(int(data[i]) % int(opCount)),
+			Dst: int(data[i+1]) % (numRegs + 2), // may exceed range
+			A:   int(data[i+2]) % (numRegs + 2),
+			B:   int(data[i+3]) % (numRegs + 2),
+			C:   int(data[i+3]) % (numRegs + 2),
+			Imm: float64(data[i+4]%8) + 1,
+			Buf: int(data[i+4]) % 4, // may exceed params
+		})
+	}
+	return k
 }

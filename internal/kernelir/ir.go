@@ -12,7 +12,10 @@
 //     static description, so the learning task of §6 is faithful.
 package kernelir
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // ScalarType distinguishes the two value types kernels operate on.
 type ScalarType int
@@ -183,6 +186,15 @@ func (o Op) String() string {
 // Validate and Builder.Repeat all enforce the same bound.
 const MaxRepeatTrip = 1 << 20
 
+// MaxRegs bounds each register file. The suite and the micro-benchmarks
+// use at most a few hundred registers per file; the bound keeps one
+// register named in a .kir body (say f200000000) from sizing a file, and
+// every per-register array of the interpreter, the compiler and the
+// feature pass, to gigabytes. Assemble, Validate and the Builder all
+// enforce it. ExecuteChecked's local-bounds probe adds 7 int registers,
+// so it refuses a kernel with local accesses within 7 of the bound.
+const MaxRegs = 1 << 16
+
 // Instr is one instruction of the register machine.
 type Instr struct {
 	Op      Op
@@ -210,6 +222,23 @@ type Kernel struct {
 	// paper's naive instruction counts do not see the real hardware's
 	// caches — so it contributes honest modelling error to the ML task.
 	TrafficFactor float64
+
+	// fp caches Fingerprint. A Kernel must not be copied by value once
+	// built (WithBody derives a new one); go vet's copylocks check
+	// enforces it.
+	fp atomic.Pointer[fingerprint]
+}
+
+// WithBody returns a new kernel with k's name, parameters, register
+// files, local size and traffic factor and the given body. It does not
+// carry k's cached fingerprint, so callers may change the new kernel
+// before they publish it.
+func (k *Kernel) WithBody(body []Instr) *Kernel {
+	return &Kernel{
+		Name: k.Name, Params: k.Params, Body: body,
+		NumIntRegs: k.NumIntRegs, NumFloatRegs: k.NumFloatRegs,
+		LocalF32: k.LocalF32, TrafficFactor: k.TrafficFactor,
+	}
 }
 
 // opClass describes operand/destination register files per opcode.
@@ -290,6 +319,10 @@ func (k *Kernel) Validate() error {
 	}
 	if k.TrafficFactor < 0 || k.TrafficFactor > 1 {
 		return fmt.Errorf("kernelir: %s: traffic factor %v outside [0, 1]", k.Name, k.TrafficFactor)
+	}
+	if k.NumIntRegs < 0 || k.NumIntRegs > MaxRegs || k.NumFloatRegs < 0 || k.NumFloatRegs > MaxRegs {
+		return fmt.Errorf("kernelir: %s: register files of %d int and %d float registers outside [0, %d]",
+			k.Name, k.NumIntRegs, k.NumFloatRegs, MaxRegs)
 	}
 	depth := 0
 	for pc, in := range k.Body {

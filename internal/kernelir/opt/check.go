@@ -30,8 +30,7 @@ import (
 // Any violation fails the whole optimization: Optimize returns the
 // original kernel with Result.Err set.
 func checkPass(k *kernelir.Kernel, orig, before, after []kernelir.Instr, passName string, rws []Rewrite) error {
-	nk := *k
-	nk.Body = after
+	nk := k.WithBody(after)
 	if err := nk.Validate(); err != nil {
 		return fmt.Errorf("%s: rewritten body fails validation: %w", passName, err)
 	}

@@ -160,13 +160,12 @@ func Optimize(k *kernelir.Kernel) (*kernelir.Kernel, Result) {
 	if !res.Changed() {
 		return k, res
 	}
-	nk := *k
-	nk.Body = body
+	nk := k.WithBody(body)
 	if err := nk.Validate(); err != nil {
 		// Unreachable if the per-pass checker is correct; fail safe anyway.
 		return k, Result{Err: fmt.Errorf("opt: %s: optimized kernel fails validation: %w", k.Name, err)}
 	}
-	return &nk, res
+	return nk, res
 }
 
 // --- shared dataflow helpers -----------------------------------------

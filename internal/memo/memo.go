@@ -1,9 +1,11 @@
 // Package memo is the one memoizing cache behind every kernel-keyed
-// memo in the repository: the fingerprint memo, the optimizer memo, the
-// feature-extraction memo, the compiled-program cache and the sweep
-// engine. A Cache is a bounded LRU with singleflight lookups: concurrent
-// requests for one key share a single compute, failed computes are not
-// memoized, and hit, compute and eviction counters are exact.
+// memo in the repository: the optimizer memo, the feature-extraction
+// memo, the compiled-program cache and the sweep engine, all keyed on
+// kernelir.Fingerprint. (A kernel keeps its own fingerprint; no memo
+// maps kernels to it.) A Cache is a bounded LRU with singleflight
+// lookups: concurrent requests for one key share a single compute,
+// failed computes are not memoized, and hit, compute and eviction
+// counters are exact.
 package memo
 
 import (

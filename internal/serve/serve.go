@@ -433,6 +433,16 @@ func (s *Server) advise(ctx context.Context, req *Request) (*Response, error) {
 		if req.Items <= 0 {
 			return nil, badRequest(`serve: "ground_truth" needs a positive "items" launch size`)
 		}
+		// A workload the device model refuses (a kernel that does no
+		// work, say) would fail every sweep; it must not count against
+		// the breaker that guards the sweep backend.
+		w, err := features.KernelWorkload(k, req.Items)
+		if err == nil {
+			err = w.Validate()
+		}
+		if err != nil {
+			return nil, badRequest(`serve: "ground_truth": %v`, err)
+		}
 	}
 
 	if err := s.faultPoint(ctx, SitePredict); err != nil {

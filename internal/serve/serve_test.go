@@ -20,6 +20,7 @@ import (
 	"synergy/internal/metrics"
 	"synergy/internal/microbench"
 	"synergy/internal/model"
+	"synergy/internal/resilience"
 	"synergy/internal/sweep"
 	"synergy/internal/telemetry"
 )
@@ -207,6 +208,54 @@ func TestAdviseRejectsBadInput(t *testing.T) {
 	s.ServeHTTP(w, req)
 	if w.Code != http.StatusBadRequest {
 		t.Fatalf("truncated JSON: status %d, want 400", w.Code)
+	}
+}
+
+// Two kernels a client can send that the daemon must refuse with a 400:
+// one register named past kernelir.MaxRegs, which used to size a
+// register file, and every per-register array after it, to 2*10^7
+// entries, and a kernel that does no work, which the device model
+// refuses, so its ground-truth sweep can only fail.
+const (
+	hugeRegKIR = "kernel huge(write f32[out]) {\n  i0 = gid\n  f20000000 = const.f 1\n  st.g.f out[i0], f20000000\n}\n"
+	noWorkKIR  = "kernel nowork(write f32[out]) {\n  i0 = gid\n}\n"
+)
+
+// TestAdviseRejectsOversizedRegisterFile: a register past MaxRegs is a
+// client error, refused before anything sizes a register file.
+func TestAdviseRejectsOversizedRegisterFile(t *testing.T) {
+	s, _ := testServer(t)
+	w, out := postJSON(t, s, "/v1/advise", Request{Target: "MIN_ENERGY", KIR: hugeRegKIR})
+	if w.Code != http.StatusBadRequest || !strings.Contains(string(out), "f20000000") {
+		t.Fatalf("status %d: %s, want 400 naming the register", w.Code, out)
+	}
+}
+
+// TestNoWorkGroundTruthLeavesBreakerClosed: a ground-truth request for a
+// kernel the device model refuses is the client's fault. It gets a 400
+// before any sweep runs, so a run of them cannot open the sweep breaker
+// and degrade service for everyone else.
+func TestNoWorkGroundTruthLeavesBreakerClosed(t *testing.T) {
+	s, reg := boundedServer(t, Config{})
+	for i := 0; i < 3; i++ {
+		w, out := postJSON(t, s, "/v1/advise", Request{Target: "MIN_EDP", KIR: noWorkKIR, Items: 1 << 20, GroundTruth: true})
+		if w.Code != http.StatusBadRequest {
+			t.Fatalf("no-work request %d: status %d: %s, want 400", i, w.Code, out)
+		}
+	}
+	if st := s.SweepBreaker().Current(); st != resilience.Closed {
+		t.Fatalf("breaker %s after client errors, want closed", st)
+	}
+	w, out := postJSON(t, s, "/v1/advise", Request{Target: "MIN_EDP", KIR: benchKIR(t, "vec_add"), Items: 1 << 20, GroundTruth: true})
+	var resp Response
+	if err := json.Unmarshal(out, &resp); err != nil || w.Code != http.StatusOK {
+		t.Fatalf("valid request: status %d: %s (%v)", w.Code, out, err)
+	}
+	if resp.Degraded != "" || resp.ActualFreqMHz == 0 {
+		t.Fatalf("valid request after client errors: degraded %q, actual %d MHz, want full service", resp.Degraded, resp.ActualFreqMHz)
+	}
+	if n := reg.Snapshot().CounterValue("serve_degraded_total", "reason", "sweep-error"); n != 0 {
+		t.Errorf("serve_degraded_total{sweep-error} = %d, want 0", n)
 	}
 }
 

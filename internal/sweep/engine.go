@@ -31,7 +31,9 @@ import (
 // so two specs sharing a name but not a table cannot alias), the kernel
 // fingerprint (a hash of its full disassembly, so any change to the
 // instruction stream, parameters or traffic factor yields a new key) and
-// the launch size. Building one formats nothing.
+// the launch size. Building one formats nothing, and for a kernel
+// already fingerprinted it hashes nothing either: the kernel keeps its
+// fingerprint.
 type Key struct {
 	Device                  string
 	Freqs                   int
