@@ -45,16 +45,6 @@ type App struct {
 	NewState func(nx, ny int) *State
 }
 
-// KernelByName returns one of the app's kernels.
-func (a *App) KernelByName(name string) (*kernelir.Kernel, bool) {
-	for _, k := range a.Kernels {
-		if k.Name == name {
-			return k, true
-		}
-	}
-	return nil, false
-}
-
 // FreqPlan maps kernel names to pinned core frequencies in MHz; kernels
 // absent from the plan run at the device default. A nil plan is the
 // baseline configuration.

@@ -53,7 +53,6 @@ type Queue struct {
 	mu         sync.Mutex
 	pinned     int // core MHz pinned at construction (0 = none)
 	advisor    FrequencyAdvisor
-	retry      governor.RetryPolicy
 	breaker    *resilience.Breaker
 	spanParent *telemetry.SpanHandle
 	degr       []DegradationEvent
@@ -99,14 +98,6 @@ func (q *Queue) SetAdvisor(a FrequencyAdvisor) {
 	q.advisor = a
 }
 
-// SetRetryPolicy overrides the retry/backoff policy used for pre-kernel
-// clock changes (governor.DefaultRetryPolicy when unset).
-func (q *Queue) SetRetryPolicy(pol governor.RetryPolicy) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.retry = pol
-}
-
 // SetBreaker attaches this device's circuit breaker from the health
 // registry: pre-kernel clock changes consult it before spending the
 // retry budget, and while the device is unhealthy submissions degrade
@@ -140,9 +131,6 @@ func (q *Queue) Degradations() []DegradationEvent {
 
 // Device returns the underlying SYCL device.
 func (q *Queue) Device() *sycl.Device { return q.q.Device() }
-
-// PowerManager returns the vendor binding in use.
-func (q *Queue) PowerManager() power.Manager { return q.pm }
 
 // Submit enqueues a command group at the queue's frequency configuration
 // (the pinned frequency, or the device default when unpinned).
@@ -210,13 +198,10 @@ func (q *Queue) SubmitWithTarget(target metrics.Target, cg sycl.CommandGroup) (*
 // the queue's serialisation and identical seeds yield identical tracks.
 func (q *Queue) submitAt(coreMHz int, cg sycl.CommandGroup) (*sycl.Event, error) {
 	q.mu.Lock()
-	pol := q.retry
 	br := q.breaker
 	parent := q.spanParent
 	q.mu.Unlock()
-	if pol.MaxAttempts == 0 {
-		pol = governor.DefaultRetryPolicy()
-	}
+	pol := governor.DefaultRetryPolicy()
 	hwDev := q.q.Device().HW()
 	tel := hwDev.Telemetry()
 	lbl := hwDev.Label()
@@ -308,14 +293,6 @@ func (q *Queue) SubmitWithFreqContext(ctx context.Context, memMHz, coreMHz int, 
 		return nil, err
 	}
 	return q.SubmitWithFreq(memMHz, coreMHz, cg)
-}
-
-// SubmitWithTargetContext is SubmitWithTarget with cancellation.
-func (q *Queue) SubmitWithTargetContext(ctx context.Context, target metrics.Target, cg sycl.CommandGroup) (*sycl.Event, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return q.SubmitWithTarget(target, cg)
 }
 
 // SetFunctionalCap bounds per-launch interpreted work-items (see

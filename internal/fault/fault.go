@@ -112,20 +112,6 @@ func NewFromScenario(seed int64, sc Scenario) *Injector {
 // Seed returns the injector's seed.
 func (in *Injector) Seed() int64 { return in.seed }
 
-// AddRule appends a rule.
-func (in *Injector) AddRule(r Rule) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.rules = append(in.rules, r)
-}
-
-// Apply appends every rule of the scenario.
-func (in *Injector) Apply(sc Scenario) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.rules = append(in.rules, sc.Rules...)
-}
-
 func (in *Injector) resetLocked() {
 	in.counts = map[string]int64{}
 	in.fired = map[string]map[int]int64{}

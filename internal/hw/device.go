@@ -229,16 +229,10 @@ func (d *Device) ResetAppClock() {
 	}
 }
 
-// EffectiveCoreMHz is the frequency the next kernel will run at: the
+// effectiveCoreLocked is the frequency the next kernel will run at: the
 // pinned application clock, or — in auto mode — the maximum boost state
 // (the MI100 behaviour the paper describes: the driver scales to the
 // workload, and compute kernels boost to the top DPM state).
-func (d *Device) EffectiveCoreMHz() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.effectiveCoreLocked()
-}
-
 func (d *Device) effectiveCoreLocked() int {
 	if d.appClockMHz != 0 {
 		return d.appClockMHz

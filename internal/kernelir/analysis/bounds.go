@@ -227,17 +227,18 @@ func (v ival) mul(w ival) ival {
 // Every case must over-approximate the interpreter's semantics in
 // interp.go (including div/rem-by-zero yielding 0).
 func transfer(st []ival, in kernelir.Instr) {
-	c := kernelir.InfoOf(in.Op)
-	if !c.HasDst || c.DstFile != kernelir.I32 {
+	if w, ok := in.Write(); !ok || w.File != kernelir.I32 {
 		return
 	}
-	a, b := ival{}, ival{}
-	if c.HasA && c.AFile == kernelir.I32 {
-		a = st[in.A]
+	// The int operands' intervals; float operands read as [0, 0], unused.
+	var ops [3]ival
+	rs, n := in.Reads()
+	for i, r := range rs[:n] {
+		if r.File == kernelir.I32 {
+			ops[i] = st[r.N]
+		}
 	}
-	if c.HasB && c.BFile == kernelir.I32 {
-		b = st[in.B]
-	}
+	a, b := ops[0], ops[1]
 	var out ival
 	switch in.Op {
 	case kernelir.OpConstI:
@@ -408,19 +409,18 @@ func (a *analyzer) boundsFix(lo, hi int, st []ival) {
 			return
 		}
 	}
-	for pc := lo; pc < hi; pc++ {
-		in := a.k.Body[pc]
-		if c := kernelir.InfoOf(in.Op); c.HasDst && c.DstFile == kernelir.I32 {
-			st[in.Dst] = fullIval()
+	for _, in := range a.k.Body[lo:hi] {
+		if w, ok := in.Write(); ok && w.File == kernelir.I32 {
+			st[w.N] = fullIval()
 		}
 	}
 }
 
 // checkIndex judges one instruction's memory index against st.
 func (a *analyzer) checkIndex(pc int, in kernelir.Instr, st []ival) {
-	c := kernelir.InfoOf(in.Op)
+	info := in.Op.Info()
 	switch {
-	case c.IsLocal:
+	case info.IsLocal:
 		idx := st[in.A]
 		n := int64(a.k.LocalF32)
 		if idx.hi < 0 || idx.lo >= n {
@@ -432,7 +432,7 @@ func (a *analyzer) checkIndex(pc int, in kernelir.Instr, st []ival) {
 				"local access index i%d = [%s] may leave [0, %d) (interpreter clamps)",
 				in.A, idx, n)
 		}
-	case c.IsMemOp:
+	case info.IsMemOp:
 		if idx := st[in.A]; idx.hi < 0 {
 			a.diag("bounds", Warning, pc,
 				"global access index i%d = [%s] is negative on every work-item (clamped to 0)",

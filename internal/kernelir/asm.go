@@ -56,6 +56,9 @@ func Assemble(text string) (*Kernel, error) {
 			if n < 1 || n > MaxRepeatTrip {
 				return nil, fail("repeat trip count %d outside [1, %d]", n, MaxRepeatTrip)
 			}
+			if depth == MaxDepth {
+				return nil, fail("repeat nesting deeper than %d", MaxDepth)
+			}
 			k.Body = append(k.Body, Instr{Op: OpRepeatBegin, Imm: float64(n)})
 			depth++
 		default:
@@ -181,22 +184,6 @@ var opsByName = func() map[string]Op {
 	return m
 }()
 
-// parseReg parses "f3" / "i0", checks the file prefix and keeps the
-// register inside a MaxRegs-sized file.
-func parseReg(tok string, file ScalarType) (int, error) {
-	if tok == "" || tok[:1] != filePrefix(file) {
-		return 0, fmt.Errorf("operand %q is not a %s register", tok, file)
-	}
-	n, err := strconv.Atoi(tok[1:])
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("bad register %q", tok)
-	}
-	if n >= MaxRegs {
-		return 0, fmt.Errorf("register %q outside a %d-register file", tok, MaxRegs)
-	}
-	return n, nil
-}
-
 func parseInstr(k *Kernel, line string) (Instr, error) {
 	var in Instr
 	body := line
@@ -210,12 +197,12 @@ func parseInstr(k *Kernel, line string) (Instr, error) {
 		return in, fmt.Errorf("unknown mnemonic %q", mnemonic)
 	}
 	in.Op = op
-	c := class(op)
-	if c.hasDst != (dstTok != "") {
+	info := op.Info()
+	if info.Writes != (dstTok != "") {
 		return in, fmt.Errorf("%s: destination mismatch in %q", op, line)
 	}
-	if c.hasDst {
-		d, err := parseReg(dstTok, c.dstFile)
+	if info.Writes {
+		d, err := parseReg(dstTok, info.DstFile)
 		if err != nil {
 			return in, err
 		}
@@ -260,81 +247,46 @@ func parseInstr(k *Kernel, line string) (Instr, error) {
 			return in, err
 		}
 		in.Buf = b
-	case OpLoadGF, OpLoadGI:
-		a, err := memIdx(operands, "")
+	case OpLoadGF, OpLoadGI, OpLoadLF, OpStoreGF, OpStoreGI, OpStoreLF:
+		// "buf[i3]" or "local[i3]", then the stored value, if any.
+		head := ""
+		if info.IsLocal {
+			head = "local"
+		}
+		addr, val, store := operands, "", !info.Writes
+		if store {
+			var ok bool
+			if addr, val, ok = strings.Cut(operands, ", "); !ok {
+				return in, fmt.Errorf("%s: malformed operands %q", op, operands)
+			}
+		}
+		a, err := memIdx(addr, head)
 		if err != nil {
 			return in, err
 		}
 		in.A = a
-	case OpStoreGF, OpStoreGI:
-		addr, val, ok := strings.Cut(operands, ", ")
-		if !ok {
-			return in, fmt.Errorf("%s: malformed operands %q", op, operands)
+		if store {
+			if in.B, err = parseReg(val, info.Srcs[1]); err != nil {
+				return in, err
+			}
 		}
-		a, err := memIdx(addr, "")
-		if err != nil {
-			return in, err
-		}
-		b, err := parseReg(val, c.bFile)
-		if err != nil {
-			return in, err
-		}
-		in.A, in.B = a, b
-	case OpLoadLF:
-		a, err := memIdx(operands, "local")
-		if err != nil {
-			return in, err
-		}
-		in.A = a
-	case OpStoreLF:
-		addr, val, ok := strings.Cut(operands, ", ")
-		if !ok {
-			return in, fmt.Errorf("st.l.f: malformed operands %q", operands)
-		}
-		a, err := memIdx(addr, "local")
-		if err != nil {
-			return in, err
-		}
-		b, err := parseReg(val, F32)
-		if err != nil {
-			return in, err
-		}
-		in.A, in.B = a, b
 	default:
 		var toks []string
 		if operands != "" {
 			toks = strings.Split(operands, ", ")
 		}
-		want := 0
-		read := func(file ScalarType, dst *int) error {
-			if want >= len(toks) {
-				return fmt.Errorf("%s: missing operand %d", op, want+1)
+		for i, file := range info.Srcs {
+			if i >= len(toks) {
+				return in, fmt.Errorf("%s: missing operand %d", op, i+1)
 			}
-			r, err := parseReg(toks[want], file)
+			r, err := parseReg(toks[i], file)
 			if err != nil {
-				return err
-			}
-			*dst = r
-			want++
-			return nil
-		}
-		if c.hasA {
-			if err := read(c.aFile, &in.A); err != nil {
 				return in, err
 			}
+			in.SetRead(i, r)
 		}
-		if c.hasB {
-			if err := read(c.bFile, &in.B); err != nil {
-				return in, err
-			}
-		}
-		if c.hasC {
-			if err := read(c.cFile, &in.C); err != nil {
-				return in, err
-			}
-		}
-		if want != len(toks) {
-			return in, fmt.Errorf("%s: %d extra operand(s) in %q", op, len(toks)-want, line)
+		if extra := len(toks) - len(info.Srcs); extra > 0 {
+			return in, fmt.Errorf("%s: %d extra operand(s) in %q", op, extra, line)
 		}
 	}
 	return in, nil
@@ -343,31 +295,20 @@ func parseInstr(k *Kernel, line string) (Instr, error) {
 // inferRegFiles sizes the register files to the smallest extent covering
 // every referenced register.
 func inferRegFiles(k *Kernel) {
-	need := func(cur *int, r int) {
-		if r+1 > *cur {
-			*cur = r + 1
+	need := func(r Reg) {
+		size := &k.NumIntRegs
+		if r.File == F32 {
+			size = &k.NumFloatRegs
 		}
-	}
-	reg := func(file ScalarType, r int) {
-		if file == I32 {
-			need(&k.NumIntRegs, r)
-		} else {
-			need(&k.NumFloatRegs, r)
-		}
+		*size = max(*size, r.N+1)
 	}
 	for _, in := range k.Body {
-		c := class(in.Op)
-		if c.hasDst {
-			reg(c.dstFile, in.Dst)
+		if w, ok := in.Write(); ok {
+			need(w)
 		}
-		if c.hasA {
-			reg(c.aFile, in.A)
-		}
-		if c.hasB {
-			reg(c.bFile, in.B)
-		}
-		if c.hasC {
-			reg(c.cFile, in.C)
+		rs, n := in.Reads()
+		for _, r := range rs[:n] {
+			need(r)
 		}
 	}
 }

@@ -338,10 +338,14 @@ func (b *Builder) StoreLocal(idx IntReg, v FloatReg) {
 }
 
 // Repeat executes body count times. The trip count must be statically
-// known — the property that makes feature extraction exact.
+// known — the property that makes feature extraction exact — and
+// Repeat blocks nest at most MaxDepth deep.
 func (b *Builder) Repeat(count int, body func()) {
 	if count < 1 || count > MaxRepeatTrip {
 		panic(fmt.Sprintf("kernelir: repeat count %d outside [1, %d]", count, MaxRepeatTrip))
+	}
+	if b.repeats == MaxDepth {
+		panic(fmt.Sprintf("kernelir: repeat nesting deeper than %d", MaxDepth))
 	}
 	b.emit(Instr{Op: OpRepeatBegin, Imm: float64(count)})
 	b.repeats++

@@ -90,6 +90,48 @@ func TestRegisterFilesBounded(t *testing.T) {
 	}
 }
 
+// TestRepeatDepthBounded: Assemble, Validate and the Builder all accept
+// MaxDepth nested repeats and refuse MaxDepth+1.
+func TestRepeatDepthBounded(t *testing.T) {
+	t.Parallel()
+	asm := func(depth int) string {
+		return "kernel nest(write f32[out]) {\n  i0 = gid\n" + strings.Repeat("repeat 2 {\n", depth) +
+			"  f0 = const.f 1\n  st.g.f out[i0], f0\n" + strings.Repeat("}\n", depth) + "}\n"
+	}
+	k, err := Assemble(asm(MaxDepth))
+	if err != nil {
+		t.Fatalf("Assemble at the bound: %v", err)
+	}
+	if err := k.Validate(); err != nil {
+		t.Fatalf("Validate at the bound: %v", err)
+	}
+	if _, err := Assemble(asm(MaxDepth + 1)); err == nil || !strings.Contains(err.Error(), "nesting") {
+		t.Errorf("Assemble past the bound: %v", err)
+	}
+	deep := k.WithBody(append(append([]Instr{{Op: OpRepeatBegin, Imm: 2}}, k.Body...), Instr{Op: OpRepeatEnd}))
+	if err := deep.Validate(); err == nil || !strings.Contains(err.Error(), "nesting") {
+		t.Errorf("Validate past the bound: %v", err)
+	}
+
+	var nest func(b *Builder, depth int)
+	nest = func(b *Builder, depth int) {
+		if depth > 0 {
+			b.Repeat(2, func() { nest(b, depth-1) })
+		}
+	}
+	b := NewBuilder("nest")
+	nest(b, MaxDepth)
+	if _, err := b.Build(); err != nil {
+		t.Fatalf("Builder at the bound: %v", err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Builder nested a repeat past MaxDepth")
+		}
+	}()
+	nest(NewBuilder("nest"), MaxDepth+1)
+}
+
 func TestBuildLoopTree(t *testing.T) {
 	t.Parallel()
 	body := []Instr{

@@ -87,10 +87,9 @@ func (lw *lowering) seq(lo, hi int) []step {
 		if pc+1 < hi {
 			nxt := lw.body[pc+1]
 			if nxt.Op == kernelir.OpMoveI || nxt.Op == kernelir.OpMoveF {
-				info := kernelir.InfoOf(in.Op)
-				if info.HasDst && nxt.A == in.Dst &&
-					((nxt.Op == kernelir.OpMoveI && info.DstFile == kernelir.I32) ||
-						(nxt.Op == kernelir.OpMoveF && info.DstFile == kernelir.F32)) {
+				// The move reads the register in writes, in the same file.
+				src, _ := nxt.Reads()
+				if w, ok := in.Write(); ok && w == src[0] {
 					d2 = nxt.Dst
 				}
 			}

@@ -8,8 +8,8 @@ import (
 	"synergy/internal/kernelir/compile"
 )
 
-// allOps enumerates every opcode by probing the public operand metadata:
-// InfoOf panics past the last defined opcode, so the probe finds the op
+// allOps enumerates every opcode by probing the public operand table:
+// Op.Info panics past the last defined opcode, so the probe finds the op
 // universe without access to the private sentinel. New opcodes therefore
 // enlarge the coverage requirement automatically.
 func allOps() []kernelir.Op {
@@ -17,7 +17,7 @@ func allOps() []kernelir.Op {
 	for i := 0; ; i++ {
 		known := func() (ok bool) {
 			defer func() { recover() }()
-			kernelir.InfoOf(kernelir.Op(i))
+			kernelir.Op(i).Info()
 			return true
 		}()
 		if !known {
@@ -417,7 +417,7 @@ func diffCases() []diffCase {
 // launches, register carryover, clamped/colliding accesses — each case
 // run on both paths under one worker and (when race-free) the default
 // worker count, with bit-exact buffer and error comparison. It finishes
-// by asserting the matrix exercises every opcode OperandInfo knows, so
+// by asserting the matrix exercises every opcode the operand table knows, so
 // a new opcode cannot ship without differential coverage.
 func TestCompiledMatchesInterpreter(t *testing.T) {
 	cases := diffCases()

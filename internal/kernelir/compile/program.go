@@ -100,13 +100,6 @@ func (p *Program) ExecuteGridWorkers(a kernelir.Args, items, nx, workers int) er
 	return p.run(env, items, nx, workers)
 }
 
-// RunBound executes over an already-resolved environment (the Runner
-// path: validation, the item-count check and binding happened in
-// kernelir.ExecuteGrid).
-func (p *Program) RunBound(env *kernelir.Bound, items, nx, workers int) error {
-	return p.run(env, items, nx, workers)
-}
-
 // run partitions work-items exactly like the interpreter: workers capped
 // at the item count, contiguous ceil(items/workers) chunks, one machine
 // per worker whose registers persist across that worker's items (the

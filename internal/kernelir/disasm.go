@@ -63,43 +63,42 @@ func (k *Kernel) appendInstr(b []byte, pc int) []byte {
 		return cat(strconv.AppendInt(cat(b, "<pc "), int64(pc), 10), " out of range>")
 	}
 	in := k.Body[pc]
-	c := class(in.Op)
 	switch in.Op {
 	case OpRepeatBegin:
 		return cat(strconv.AppendInt(cat(b, "repeat "), int64(int(in.Imm)), 10), " {")
 	case OpRepeatEnd:
 		return cat(b, "}")
 	}
-	if c.hasDst {
-		b = cat(appendReg(b, c.dstFile, in.Dst), " = ")
+	if w, ok := in.Write(); ok {
+		b = cat(w.appendTo(b), " = ")
 	}
 	b = cat(b, in.Op.String())
+	info := in.Op.Info()
+	rs, n := in.Reads()
 	switch {
 	case in.Op == OpConstI:
 		b = strconv.AppendInt(cat(b, " "), int64(in.Imm), 10)
 	case in.Op == OpConstF:
 		b = strconv.AppendFloat(cat(b, " "), in.Imm, 'g', -1, 64)
-	case c.isScalar:
+	case info.IsScalarParam:
 		b = cat(b, " ", k.paramName(in.Buf))
-	case c.isBufOp || c.isLocal:
+	case info.IsMemOp || info.IsLocal:
 		// "buf[i3]" or "local[i3]", then the stored value, if any.
 		name := "local"
-		if c.isBufOp {
+		if info.IsMemOp {
 			name = k.paramName(in.Buf)
 		}
-		b = cat(strconv.AppendInt(cat(b, " ", name, "[i"), int64(in.A), 10), "]")
-		if c.hasB {
-			b = appendReg(cat(b, ", "), c.bFile, in.B)
+		b = cat(rs[0].appendTo(cat(b, " ", name, "[")), "]")
+		if n > 1 {
+			b = rs[1].appendTo(cat(b, ", "))
 		}
 	default:
-		if c.hasA {
-			b = appendReg(cat(b, " "), c.aFile, in.A)
-		}
-		if c.hasB {
-			b = appendReg(cat(b, ", "), c.bFile, in.B)
-		}
-		if c.hasC {
-			b = appendReg(cat(b, ", "), c.cFile, in.C)
+		for i, r := range rs[:n] {
+			sep := ", "
+			if i == 0 {
+				sep = " "
+			}
+			b = r.appendTo(cat(b, sep))
 		}
 	}
 	return b
@@ -113,11 +112,6 @@ func cat(b []byte, ss ...string) []byte {
 	return b
 }
 
-// appendReg appends a register name: "i3", "f0".
-func appendReg(b []byte, file ScalarType, r int) []byte {
-	return strconv.AppendInt(cat(b, filePrefix(file)), int64(r), 10)
-}
-
 // paramName tolerates out-of-range parameter indices so InstrString can
 // render diagnostics even for kernels Validate rejects.
 func (k *Kernel) paramName(buf int) string {
@@ -125,11 +119,4 @@ func (k *Kernel) paramName(buf int) string {
 		return "<param " + strconv.Itoa(buf) + ">"
 	}
 	return k.Params[buf].Name
-}
-
-func filePrefix(t ScalarType) string {
-	if t == I32 {
-		return "i"
-	}
-	return "f"
 }

@@ -57,7 +57,8 @@ func refInstrString(k *Kernel, pc int) string {
 		return fmt.Sprintf("<pc %d out of range>", pc)
 	}
 	in := k.Body[pc]
-	c := class(in.Op)
+	c := in.Op.Info()
+	prefix := func(t ScalarType) string { return map[ScalarType]string{I32: "i", F32: "f"}[t] }
 	var b strings.Builder
 	switch in.Op {
 	case OpRepeatBegin:
@@ -66,8 +67,8 @@ func refInstrString(k *Kernel, pc int) string {
 	case OpRepeatEnd:
 		return "}"
 	}
-	if c.hasDst {
-		fmt.Fprintf(&b, "%s%d = ", filePrefix(c.dstFile), in.Dst)
+	if c.Writes {
+		fmt.Fprintf(&b, "%s%d = ", prefix(c.DstFile), in.Dst)
 	}
 	b.WriteString(in.Op.String())
 	switch in.Op {
@@ -88,14 +89,14 @@ func refInstrString(k *Kernel, pc int) string {
 	case OpStoreLF:
 		fmt.Fprintf(&b, " local[i%d], f%d", in.A, in.B)
 	default:
-		if c.hasA {
-			fmt.Fprintf(&b, " %s%d", filePrefix(c.aFile), in.A)
+		if len(c.Srcs) > 0 {
+			fmt.Fprintf(&b, " %s%d", prefix(c.Srcs[0]), in.A)
 		}
-		if c.hasB {
-			fmt.Fprintf(&b, ", %s%d", filePrefix(c.bFile), in.B)
+		if len(c.Srcs) > 1 {
+			fmt.Fprintf(&b, ", %s%d", prefix(c.Srcs[1]), in.B)
 		}
-		if c.hasC {
-			fmt.Fprintf(&b, ", %s%d", filePrefix(c.cFile), in.C)
+		if len(c.Srcs) > 2 {
+			fmt.Fprintf(&b, ", %s%d", prefix(c.Srcs[2]), in.C)
 		}
 	}
 	return b.String()

@@ -195,6 +195,13 @@ const MaxRepeatTrip = 1 << 20
 // so it refuses a kernel with local accesses within 7 of the bound.
 const MaxRegs = 1 << 16
 
+// MaxDepth bounds Repeat nesting. The suite nests at most 1 deep and the
+// default micro-benchmarks not at all. Disassemble indents two spaces
+// per level, so without a bound the text Fingerprint hashes grows as
+// depth × lines: 20,000 nested repeats in a 260 KB body made it
+// allocate 4.9 GB. Assemble, Validate and the Builder all enforce it.
+const MaxDepth = 8
+
 // Instr is one instruction of the register machine.
 type Instr struct {
 	Op      Op
@@ -241,78 +248,8 @@ func (k *Kernel) WithBody(body []Instr) *Kernel {
 	}
 }
 
-// opClass describes operand/destination register files per opcode.
-type opClass struct {
-	dstFile  ScalarType // file of Dst (valid when hasDst)
-	hasDst   bool
-	aFile    ScalarType
-	hasA     bool
-	bFile    ScalarType
-	hasB     bool
-	cFile    ScalarType
-	hasC     bool
-	usesBuf  bool
-	bufKind  ScalarType // buffer element type for memory ops
-	isBufOp  bool
-	isLocal  bool
-	isScalar bool // param read
-}
-
-func class(op Op) opClass {
-	i, f := I32, F32
-	switch op {
-	case OpConstI:
-		return opClass{dstFile: i, hasDst: true}
-	case OpConstF:
-		return opClass{dstFile: f, hasDst: true}
-	case OpMoveI:
-		return opClass{dstFile: i, hasDst: true, aFile: i, hasA: true}
-	case OpMoveF:
-		return opClass{dstFile: f, hasDst: true, aFile: f, hasA: true}
-	case OpGlobalID, OpGlobalIDX, OpGlobalIDY:
-		return opClass{dstFile: i, hasDst: true}
-	case OpParamI:
-		return opClass{dstFile: i, hasDst: true, usesBuf: true, isScalar: true, bufKind: i}
-	case OpParamF:
-		return opClass{dstFile: f, hasDst: true, usesBuf: true, isScalar: true, bufKind: f}
-	case OpCvtIF:
-		return opClass{dstFile: f, hasDst: true, aFile: i, hasA: true}
-	case OpCvtFI:
-		return opClass{dstFile: i, hasDst: true, aFile: f, hasA: true}
-	case OpAddI, OpSubI, OpMinI, OpMaxI, OpCmpLTI, OpCmpEQI, OpMulI, OpDivI, OpRemI,
-		OpAndI, OpOrI, OpXorI, OpShlI, OpShrI:
-		return opClass{dstFile: i, hasDst: true, aFile: i, hasA: true, bFile: i, hasB: true}
-	case OpSelI:
-		return opClass{dstFile: i, hasDst: true, aFile: i, hasA: true, bFile: i, hasB: true, cFile: i, hasC: true}
-	case OpAddF, OpSubF, OpMinF, OpMaxF, OpMulF, OpDivF, OpPowF:
-		return opClass{dstFile: f, hasDst: true, aFile: f, hasA: true, bFile: f, hasB: true}
-	case OpAbsF, OpNegF, OpSqrtF, OpExpF, OpLogF, OpSinF, OpCosF, OpErfF:
-		return opClass{dstFile: f, hasDst: true, aFile: f, hasA: true}
-	case OpCmpLTF:
-		return opClass{dstFile: i, hasDst: true, aFile: f, hasA: true, bFile: f, hasB: true}
-	case OpSelF:
-		return opClass{dstFile: f, hasDst: true, aFile: f, hasA: true, bFile: f, hasB: true, cFile: i, hasC: true}
-	case OpLoadGF:
-		return opClass{dstFile: f, hasDst: true, aFile: i, hasA: true, usesBuf: true, isBufOp: true, bufKind: f}
-	case OpStoreGF:
-		return opClass{aFile: i, hasA: true, bFile: f, hasB: true, usesBuf: true, isBufOp: true, bufKind: f}
-	case OpLoadGI:
-		return opClass{dstFile: i, hasDst: true, aFile: i, hasA: true, usesBuf: true, isBufOp: true, bufKind: i}
-	case OpStoreGI:
-		return opClass{aFile: i, hasA: true, bFile: i, hasB: true, usesBuf: true, isBufOp: true, bufKind: i}
-	case OpLoadLF:
-		return opClass{dstFile: f, hasDst: true, aFile: i, hasA: true, isLocal: true}
-	case OpStoreLF:
-		return opClass{aFile: i, hasA: true, bFile: f, hasB: true, isLocal: true}
-	case OpRepeatBegin, OpRepeatEnd:
-		return opClass{}
-	default:
-		panic(fmt.Sprintf("kernelir: unknown opcode %d", int(op)))
-	}
-}
-
 // Validate checks structural well-formedness: register bounds, parameter
-// references, access modes, repeat nesting and trip counts.
+// references, access modes, repeat nesting and depth, and trip counts.
 func (k *Kernel) Validate() error {
 	if k.Name == "" {
 		return fmt.Errorf("kernelir: kernel has no name")
@@ -326,61 +263,48 @@ func (k *Kernel) Validate() error {
 	}
 	depth := 0
 	for pc, in := range k.Body {
-		c := class(in.Op)
+		info := in.Op.Info()
 		fail := func(format string, args ...any) error {
 			return fmt.Errorf("kernelir: %s: instr %d (%s): %s", k.Name, pc, in.Op, fmt.Sprintf(format, args...))
 		}
-		checkReg := func(r int, file ScalarType, role string) error {
-			limit := k.NumIntRegs
-			if file == F32 {
-				limit = k.NumFloatRegs
-			}
-			if r < 0 || r >= limit {
-				return fail("%s register %d out of range [0,%d) for file %s", role, r, limit, file)
+		checkReg := func(r Reg, role string) error {
+			if limit := k.FileSize(r.File); r.N < 0 || r.N >= limit {
+				return fail("%s register %d out of range [0,%d) for file %s", role, r.N, limit, r.File)
 			}
 			return nil
 		}
-		if c.hasDst {
-			if err := checkReg(in.Dst, c.dstFile, "dst"); err != nil {
+		if w, ok := in.Write(); ok {
+			if err := checkReg(w, "dst"); err != nil {
 				return err
 			}
 		}
-		if c.hasA {
-			if err := checkReg(in.A, c.aFile, "A"); err != nil {
+		rs, n := in.Reads()
+		for i, r := range rs[:n] {
+			if err := checkReg(r, slotNames[i]); err != nil {
 				return err
 			}
 		}
-		if c.hasB {
-			if err := checkReg(in.B, c.bFile, "B"); err != nil {
-				return err
-			}
-		}
-		if c.hasC {
-			if err := checkReg(in.C, c.cFile, "C"); err != nil {
-				return err
-			}
-		}
-		if c.usesBuf {
+		if info.UsesBuf {
 			if in.Buf < 0 || in.Buf >= len(k.Params) {
 				return fail("parameter index %d out of range", in.Buf)
 			}
 			p := k.Params[in.Buf]
-			if c.isScalar {
+			if info.IsScalarParam {
 				if p.IsBuffer {
 					return fail("scalar read of buffer parameter %q", p.Name)
 				}
-				if p.Type != c.bufKind {
-					return fail("scalar parameter %q has type %s, op wants %s", p.Name, p.Type, c.bufKind)
+				if p.Type != info.BufElem {
+					return fail("scalar parameter %q has type %s, op wants %s", p.Name, p.Type, info.BufElem)
 				}
 			}
-			if c.isBufOp {
+			if info.IsMemOp {
 				if !p.IsBuffer {
 					return fail("memory access to scalar parameter %q", p.Name)
 				}
-				if p.Type != c.bufKind {
-					return fail("buffer %q has element type %s, op wants %s", p.Name, p.Type, c.bufKind)
+				if p.Type != info.BufElem {
+					return fail("buffer %q has element type %s, op wants %s", p.Name, p.Type, info.BufElem)
 				}
-				isStore := in.Op == OpStoreGF || in.Op == OpStoreGI
+				isStore := !info.Writes
 				if isStore && p.Access == Read {
 					return fail("store to read-only buffer %q", p.Name)
 				}
@@ -389,7 +313,7 @@ func (k *Kernel) Validate() error {
 				}
 			}
 		}
-		if c.isLocal && k.LocalF32 == 0 {
+		if info.IsLocal && k.LocalF32 == 0 {
 			return fail("local access but kernel declares no local memory")
 		}
 		switch in.Op {
@@ -400,7 +324,9 @@ func (k *Kernel) Validate() error {
 			if in.Imm > MaxRepeatTrip {
 				return fail("repeat trip count %v exceeds the maximum %d", in.Imm, MaxRepeatTrip)
 			}
-			depth++
+			if depth++; depth > MaxDepth {
+				return fail("repeat nesting deeper than %d", MaxDepth)
+			}
 		case OpRepeatEnd:
 			depth--
 			if depth < 0 {

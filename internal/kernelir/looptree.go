@@ -68,6 +68,37 @@ func (t *LoopTree) Match(pc int) int { return t.match[pc] }
 // Body returns the instruction stream the tree was built from.
 func (t *LoopTree) Body() []Instr { return t.body }
 
+// ReadsBeforeWrites calls fn once for each register whose first access
+// in the body is a read, at that read, in program order; an
+// instruction's reads come before its write, in slot order. k sizes the
+// register files. The only control flow is Repeat blocks that run at
+// least once, so the first iteration of every block executes in
+// program order and one linear scan is exact. A block with a trip count
+// below 1 never runs and is skipped (Validate refuses it; the analyzer
+// still meets it). ExecuteChecked traps on the first such read, the
+// optimizer keeps these registers live across work items, and the
+// analyzer reports each one.
+func (t *LoopTree) ReadsBeforeWrites(k *Kernel, fn func(pc int, r Reg)) {
+	seen := make([]bool, k.NumRegs())
+	for pc := 0; pc < len(t.body); pc++ {
+		in := t.body[pc]
+		if in.Op == OpRepeatBegin && in.Imm < 1 {
+			pc = t.match[pc]
+			continue
+		}
+		rs, n := in.Reads()
+		for _, r := range rs[:n] {
+			if i := k.RegIndex(r); !seen[i] {
+				seen[i] = true
+				fn(pc, r)
+			}
+		}
+		if w, ok := in.Write(); ok {
+			seen[k.RegIndex(w)] = true
+		}
+	}
+}
+
 // Walk visits every non-control instruction once in body order, passing
 // the product of the enclosing Repeat trip counts — the per-work-item
 // execution count of that instruction, which is what makes static

@@ -40,15 +40,16 @@ func algebraPass(k *kernelir.Kernel, body []kernelir.Instr) ([]kernelir.Instr, [
 
 	walkConst(k, out, func(pc int, st *constState) {
 		in := out[pc]
-		aConst, aKnown := int64(0), false
-		bConst, bKnown := int64(0), false
-		c := kernelir.InfoOf(in.Op)
-		if c.HasA && c.AFile == kernelir.I32 {
-			aConst, aKnown = st.intOf(in.A)
+		rs, n := in.Reads()
+		intConst := func(slot int) (int64, bool) {
+			if slot >= n || rs[slot].File != kernelir.I32 {
+				return 0, false
+			}
+			v := st.of(rs[slot])
+			return v.i, v.known
 		}
-		if c.HasB && c.BFile == kernelir.I32 {
-			bConst, bKnown = st.intOf(in.B)
-		}
+		aConst, aKnown := intConst(0)
+		bConst, bKnown := intConst(1)
 
 		switch in.Op {
 		case kernelir.OpAddI:
@@ -161,7 +162,8 @@ func strengthReduce(out []kernelir.Instr, pc int, st *constState, rws *[]Rewrite
 		return // x*x with x constant is handled by folding, not here
 	}
 	try := func(constReg, otherReg int) bool {
-		imm, defPC, ok := uniqueConstDef(out, kernelir.I32, constReg)
+		r := kernelir.Reg{File: kernelir.I32, N: constReg}
+		imm, defPC, ok := uniqueConstDef(out, r)
 		// The unique definition must execute before the multiply; in
 		// structured straight-line code that is textual order.
 		if !ok || defPC >= pc || out[defPC].Op != kernelir.OpConstI {
@@ -171,7 +173,7 @@ func strengthReduce(out []kernelir.Instr, pc int, st *constState, rws *[]Rewrite
 		if v < 2 || v&(v-1) != 0 {
 			return false
 		}
-		if readCount(out, kernelir.I32, constReg) != 1 {
+		if readCount(out, r) != 1 {
 			return false
 		}
 		shift := int64(bits.TrailingZeros64(uint64(v)))
@@ -180,7 +182,7 @@ func strengthReduce(out []kernelir.Instr, pc int, st *constState, rws *[]Rewrite
 		// The const register's value changed under the walker's feet;
 		// refresh the propagation state so later rewrites in this same
 		// walk see the shift count, not the stale multiplier.
-		st.ints[constReg] = constVal{known: true, i: shift}
+		st.vals[st.k.RegIndex(r)] = constVal{known: true, i: shift}
 		*rws = append(*rws,
 			Rewrite{Pass: "algebra", PC: defPC, Note: fmt.Sprintf("strength reduction: const %d becomes shift count %d", v, shift)},
 			Rewrite{Pass: "algebra", PC: pc, Note: fmt.Sprintf("i%d * %d = i%d << %d", otherReg, v, otherReg, shift)},

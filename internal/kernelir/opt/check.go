@@ -85,8 +85,7 @@ func memSequence(body []kernelir.Instr) ([]memEvent, error) {
 				pc = end
 				continue
 			}
-			c := kernelir.InfoOf(in.Op)
-			if !c.IsMemOp && !c.IsLocal {
+			if info := in.Op.Info(); !info.IsMemOp && !info.IsLocal {
 				continue
 			}
 			evs = append(evs, memEvent{
@@ -128,7 +127,7 @@ func memOpsFrozen(before, after []kernelir.Instr, passName string) error {
 	memOps := func(body []kernelir.Instr) []kernelir.Instr {
 		var out []kernelir.Instr
 		for _, in := range body {
-			if c := kernelir.InfoOf(in.Op); c.IsMemOp || c.IsLocal {
+			if info := in.Op.Info(); info.IsMemOp || info.IsLocal {
 				out = append(out, in)
 			}
 		}
@@ -180,9 +179,9 @@ func checkInPlace(before, after []kernelir.Instr, passName string, rws []Rewrite
 			}
 			continue
 		}
-		bf, bd, bok := writeOf(before[pc])
-		af, ad, aok := writeOf(after[pc])
-		if bok != aok || (bok && (bf != af || bd != ad)) {
+		bw, bok := before[pc].Write()
+		aw, aok := after[pc].Write()
+		if bok != aok || bw != aw {
 			return fmt.Errorf("%s: pc %d rewrite changed the destination register", passName, pc)
 		}
 		if !pureOp(before[pc]) || !pureOp(after[pc]) {
@@ -203,12 +202,11 @@ func checkCSE(before, after []kernelir.Instr, rws []Rewrite) error {
 		if in.Op != kernelir.OpMoveI && in.Op != kernelir.OpMoveF {
 			return fmt.Errorf("cse: pc %d rewrite is %s, not a move", rw.PC, in.Op)
 		}
-		file := kernelir.InfoOf(in.Op).AFile
+		src, _ := in.Reads()
 		found := false
 		for q := 0; q < rw.PC && !found; q++ {
-			if f, r, ok := writeOf(after[q]); ok && f == file && r == in.A {
-				found = true
-			}
+			w, ok := after[q].Write()
+			found = ok && w == src[0]
 		}
 		if !found {
 			return fmt.Errorf("cse: pc %d move source r%d has no earlier definition", rw.PC, in.A)

@@ -30,20 +30,21 @@ func copyPropPass(k *kernelir.Kernel, body []kernelir.Instr) ([]kernelir.Instr, 
 	}
 	out := append([]kernelir.Instr(nil), body...)
 	var rws []Rewrite
-	vs := &verState{ints: make([]int, k.NumIntRegs), floats: make([]int, k.NumFloatRegs)}
+	vers := make([]int, k.NumRegs())
 
+	// copies maps a register's flat index to the move that last wrote
+	// it: the source register, in the same file, and both versions at
+	// the move.
 	type cp struct {
 		src            int
 		srcVer, ownVer int
 	}
-	copies := map[kernelir.ScalarType]map[int]cp{
-		kernelir.I32: make(map[int]cp),
-		kernelir.F32: make(map[int]cp),
-	}
-	resolve := func(file kernelir.ScalarType, reg int) (int, bool) {
-		c, ok := copies[file][reg]
-		if !ok || vs.of(file, reg) != c.ownVer || vs.of(file, c.src) != c.srcVer {
-			return reg, false
+	copies := make(map[int]cp)
+	resolve := func(r kernelir.Reg) (int, bool) {
+		i := k.RegIndex(r)
+		c, ok := copies[i]
+		if !ok || vers[i] != c.ownVer || vers[k.RegIndex(kernelir.Reg{File: r.File, N: c.src})] != c.srcVer {
+			return r.N, false
 		}
 		return c.src, true
 	}
@@ -54,11 +55,7 @@ func copyPropPass(k *kernelir.Kernel, body []kernelir.Instr) ([]kernelir.Instr, 
 			in := out[pc]
 			if in.Op == kernelir.OpRepeatBegin {
 				end := tree.Match(pc)
-				for q := pc + 1; q < end; q++ {
-					if file, reg, ok := writeOf(out[q]); ok {
-						vs.bump(file, reg)
-					}
-				}
+				bumpWrites(k, vers, out[pc+1:end])
 				scan(pc+1, end)
 				pc = end
 				continue
@@ -67,35 +64,28 @@ func copyPropPass(k *kernelir.Kernel, body []kernelir.Instr) ([]kernelir.Instr, 
 				continue
 			}
 			// Substitute operands before processing the write.
-			c := kernelir.InfoOf(in.Op)
-			sub := func(slot string, reg *int, file kernelir.ScalarType) {
-				if s, ok := resolve(file, *reg); ok && s != *reg {
+			rs, n := in.Reads()
+			for i, r := range rs[:n] {
+				if s, ok := resolve(r); ok && s != r.N {
 					rws = append(rws, Rewrite{
 						Pass: "copyprop", PC: pc,
-						Note: fmt.Sprintf("%s operand %s: r%d is a live copy of r%d", in.Op, slot, *reg, s),
+						Note: fmt.Sprintf("%s operand %s: r%d is a live copy of r%d", in.Op, "ABC"[i:i+1], r.N, s),
 					})
-					*reg = s
+					in.SetRead(i, s)
 				}
-			}
-			if c.HasA {
-				sub("A", &in.A, c.AFile)
-			}
-			if c.HasB {
-				sub("B", &in.B, c.BFile)
-			}
-			if c.HasC {
-				sub("C", &in.C, c.CFile)
 			}
 			out[pc] = in
 
-			file, dst, hasDst := writeOf(in)
+			w, hasDst := in.Write()
 			if !hasDst {
 				continue
 			}
-			vs.bump(file, dst)
-			delete(copies[file], dst)
-			if (in.Op == kernelir.OpMoveI || in.Op == kernelir.OpMoveF) && in.A != dst {
-				copies[file][dst] = cp{src: in.A, srcVer: vs.of(file, in.A), ownVer: vs.of(file, dst)}
+			d := k.RegIndex(w)
+			vers[d]++
+			delete(copies, d)
+			if (in.Op == kernelir.OpMoveI || in.Op == kernelir.OpMoveF) && in.A != in.Dst {
+				src := kernelir.Reg{File: w.File, N: in.A}
+				copies[d] = cp{src: in.A, srcVer: vers[k.RegIndex(src)], ownVer: vers[d]}
 			}
 		}
 	}

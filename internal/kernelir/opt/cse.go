@@ -31,11 +31,11 @@ import (
 // operand bits through the same deterministic operation.
 
 type exprKey struct {
-	op         kernelir.Op
-	imm        uint64 // math.Float64bits so NaN immediates compare equal
-	a, b, c    int
-	va, vb, vc int
-	buf        int
+	op   kernelir.Op
+	imm  uint64 // math.Float64bits so NaN immediates compare equal
+	regs [3]int // operand registers, in slot order
+	vers [3]int // their versions when the key was built
+	buf  int
 }
 
 type exprHolder struct {
@@ -43,23 +43,13 @@ type exprHolder struct {
 	ver int
 }
 
-type verState struct {
-	ints   []int
-	floats []int
-}
-
-func (vs *verState) of(file kernelir.ScalarType, reg int) int {
-	if file == kernelir.I32 {
-		return vs.ints[reg]
-	}
-	return vs.floats[reg]
-}
-
-func (vs *verState) bump(file kernelir.ScalarType, reg int) {
-	if file == kernelir.I32 {
-		vs.ints[reg]++
-	} else {
-		vs.floats[reg]++
+// bumpWrites bumps the version of every register body writes; vers is
+// indexed by k's flat register index.
+func bumpWrites(k *kernelir.Kernel, vers []int, body []kernelir.Instr) {
+	for _, in := range body {
+		if w, ok := in.Write(); ok {
+			vers[k.RegIndex(w)]++
+		}
 	}
 }
 
@@ -81,22 +71,16 @@ func csePass(k *kernelir.Kernel, body []kernelir.Instr) ([]kernelir.Instr, []Rew
 	}
 	out := append([]kernelir.Instr(nil), body...)
 	var rws []Rewrite
-	vs := &verState{ints: make([]int, k.NumIntRegs), floats: make([]int, k.NumFloatRegs)}
+	vers := make([]int, k.NumRegs())
 	avail := make(map[exprKey]exprHolder)
 
 	mkKey := func(in kernelir.Instr) exprKey {
-		c := kernelir.InfoOf(in.Op)
 		key := exprKey{op: in.Op, imm: math.Float64bits(in.Imm)}
-		if c.HasA {
-			key.a, key.va = in.A, vs.of(c.AFile, in.A)
+		rs, n := in.Reads()
+		for i, r := range rs[:n] {
+			key.regs[i], key.vers[i] = r.N, vers[k.RegIndex(r)]
 		}
-		if c.HasB {
-			key.b, key.vb = in.B, vs.of(c.BFile, in.B)
-		}
-		if c.HasC {
-			key.c, key.vc = in.C, vs.of(c.CFile, in.C)
-		}
-		if c.UsesBuf {
+		if in.Op.Info().UsesBuf {
 			key.buf = in.Buf
 		}
 		return key
@@ -110,11 +94,7 @@ func csePass(k *kernelir.Kernel, body []kernelir.Instr) ([]kernelir.Instr, []Rew
 				end := tree.Match(pc)
 				// Kill: iterations beyond the first observe loop-carried
 				// values for everything the subtree writes.
-				for q := pc + 1; q < end; q++ {
-					if file, reg, ok := writeOf(out[q]); ok {
-						vs.bump(file, reg)
-					}
-				}
+				bumpWrites(k, vers, out[pc+1:end])
 				scan(pc+1, end)
 				pc = end
 				continue
@@ -122,29 +102,30 @@ func csePass(k *kernelir.Kernel, body []kernelir.Instr) ([]kernelir.Instr, []Rew
 			if in.Op == kernelir.OpRepeatEnd {
 				continue
 			}
-			file, dst, hasDst := writeOf(in)
+			w, hasDst := in.Write()
 			if !cseable(in) {
 				if hasDst {
-					vs.bump(file, dst)
+					vers[k.RegIndex(w)]++
 				}
 				continue
 			}
+			d := k.RegIndex(w)
 			key := mkKey(in)
-			if h, ok := avail[key]; ok && vs.of(file, h.reg) == h.ver && h.reg != dst {
+			if h, ok := avail[key]; ok && vers[k.RegIndex(kernelir.Reg{File: w.File, N: h.reg})] == h.ver && h.reg != w.N {
 				mov := kernelir.OpMoveI
-				if file == kernelir.F32 {
+				if w.File == kernelir.F32 {
 					mov = kernelir.OpMoveF
 				}
-				out[pc] = kernelir.Instr{Op: mov, Dst: dst, A: h.reg}
+				out[pc] = kernelir.Instr{Op: mov, Dst: w.N, A: h.reg}
 				rws = append(rws, Rewrite{
 					Pass: "cse", PC: pc,
 					Note: fmt.Sprintf("%s over identical operand versions already available in r%d", in.Op, h.reg),
 				})
-				vs.bump(file, dst)
+				vers[d]++
 				continue
 			}
-			vs.bump(file, dst)
-			avail[key] = exprHolder{reg: dst, ver: vs.of(file, dst)}
+			vers[d]++
+			avail[key] = exprHolder{reg: w.N, ver: vers[d]}
 		}
 	}
 	scan(0, len(body))

@@ -27,7 +27,14 @@ func dcePass(k *kernelir.Kernel, body []kernelir.Instr) ([]kernelir.Instr, []Rew
 	if err != nil {
 		return nil, nil
 	}
-	live := useBeforeDef(k, body)
+	live := make([]bool, k.NumRegs())
+	tree.ReadsBeforeWrites(k, func(_ int, r kernelir.Reg) { live[k.RegIndex(r)] = true })
+	markReads := func(in kernelir.Instr) {
+		rs, n := in.Reads()
+		for _, r := range rs[:n] {
+			live[k.RegIndex(r)] = true
+		}
+	}
 	dead := make(map[int]bool)
 
 	var scan func(lo, hi int)
@@ -36,25 +43,25 @@ func dcePass(k *kernelir.Kernel, body []kernelir.Instr) ([]kernelir.Instr, []Rew
 		for pc >= lo {
 			in := body[pc]
 			if in.Op == kernelir.OpRepeatEnd {
-				begin := matchEnd(tree, body, pc)
+				begin := tree.Match(pc)
 				// Back edge: everything the body reads is live at its end.
-				live.markReads(body, begin+1, pc)
+				for _, q := range body[begin+1 : pc] {
+					markReads(q)
+				}
 				scan(begin+1, pc)
 				pc = begin - 1
 				continue
 			}
-			file, dst, hasDst := writeOf(in)
-			if pureOp(in) && hasDst && !live.get(file, dst) {
+			w, hasDst := in.Write()
+			if pureOp(in) && !live[k.RegIndex(w)] {
 				dead[pc] = true
 				pc--
 				continue
 			}
 			if hasDst {
-				live.set(file, dst, false)
+				live[k.RegIndex(w)] = false
 			}
-			eachRead(in, func(f kernelir.ScalarType, r int) {
-				live.set(f, r, true)
-			})
+			markReads(in)
 			pc--
 		}
 	}
@@ -73,24 +80,6 @@ func dcePass(k *kernelir.Kernel, body []kernelir.Instr) ([]kernelir.Instr, []Rew
 		out = append(out, in)
 	}
 	return sweepEmptyLoops(out, rws)
-}
-
-// matchEnd finds the RepeatBegin for the RepeatEnd at pc by depth
-// counting (LoopTree.Match maps begins to ends; this is the inverse).
-func matchEnd(tree *kernelir.LoopTree, body []kernelir.Instr, end int) int {
-	depth := 0
-	for pc := end - 1; pc >= 0; pc-- {
-		switch body[pc].Op {
-		case kernelir.OpRepeatEnd:
-			depth++
-		case kernelir.OpRepeatBegin:
-			if depth == 0 {
-				return pc
-			}
-			depth--
-		}
-	}
-	return -1
 }
 
 // sweepEmptyLoops removes RepeatBegin/RepeatEnd pairs with empty bodies

@@ -24,36 +24,30 @@ type constVal struct {
 	f     float64
 }
 
+// constState holds one lattice value per register, by k's flat
+// register index.
 type constState struct {
-	ints   []constVal
-	floats []constVal
+	k    *kernelir.Kernel
+	vals []constVal
 }
 
 func newConstState(k *kernelir.Kernel) *constState {
-	return &constState{
-		ints:   make([]constVal, k.NumIntRegs),
-		floats: make([]constVal, k.NumFloatRegs),
-	}
+	return &constState{k: k, vals: make([]constVal, k.NumRegs())}
 }
 
+// of returns r's lattice value.
+func (st *constState) of(r kernelir.Reg) constVal { return st.vals[st.k.RegIndex(r)] }
+
+// intOf returns int register reg's value, if known.
 func (st *constState) intOf(reg int) (int64, bool) {
-	v := st.ints[reg]
+	v := st.of(kernelir.Reg{File: kernelir.I32, N: reg})
 	return v.i, v.known
 }
 
-func (st *constState) floatOf(reg int) (float64, bool) {
-	v := st.floats[reg]
-	return v.f, v.known
-}
-
-func (st *constState) killWrites(body []kernelir.Instr, lo, hi int) {
-	for pc := lo; pc < hi; pc++ {
-		if file, reg, ok := writeOf(body[pc]); ok {
-			if file == kernelir.I32 {
-				st.ints[reg] = constVal{}
-			} else {
-				st.floats[reg] = constVal{}
-			}
+func (st *constState) killWrites(body []kernelir.Instr) {
+	for _, in := range body {
+		if w, ok := in.Write(); ok {
+			st.vals[st.k.RegIndex(w)] = constVal{}
 		}
 	}
 }
@@ -62,37 +56,24 @@ func (st *constState) killWrites(body []kernelir.Instr, lo, hi int) {
 // interpreter: a register is marked known only when every execution of
 // in (in any launch, any item) produces that exact value.
 func (st *constState) transfer(in kernelir.Instr) {
-	file, dst, ok := writeOf(in)
+	w, ok := in.Write()
 	if !ok {
 		return
 	}
+	v := constVal{}
 	switch in.Op {
 	case kernelir.OpConstI:
-		st.ints[dst] = constVal{known: true, i: int64(in.Imm)}
-		return
+		v = constVal{known: true, i: int64(in.Imm)}
 	case kernelir.OpConstF:
-		st.floats[dst] = constVal{known: true, f: in.Imm}
-		return
-	case kernelir.OpMoveI:
-		st.ints[dst] = st.ints[in.A]
-		return
-	case kernelir.OpMoveF:
-		st.floats[dst] = st.floats[in.A]
-		return
-	}
-	if v, ok := foldValue(in, st); ok {
-		if file == kernelir.I32 {
-			st.ints[dst] = v
-		} else {
-			st.floats[dst] = v
+		v = constVal{known: true, f: in.Imm}
+	case kernelir.OpMoveI, kernelir.OpMoveF:
+		v = st.of(kernelir.Reg{File: w.File, N: in.A})
+	default:
+		if folded, ok := foldValue(in, st); ok {
+			v = folded
 		}
-		return
 	}
-	if file == kernelir.I32 {
-		st.ints[dst] = constVal{}
-	} else {
-		st.floats[dst] = constVal{}
-	}
+	st.vals[st.k.RegIndex(w)] = v
 }
 
 // walkConst runs visit over every non-control instruction with the
@@ -111,7 +92,7 @@ func walkConst(k *kernelir.Kernel, body []kernelir.Instr, visit func(pc int, st 
 			switch body[pc].Op {
 			case kernelir.OpRepeatBegin:
 				end := tree.Match(pc)
-				st.killWrites(body, pc+1, end)
+				st.killWrites(body[pc+1 : end])
 				scan(pc+1, end)
 				pc = end
 			case kernelir.OpRepeatEnd:
@@ -154,46 +135,21 @@ func b2i(b bool) int64 {
 // stays in the code), integer results that do not round-trip through
 // the Imm encoding, and float→int conversions outside the exact range.
 func foldValue(in kernelir.Instr, st *constState) (constVal, bool) {
-	c := kernelir.InfoOf(in.Op)
-	var ai, bi, ci int64
-	var af, bf float64
-	if c.HasA {
-		if c.AFile == kernelir.I32 {
-			v, ok := st.intOf(in.A)
-			if !ok {
-				return constVal{}, false
-			}
-			ai = v
-		} else {
-			v, ok := st.floatOf(in.A)
-			if !ok {
-				return constVal{}, false
-			}
-			af = v
-		}
-	}
-	if c.HasB {
-		if c.BFile == kernelir.I32 {
-			v, ok := st.intOf(in.B)
-			if !ok {
-				return constVal{}, false
-			}
-			bi = v
-		} else {
-			v, ok := st.floatOf(in.B)
-			if !ok {
-				return constVal{}, false
-			}
-			bf = v
-		}
-	}
-	if c.HasC {
-		v, ok := st.intOf(in.C)
-		if !ok {
+	// Each operand's int and float fields: an int register's float field
+	// is 0 and the other way round, and each op reads only the fields of
+	// its operands' files.
+	var ints [3]int64
+	var floats [3]float64
+	rs, n := in.Reads()
+	for i, r := range rs[:n] {
+		v := st.of(r)
+		if !v.known {
 			return constVal{}, false
 		}
-		ci = v
+		ints[i], floats[i] = v.i, v.f
 	}
+	ai, bi, ci := ints[0], ints[1], ints[2]
+	af, bf := floats[0], floats[1]
 
 	intVal := func(v int64) (constVal, bool) {
 		if !immRoundTrips(v) {
@@ -338,8 +294,7 @@ func foldPass(k *kernelir.Kernel, body []kernelir.Instr) ([]kernelir.Instr, []Re
 		if !ok {
 			return
 		}
-		c := kernelir.InfoOf(in.Op)
-		if c.DstFile == kernelir.I32 {
+		if w, _ := in.Write(); w.File == kernelir.I32 {
 			out[pc] = kernelir.Instr{Op: kernelir.OpConstI, Dst: in.Dst, Imm: float64(v.i)}
 			rws = append(rws, Rewrite{
 				Pass: "constfold", PC: pc,

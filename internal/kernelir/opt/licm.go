@@ -2,6 +2,7 @@ package opt
 
 import (
 	"fmt"
+	"math"
 
 	"synergy/internal/kernelir"
 )
@@ -30,11 +31,8 @@ import (
 func licmPass(k *kernelir.Kernel, body []kernelir.Instr) ([]kernelir.Instr, []Rewrite) {
 	out := append([]kernelir.Instr(nil), body...)
 	var rws []Rewrite
-	for {
-		moved := licmRound(out, &rws)
-		if !moved {
-			break
-		}
+	s := newLoopUse(k)
+	for licmRound(s, out, &rws) {
 	}
 	if len(rws) == 0 {
 		return nil, nil
@@ -45,52 +43,46 @@ func licmPass(k *kernelir.Kernel, body []kernelir.Instr) ([]kernelir.Instr, []Re
 // licmRound hoists one batch out of the first (innermost) loop that has
 // eligible instructions, rewriting out in place. Returns whether
 // anything moved.
-func licmRound(out []kernelir.Instr, rws *[]Rewrite) bool {
+func licmRound(s *loopUse, out []kernelir.Instr, rws *[]Rewrite) bool {
 	tree, err := kernelir.BuildLoopTree(out)
 	if err != nil {
 		return false
 	}
-	// Collect loops innermost-first: deeper begins sort later in a
-	// post-order walk, so recurse children before the node itself.
-	type loop struct{ begin, end int }
-	var loops []loop
-	var collect func(lo, hi int)
-	collect = func(lo, hi int) {
-		for pc := lo; pc < hi; pc++ {
-			if out[pc].Op == kernelir.OpRepeatBegin {
-				end := tree.Match(pc)
-				collect(pc+1, end)
-				loops = append(loops, loop{pc, end})
-				pc = end
-			}
+	// Innermost first: a post-order walk visits children before their
+	// loop, siblings in body order.
+	var loops []*kernelir.LoopNode
+	var collect func(n *kernelir.LoopNode)
+	collect = func(n *kernelir.LoopNode) {
+		for _, c := range n.Children {
+			collect(c)
+			loops = append(loops, c)
 		}
 	}
-	collect(0, len(out))
+	collect(tree.Root)
 
 	for _, l := range loops {
-		picks := hoistable(out, l.begin, l.end)
+		picks := hoistable(s, out, l.Begin, l.End)
 		if len(picks) == 0 {
 			continue
 		}
 		// Rebuild: hoisted instructions, in original order, immediately
 		// before the RepeatBegin; the rest of the subtree keeps its order.
-		pickSet := make(map[int]bool, len(picks))
-		for _, pc := range picks {
-			pickSet[pc] = true
-			*rws = append(*rws, Rewrite{
-				Pass: "licm", PC: pc,
-				Note: fmt.Sprintf("%s is invariant in the repeat at pc %d (operands unwritten in loop, single write, no prior read)", out[pc].Op, l.begin),
-			})
-		}
 		nb := make([]kernelir.Instr, 0, len(out))
-		nb = append(nb, out[:l.begin]...)
+		nb = append(nb, out[:l.Begin]...)
 		for _, pc := range picks {
 			nb = append(nb, out[pc])
+			*rws = append(*rws, Rewrite{
+				Pass: "licm", PC: pc,
+				Note: fmt.Sprintf("%s is invariant in the repeat at pc %d (operands unwritten in loop, single write, no prior read)", out[pc].Op, l.Begin),
+			})
 		}
-		for pc := l.begin; pc < len(out); pc++ {
-			if !pickSet[pc] {
-				nb = append(nb, out[pc])
+		next := 0
+		for pc := l.Begin; pc < len(out); pc++ {
+			if next < len(picks) && picks[next] == pc {
+				next++
+				continue
 			}
+			nb = append(nb, out[pc])
 		}
 		copy(out, nb)
 		return true
@@ -98,59 +90,73 @@ func licmRound(out []kernelir.Instr, rws *[]Rewrite) bool {
 	return false
 }
 
+// loopUse holds, for the loop hoistable is looking at, each register's
+// write count and the pc of its first read, by flat register index.
+// One is allocated per pass and cleared after each loop, so a kernel of
+// many small loops pays for what its loops touch, not for its register
+// files.
+type loopUse struct {
+	k         *kernelir.Kernel
+	writes    []int
+	firstRead []int // math.MaxInt when unread
+}
+
+func newLoopUse(k *kernelir.Kernel) *loopUse {
+	s := &loopUse{k: k, writes: make([]int, k.NumRegs()), firstRead: make([]int, k.NumRegs())}
+	for i := range s.firstRead {
+		s.firstRead[i] = math.MaxInt
+	}
+	return s
+}
+
 // hoistable returns the pcs (ascending) of instructions eligible to
-// move out of the loop whose body spans (begin, end).
-func hoistable(out []kernelir.Instr, begin, end int) []int {
-	lo, hi := begin+1, end
+// move out of the loop whose body spans (begin, end). One scan counts
+// the body's writes and first reads; each candidate is then tested
+// against those counts.
+func hoistable(s *loopUse, out []kernelir.Instr, begin, end int) []int {
+	body := out[begin+1 : end]
+	for q, in := range body {
+		rs, n := in.Reads()
+		for _, r := range rs[:n] {
+			i := s.k.RegIndex(r)
+			s.firstRead[i] = min(s.firstRead[i], begin+1+q)
+		}
+		if w, ok := in.Write(); ok {
+			s.writes[s.k.RegIndex(w)]++
+		}
+	}
 	var picks []int
-	for pc := lo; pc < hi; pc++ {
-		in := out[pc]
+	for q, in := range body {
+		pc := begin + 1 + q
 		if !pureOp(in) {
 			continue
 		}
-		if divisorMayBeZero(out, in) {
-			continue
-		}
-		file, dst, _ := writeOf(in)
 		// Destination written exactly once in the subtree, by this
-		// instruction.
-		writes := 0
-		for q := lo; q < hi; q++ {
-			if f, r, ok := writeOf(out[q]); ok && f == file && r == dst {
-				writes++
-			}
-		}
-		if writes != 1 {
-			continue
-		}
-		// Never read in the subtree at or before its definition: reads at
-		// pc itself (dst as its own operand) observe the loop-carried
-		// value and block the move.
-		readEarly := false
-		for q := lo; q <= pc && !readEarly; q++ {
-			eachRead(out[q], func(f kernelir.ScalarType, r int) {
-				if f == file && r == dst {
-					readEarly = true
-				}
-			})
-		}
-		if readEarly {
+		// instruction, and never read in the subtree at or before that
+		// write: a read at pc itself (dst as its own operand) observes
+		// the loop-carried value and blocks the move.
+		w, _ := in.Write()
+		if d := s.k.RegIndex(w); s.writes[d] != 1 || s.firstRead[d] <= pc {
 			continue
 		}
 		// Operands invariant: no writes to them anywhere in the subtree.
 		invariant := true
-		eachRead(in, func(f kernelir.ScalarType, r int) {
-			for q := lo; q < hi; q++ {
-				if wf, wr, ok := writeOf(out[q]); ok && wf == f && wr == r {
-					invariant = false
-					return
-				}
-			}
-		})
-		if !invariant {
-			continue
+		rs, n := in.Reads()
+		for _, r := range rs[:n] {
+			invariant = invariant && s.writes[s.k.RegIndex(r)] == 0
 		}
-		picks = append(picks, pc)
+		if invariant && !divisorMayBeZero(out, in) {
+			picks = append(picks, pc)
+		}
+	}
+	for _, in := range body {
+		rs, n := in.Reads()
+		for _, r := range rs[:n] {
+			s.firstRead[s.k.RegIndex(r)] = math.MaxInt
+		}
+		if w, ok := in.Write(); ok {
+			s.writes[s.k.RegIndex(w)] = 0
+		}
 	}
 	return picks
 }

@@ -176,119 +176,19 @@ func Optimize(k *kernelir.Kernel) (*kernelir.Kernel, Result) {
 // global-id reads are pure: their values are fixed for the lifetime of
 // one work item.
 func pureOp(in kernelir.Instr) bool {
-	switch in.Op {
-	case kernelir.OpRepeatBegin, kernelir.OpRepeatEnd:
-		return false
-	}
-	c := kernelir.InfoOf(in.Op)
-	return c.HasDst && !c.IsMemOp && !c.IsLocal
-}
-
-// eachRead calls f for every register operand in reads.
-func eachRead(in kernelir.Instr, f func(file kernelir.ScalarType, reg int)) {
-	c := kernelir.InfoOf(in.Op)
-	if c.HasA {
-		f(c.AFile, in.A)
-	}
-	if c.HasB {
-		f(c.BFile, in.B)
-	}
-	if c.HasC {
-		f(c.CFile, in.C)
-	}
-}
-
-// writeOf returns the register in writes, if any.
-func writeOf(in kernelir.Instr) (file kernelir.ScalarType, reg int, ok bool) {
-	c := kernelir.InfoOf(in.Op)
-	if !c.HasDst {
-		return 0, 0, false
-	}
-	return c.DstFile, in.Dst, true
-}
-
-// regSet tracks one flag per register in both files.
-type regSet struct {
-	ints   []bool
-	floats []bool
-}
-
-func newRegSet(k *kernelir.Kernel) *regSet {
-	return &regSet{ints: make([]bool, k.NumIntRegs), floats: make([]bool, k.NumFloatRegs)}
-}
-
-func (s *regSet) get(file kernelir.ScalarType, reg int) bool {
-	if file == kernelir.I32 {
-		return s.ints[reg]
-	}
-	return s.floats[reg]
-}
-
-func (s *regSet) set(file kernelir.ScalarType, reg int, v bool) {
-	if file == kernelir.I32 {
-		s.ints[reg] = v
-	} else {
-		s.floats[reg] = v
-	}
-}
-
-func (s *regSet) clone() *regSet {
-	return &regSet{
-		ints:   append([]bool(nil), s.ints...),
-		floats: append([]bool(nil), s.floats...),
-	}
-}
-
-// markWrites sets the flag for every register written in body[lo:hi).
-func (s *regSet) markWrites(body []kernelir.Instr, lo, hi int) {
-	for pc := lo; pc < hi; pc++ {
-		if file, reg, ok := writeOf(body[pc]); ok {
-			s.set(file, reg, true)
-		}
-	}
-}
-
-// markReads sets the flag for every register read in body[lo:hi).
-func (s *regSet) markReads(body []kernelir.Instr, lo, hi int) {
-	for pc := lo; pc < hi; pc++ {
-		eachRead(body[pc], func(file kernelir.ScalarType, reg int) {
-			s.set(file, reg, true)
-		})
-	}
-}
-
-// useBeforeDef returns the registers whose first access in the body is
-// a read. Per-worker register files carry over across work items, so
-// these registers are live across the item boundary: the next item's
-// first read observes this item's last write. Linear order is first-
-// execution order even through Repeat blocks (iteration one reaches
-// instructions textually), so one scan is exact.
-func useBeforeDef(k *kernelir.Kernel, body []kernelir.Instr) *regSet {
-	ubd := newRegSet(k)
-	written := newRegSet(k)
-	for _, in := range body {
-		eachRead(in, func(file kernelir.ScalarType, reg int) {
-			if !written.get(file, reg) {
-				ubd.set(file, reg, true)
-			}
-		})
-		if file, reg, ok := writeOf(in); ok {
-			written.set(file, reg, true)
-		}
-	}
-	return ubd
+	info := in.Op.Info()
+	return info.Writes && !info.IsMemOp && !info.IsLocal
 }
 
 // uniqueConstDef returns the value of the unique constant definition of
-// reg in body, if reg is written exactly once and that write is an
+// r in body, if r is written exactly once and that write is an
 // OpConstI/OpConstF. Passes use it to prove a divisor is a nonzero
 // constant (licensing div/rem hoisting) and to find strength-reduction
 // candidates.
-func uniqueConstDef(body []kernelir.Instr, file kernelir.ScalarType, reg int) (imm float64, defPC int, ok bool) {
+func uniqueConstDef(body []kernelir.Instr, r kernelir.Reg) (imm float64, defPC int, ok bool) {
 	defPC = -1
 	for pc, in := range body {
-		f, r, has := writeOf(in)
-		if !has || f != file || r != reg {
+		if w, has := in.Write(); !has || w != r {
 			continue
 		}
 		if defPC >= 0 {
@@ -308,17 +208,18 @@ func uniqueConstDef(body []kernelir.Instr, file kernelir.ScalarType, reg int) (i
 	return imm, defPC, true
 }
 
-// readCount counts how many operand slots in body read reg.
-func readCount(body []kernelir.Instr, file kernelir.ScalarType, reg int) int {
-	n := 0
+// readCount counts how many operand slots in body read r.
+func readCount(body []kernelir.Instr, r kernelir.Reg) int {
+	count := 0
 	for _, in := range body {
-		eachRead(in, func(f kernelir.ScalarType, r int) {
-			if f == file && r == reg {
-				n++
+		rs, n := in.Reads()
+		for _, s := range rs[:n] {
+			if s == r {
+				count++
 			}
-		})
+		}
 	}
-	return n
+	return count
 }
 
 // divisorMayBeZero reports whether a div/rem divisor register cannot be
@@ -328,10 +229,10 @@ func readCount(body []kernelir.Instr, file kernelir.ScalarType, reg int) int {
 func divisorMayBeZero(body []kernelir.Instr, in kernelir.Instr) bool {
 	switch in.Op {
 	case kernelir.OpDivI, kernelir.OpRemI:
-		imm, _, ok := uniqueConstDef(body, kernelir.I32, in.B)
+		imm, _, ok := uniqueConstDef(body, kernelir.Reg{File: kernelir.I32, N: in.B})
 		return !ok || int64(imm) == 0
 	case kernelir.OpDivF:
-		imm, _, ok := uniqueConstDef(body, kernelir.F32, in.B)
+		imm, _, ok := uniqueConstDef(body, kernelir.Reg{File: kernelir.F32, N: in.B})
 		return !ok || imm == 0 // catches ±0.0
 	}
 	return false

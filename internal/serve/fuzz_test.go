@@ -52,6 +52,7 @@ func FuzzAdviseHTTP(f *testing.F) {
 	})
 	seed(false, Request{Target: "MIN_ENERGY", KIR: hugeRegKIR})
 	seed(false, Request{Target: "MIN_EDP", KIR: noWorkKIR, Items: 1 << 20, GroundTruth: true})
+	seed(false, Request{Target: "MIN_ENERGY", KIR: nestKIR()})
 	f.Add(false, []byte(`{"target":"ES_0","features":{"k_sf":-1}}`))
 	f.Add(true, []byte(`[{}]`))
 

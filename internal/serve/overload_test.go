@@ -232,12 +232,12 @@ func TestReadyzReady(t *testing.T) {
 	}
 }
 
-// TestBodyBounds: over-limit bodies and kernels get 413, and the
-// limits do not bite normal requests.
+// TestBodyBounds: bodies over MaxBodyBytes and kernels over
+// MaxKernelBytes get 413, and the limits do not bite normal requests.
 func TestBodyBounds(t *testing.T) {
-	s, _ := boundedServer(t, Config{MaxBodyBytes: 2048, MaxKernelBytes: 128})
+	s, _ := boundedServer(t, Config{})
 
-	big := strings.Repeat("x", 4096)
+	big := strings.Repeat("x", MaxBodyBytes)
 	req := httptest.NewRequest(http.MethodPost, "/v1/advise", strings.NewReader(`{"target":"`+big+`"}`))
 	w := httptest.NewRecorder()
 	s.ServeHTTP(w, req)
@@ -245,8 +245,9 @@ func TestBodyBounds(t *testing.T) {
 		t.Errorf("oversized body: status %d, want 413", w.Code)
 	}
 
-	kir := "kernel k {\n" + strings.Repeat("  addf r0, r0, r0\n", 64) + "}\n"
-	if len(kir) <= 128 {
+	line := "  addf r0, r0, r0\n"
+	kir := "kernel k {\n" + strings.Repeat(line, MaxKernelBytes/len(line)+1) + "}\n"
+	if len(kir) <= MaxKernelBytes {
 		t.Fatalf("test kernel too small: %d bytes", len(kir))
 	}
 	w2, out := postJSON(t, s, "/v1/advise", Request{Target: "MIN_ENERGY", KIR: kir})

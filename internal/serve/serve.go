@@ -59,6 +59,21 @@ import (
 // the daemon arbitrarily long.
 const MaxBatch = 1024
 
+// Request-size bounds and the shed hint. Bodies over their bound get
+// 413.
+const (
+	// MaxBodyBytes bounds any client request body.
+	MaxBodyBytes = 4 << 20
+	// MaxReloadBytes bounds the /v1/reload body: inline bundles are
+	// operator-supplied model artifacts, far larger than client requests
+	// but still bounded.
+	MaxReloadBytes = 256 << 20
+	// MaxKernelBytes bounds the raw .kir payload inside a request.
+	MaxKernelBytes = 256 << 10
+	// RetryAfter is the Retry-After hint on shed responses.
+	RetryAfter = time.Second
+)
+
 // DeadlineHeader carries the per-request budget as a Go duration
 // ("250ms", "2s"). Absent, the server default applies.
 const DeadlineHeader = "X-Request-Deadline"
@@ -88,18 +103,6 @@ type Config struct {
 	// sweep cross-check (default 10s). A sweep slower than this fails
 	// the breaker and degrades the response, not the request.
 	SweepTimeout time.Duration
-	// MaxBodyBytes bounds any client request body (default 4 MiB);
-	// larger bodies get 413.
-	MaxBodyBytes int64
-	// MaxReloadBytes bounds the /v1/reload body (default 256 MiB):
-	// inline bundles are operator-supplied model artifacts, far larger
-	// than client requests but still bounded.
-	MaxReloadBytes int64
-	// MaxKernelBytes bounds the raw .kir payload inside a request
-	// (default 256 KiB).
-	MaxKernelBytes int
-	// RetryAfter is the Retry-After hint on shed responses (default 1s).
-	RetryAfter time.Duration
 	// Breaker parameterises the sweep-backend circuit breaker. The
 	// zero value uses FailureThreshold 3, a 5s cool-down and 1 probe
 	// success.
@@ -124,18 +127,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SweepTimeout <= 0 {
 		c.SweepTimeout = 10 * time.Second
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 4 << 20
-	}
-	if c.MaxReloadBytes <= 0 {
-		c.MaxReloadBytes = 256 << 20
-	}
-	if c.MaxKernelBytes <= 0 {
-		c.MaxKernelBytes = 256 << 10
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
 	}
 	if c.Breaker == (resilience.Config{}) {
 		c.Breaker = resilience.Config{FailureThreshold: 3, CooldownSec: 5, HalfOpenSuccesses: 1}
@@ -295,9 +286,6 @@ func (s *Server) SweepBreaker() *resilience.WallBreaker { return s.breaker }
 // requests are shed with 503; in-flight requests finish normally.
 func (s *Server) StartDraining() { s.draining.Store(true) }
 
-// Draining reports whether the server is draining.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
@@ -308,9 +296,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 func (s *Server) endpoint(route string, gated bool, fn func(ctx context.Context, w http.ResponseWriter, r *http.Request) error) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		limit := s.cfg.MaxBodyBytes
+		limit := int64(MaxBodyBytes)
 		if route == "reload" {
-			limit = s.cfg.MaxReloadBytes
+			limit = MaxReloadBytes
 		}
 		outcome := s.serveOne(w, r, gated, limit, fn)
 		s.reg.Counter("serve_requests_total", "route", route, "outcome", outcome).Inc()
@@ -398,9 +386,9 @@ func (s *Server) advise(ctx context.Context, req *Request) (*Response, error) {
 	case req.KIR != "" && req.Features != nil:
 		return nil, badRequest(`serve: "features" and "kir" are mutually exclusive`)
 	case req.KIR != "":
-		if len(req.KIR) > s.cfg.MaxKernelBytes {
+		if len(req.KIR) > MaxKernelBytes {
 			return nil, payloadTooLarge("serve: kir payload of %d bytes exceeds the %d-byte kernel limit",
-				len(req.KIR), s.cfg.MaxKernelBytes)
+				len(req.KIR), MaxKernelBytes)
 		}
 		if err := s.faultPoint(ctx, SiteExtract); err != nil {
 			return nil, err
@@ -654,11 +642,7 @@ func (s *Server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
 // counts the shed per reason.
 func (s *Server) shed(w http.ResponseWriter, reason string, code int) {
 	s.reg.Counter("serve_shed_total", "reason", reason).Inc()
-	secs := int(s.cfg.RetryAfter / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
+	w.Header().Set("Retry-After", strconv.Itoa(int(RetryAfter/time.Second)))
 	writeJSON(w, code, map[string]string{
 		"error":  "serve: overloaded, request shed",
 		"reason": reason,

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -228,6 +229,34 @@ func TestAdviseRejectsOversizedRegisterFile(t *testing.T) {
 	w, out := postJSON(t, s, "/v1/advise", Request{Target: "MIN_ENERGY", KIR: hugeRegKIR})
 	if w.Code != http.StatusBadRequest || !strings.Contains(string(out), "f20000000") {
 		t.Fatalf("status %d: %s, want 400 naming the register", w.Code, out)
+	}
+}
+
+// nestKIR is a kernel of nothing but nested repeats, as deep as
+// MaxKernelBytes allows: about 20,000 levels. Disassemble indents two
+// spaces per level, so before kernelir.MaxDepth bounded the nesting,
+// fingerprinting such a kernel allocated gigabytes.
+func nestKIR() string {
+	const head, open, closing, tail = "kernel nest(write f32[out]) {\n", "repeat 2 {\n", "}\n", "}\n"
+	n := (MaxKernelBytes - len(head) - len(tail)) / (len(open) + len(closing))
+	return head + strings.Repeat(open, n) + strings.Repeat(closing, n) + tail
+}
+
+// TestAdviseRejectsDeepNest: a 256 KiB nest of repeats is a client
+// error, refused at MaxDepth+1 levels before anything renders or
+// optimizes the kernel.
+func TestAdviseRejectsDeepNest(t *testing.T) {
+	s, _ := testServer(t)
+	req := Request{Target: "MIN_ENERGY", KIR: nestKIR()}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	w, out := postJSON(t, s, "/v1/advise", req)
+	runtime.ReadMemStats(&after)
+	if w.Code != http.StatusBadRequest || !strings.Contains(string(out), "nesting") {
+		t.Fatalf("status %d: %s, want 400 naming the nesting bound", w.Code, out)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64<<20 {
+		t.Errorf("a %d-byte nest allocated %d MB, want under 64 MB", len(req.KIR), alloc>>20)
 	}
 }
 
