@@ -26,8 +26,8 @@ type Options struct {
 // Analyze runs the full pass pipeline over the kernel and returns a
 // report. It never panics on structurally sound input and is total: a
 // kernel failing kernelir.Validate still gets the dataflow passes (with
-// the failure surfaced as an error diagnostic) as long as its register
-// and parameter indices are in range.
+// the failure surfaced as an error diagnostic) as long as its opcodes
+// and its register and parameter indices are in range.
 func Analyze(k *kernelir.Kernel, opts Options) *Report {
 	r := &Report{Kernel: k.Name}
 	a := &analyzer{k: k, report: r}
@@ -85,13 +85,17 @@ func (a *analyzer) diag(pass string, sev Severity, pc int, format string, args .
 	a.report.Diagnostics = append(a.report.Diagnostics, d)
 }
 
-// structurallySound reports whether every register and parameter index
-// is in range, the precondition for running the dataflow passes on a
-// kernel Validate rejected for other reasons.
+// structurallySound reports whether every opcode is in the operand
+// table and every register and parameter index is in range, the
+// precondition for running the dataflow passes on a kernel Validate
+// rejected for other reasons.
 func (a *analyzer) structurallySound() bool {
 	k := a.k
 	inFile := func(r kernelir.Reg) bool { return r.N >= 0 && r.N < k.FileSize(r.File) }
 	for _, in := range k.Body {
+		if !in.Op.Valid() {
+			return false
+		}
 		if w, ok := in.Write(); ok && !inFile(w) {
 			return false
 		}

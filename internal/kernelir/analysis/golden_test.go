@@ -2,6 +2,7 @@ package analysis_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -43,6 +44,24 @@ func wantKeys(t *testing.T, r *analysis.Report, want []diagKey) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("diagnostic %d = %v, want %v\nreport:\n%s", i, got[i], want[i], r.Render())
+		}
+	}
+}
+
+// A hand-built kernel whose opcode lies outside the operand table gets
+// one validate diagnostic naming the pc and the opcode, and no dataflow
+// pass runs over it.
+func TestAnalyzeReportsUnknownOpcode(t *testing.T) {
+	for _, op := range []kernelir.Op{99, kernelir.OpRepeatEnd + 1, -1} {
+		k := &kernelir.Kernel{
+			Name:       "bad",
+			Body:       []kernelir.Instr{{Op: kernelir.OpConstI, Dst: 0}, {Op: op}},
+			NumIntRegs: 1,
+		}
+		r := analysis.Analyze(k, analysis.Options{Spec: hw.V100()})
+		wantKeys(t, r, []diagKey{{"validate", analysis.Error, -1}})
+		if want := fmt.Sprintf("instr 1: unknown opcode %d", int(op)); !strings.Contains(r.Diagnostics[0].Message, want) {
+			t.Errorf("opcode %d: diagnostic %q does not say %q", int(op), r.Diagnostics[0].Message, want)
 		}
 	}
 }

@@ -263,6 +263,9 @@ func (k *Kernel) Validate() error {
 	}
 	depth := 0
 	for pc, in := range k.Body {
+		if !in.Op.Valid() {
+			return fmt.Errorf("kernelir: %s: instr %d: unknown opcode %d", k.Name, pc, int(in.Op))
+		}
 		info := in.Op.Info()
 		fail := func(format string, args ...any) error {
 			return fmt.Errorf("kernelir: %s: instr %d (%s): %s", k.Name, pc, in.Op, fmt.Sprintf(format, args...))

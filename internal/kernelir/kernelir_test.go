@@ -1,7 +1,9 @@
 package kernelir
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -306,6 +308,20 @@ func TestValidateRejectsRegisterOutOfRange(t *testing.T) {
 	}
 	if err := k.Validate(); err == nil {
 		t.Fatal("out-of-range register accepted")
+	}
+}
+
+// A hand-built instruction whose opcode lies outside the operand table
+// gets an error naming its pc and opcode, not an index-out-of-range
+// panic.
+func TestValidateRejectsUnknownOpcode(t *testing.T) {
+	t.Parallel()
+	for _, op := range []Op{99, opCount, -1} {
+		k := &Kernel{Name: "bad", Body: []Instr{{Op: OpConstI, Dst: 0}, {Op: op}}, NumIntRegs: 1}
+		err := k.Validate()
+		if want := fmt.Sprintf("instr 1: unknown opcode %d", int(op)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("opcode %d: Validate = %v, want an error containing %q", int(op), err, want)
+		}
 	}
 }
 

@@ -65,8 +65,13 @@ func buildOpTable() (t [opCount]OpInfo) {
 }
 
 // Info returns op's row of the operand table; callers must not modify
-// it. It panics on an opcode outside the table.
+// it. It panics on an opcode outside the table (see Valid).
 func (op Op) Info() *OpInfo { return &opTable[op] }
+
+// Valid reports whether op is in the operand table. Assemble and the
+// Builder only make such opcodes; Validate refuses a hand-built
+// instruction with any other.
+func (op Op) Valid() bool { return op >= 0 && op < opCount }
 
 // Reg names one register: a file and an index into it, spelled i3 or
 // f2 in .kir text, errors and diagnostics.
