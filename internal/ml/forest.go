@@ -13,11 +13,10 @@ import (
 // Forest is a random-forest regressor: bootstrap-aggregated CART trees
 // with per-split feature subsampling. Deterministic for a fixed Seed.
 //
-// Internally the ensemble is stored twice: the pointer-linked trees the
-// builder produces (retained as the reference implementation and the
-// persistence form) and a flattened structure-of-arrays copy that the
-// prediction hot path walks by index. Predict and PredictInto touch only
-// the flattened arrays and perform no allocations.
+// The ensemble lives in one flattened structure-of-arrays block, which
+// Fit builds and LoadModel decodes into; Predict and PredictInto walk it
+// by index and perform no allocations, and WriteJSON writes the bundle
+// form from it.
 type Forest struct {
 	// Trees is the ensemble size (default 100).
 	Trees int
@@ -31,27 +30,19 @@ type Forest struct {
 	// Seed drives all randomness (bootstrap and feature subsampling).
 	Seed int64
 
-	trees []*treeNode
-	flat  flatForest
-}
-
-type treeNode struct {
-	feature  int
-	thresh   float64
-	value    float64 // leaf prediction
-	lo, hi   *treeNode
-	leafFlag bool
+	flat flatForest
 }
 
 // leafFeature marks a leaf in the flattened feature array; lo/hi of a
 // leaf are unused and value holds the prediction.
 const leafFeature = int32(-1)
 
-// flatForest is the contiguous inference form of the ensemble: all
-// nodes of all trees in one structure-of-arrays block, trees identified
-// by their root index. Children are stored as absolute node indices, so
-// a predict walk is pure index chasing over five dense slices — no
-// pointers, no per-call allocation, cache-friendly.
+// flatForest is the ensemble: all nodes of all trees in one
+// structure-of-arrays block, each tree in preorder and identified by its
+// root index. Children are stored as absolute node indices, so a predict
+// walk is pure index chasing over five dense slices — no pointers, no
+// per-call allocation, cache-friendly. A leaf has thresh 0 and lo and hi
+// 0; a split has value 0.
 type flatForest struct {
 	roots   []int32
 	feature []int32 // split feature, or leafFeature for a leaf
@@ -60,34 +51,39 @@ type flatForest struct {
 	value   []float64 // leaf prediction (meaningful when feature < 0)
 }
 
-// flattenInto appends one pointer tree in preorder and returns its root
-// index.
-func (ff *flatForest) flattenInto(n *treeNode) int32 {
-	idx := int32(len(ff.feature))
-	if n.leafFlag {
-		ff.feature = append(ff.feature, leafFeature)
-		ff.thresh = append(ff.thresh, 0)
-		ff.lo = append(ff.lo, 0)
-		ff.hi = append(ff.hi, 0)
-		ff.value = append(ff.value, n.value)
-		return idx
-	}
-	ff.feature = append(ff.feature, int32(n.feature))
-	ff.thresh = append(ff.thresh, n.thresh)
-	ff.lo = append(ff.lo, 0)
-	ff.hi = append(ff.hi, 0)
-	ff.value = append(ff.value, 0)
-	ff.lo[idx] = ff.flattenInto(n.lo)
-	ff.hi[idx] = ff.flattenInto(n.hi)
-	return idx
+// node is one tree node as Fit's builders and LoadModel lay a tree out:
+// in preorder, children indexed from the tree's root.
+type node struct {
+	feature, lo, hi int32
+	thresh, value   float64
 }
 
-// flatten rebuilds the flattened arrays from the pointer trees.
-func flatten(trees []*treeNode) flatForest {
-	var ff flatForest
-	ff.roots = make([]int32, 0, len(trees))
+// merge lays the trees out one after another, in order, in exactly
+// sized arrays.
+func merge(trees [][]node) flatForest {
+	total := 0
 	for _, t := range trees {
-		ff.roots = append(ff.roots, ff.flattenInto(t))
+		total += len(t)
+	}
+	ff := flatForest{
+		roots:   make([]int32, len(trees)),
+		feature: make([]int32, total),
+		thresh:  make([]float64, total),
+		lo:      make([]int32, total),
+		hi:      make([]int32, total),
+		value:   make([]float64, total),
+	}
+	i := 0
+	for t, tree := range trees {
+		root := int32(i)
+		ff.roots[t] = root
+		for _, n := range tree {
+			ff.feature[i], ff.thresh[i], ff.value[i] = n.feature, n.thresh, n.value
+			if n.feature != leafFeature {
+				ff.lo[i], ff.hi[i] = root+n.lo, root+n.hi
+			}
+			i++
+		}
 	}
 	return ff
 }
@@ -134,7 +130,7 @@ func (f *Forest) Name() string { return "RandomForest" }
 // CheckFitted implements FitChecker: an error describes why the forest
 // cannot predict (never fitted, or loaded from a corrupt bundle).
 func (f *Forest) CheckFitted() error {
-	if len(f.trees) == 0 {
+	if len(f.flat.roots) == 0 {
 		return fmt.Errorf("ml: RandomForest is not fitted (no trees)")
 	}
 	return f.flat.validate()
@@ -189,7 +185,7 @@ func (f *Forest) Fit(x [][]float64, y []float64) error {
 			cols[j][i] = r[j]
 		}
 	}
-	f.trees = make([]*treeNode, nTrees)
+	trees := make([][]node, nTrees)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := min(runtime.GOMAXPROCS(0), nTrees); w > 0; w-- {
@@ -203,18 +199,20 @@ func (f *Forest) Fit(x [][]float64, y []float64) error {
 			}
 			for t := int(next.Add(1) - 1); t < nTrees; t = int(next.Add(1) - 1) {
 				b.rng = rand.New(rand.NewSource(seeds[t]))
-				f.trees[t] = b.build(samples[t], maxDepth)
+				b.nodes = b.nodes[:0]
+				b.build(samples[t], maxDepth)
+				trees[t] = slices.Clone(b.nodes)
 			}
 		}()
 	}
 	wg.Wait()
-	f.flat = flatten(f.trees)
+	f.flat = merge(trees)
 	return nil
 }
 
-// treeBuilder grows one tree at a time. pairs and hi are scratch sized
-// to the bootstrap sample and reused by every node of every tree the
-// builder grows.
+// treeBuilder grows one tree at a time into nodes. pairs and hi are
+// scratch sized to the bootstrap sample and reused by every node of
+// every tree the builder grows; nodes is reused by every tree.
 type treeBuilder struct {
 	cols    [][]float64 // x by column
 	y       []float64
@@ -224,6 +222,7 @@ type treeBuilder struct {
 	rng     *rand.Rand
 	pairs   []valueTarget
 	hi      []int
+	nodes   []node
 }
 
 // valueTarget is one sample in the split search: its value of the
@@ -242,16 +241,19 @@ func byValue(a, b valueTarget) int {
 	return 0
 }
 
-// build grows the subtree over the samples idx, which it reorders: the
-// samples that go low end up first, each side in its original order.
-func (b *treeBuilder) build(idx []int, depth int) *treeNode {
+// build appends the subtree over the samples idx to b.nodes in
+// preorder. It reorders idx: the samples that go low end up first, each
+// side in its original order.
+func (b *treeBuilder) build(idx []int, depth int) {
 	mean := 0.0
 	for _, i := range idx {
 		mean += b.y[i]
 	}
 	mean /= float64(len(idx))
+	leaf := node{feature: leafFeature, value: mean}
 	if depth == 0 || len(idx) < 2*b.minLeaf || constantTargets(b.y, idx) {
-		return &treeNode{leafFlag: true, value: mean}
+		b.nodes = append(b.nodes, leaf)
+		return
 	}
 
 	bestFeat, bestThresh, bestScore := -1, 0.0, math.Inf(1)
@@ -297,7 +299,8 @@ func (b *treeBuilder) build(idx []int, depth int) *treeNode {
 		}
 	}
 	if bestFeat < 0 {
-		return &treeNode{leafFlag: true, value: mean}
+		b.nodes = append(b.nodes, leaf)
+		return
 	}
 
 	// Stable partition in place: low samples move forward over the ones
@@ -312,15 +315,15 @@ func (b *treeBuilder) build(idx []int, depth int) *treeNode {
 		}
 	}
 	if nLo == 0 || len(hi) == 0 {
-		return &treeNode{leafFlag: true, value: mean}
+		b.nodes = append(b.nodes, leaf)
+		return
 	}
 	copy(idx[nLo:], hi)
-	return &treeNode{
-		feature: bestFeat,
-		thresh:  bestThresh,
-		lo:      b.build(idx[:nLo], depth-1),
-		hi:      b.build(idx[nLo:], depth-1),
-	}
+	n := len(b.nodes)
+	b.nodes = append(b.nodes, node{feature: int32(bestFeat), thresh: bestThresh, lo: int32(n + 1)})
+	b.build(idx[:nLo], depth-1)
+	b.nodes[n].hi = int32(len(b.nodes))
+	b.build(idx[nLo:], depth-1)
 }
 
 func (b *treeBuilder) sampleFeatures() []int {
@@ -365,7 +368,7 @@ func (f *Forest) Predict(x []float64) float64 {
 // Either way each row adds its leaf values in tree order, starting from
 // zero, and is divided by the tree count once at the end — the same
 // additions in the same order as a row-at-a-time walk, so the results
-// are bit-identical to it (and to PredictReference).
+// are bit-identical to it.
 func (f *Forest) PredictInto(dst []float64, rows [][]float64) {
 	dst = dst[:len(rows)]
 	ff := &f.flat
@@ -481,30 +484,4 @@ func (ff *flatForest) walkRange(dst []float64, rows [][]float64, n int32, a, b i
 	for i := a; i < b; i++ {
 		dst[i] += v
 	}
-}
-
-// PredictReference walks the original pointer-linked trees. It is the
-// differential oracle for the flattened walk: both visit the same nodes
-// and add each row's leaf values in the same order, so the results are
-// bit-identical.
-func (f *Forest) PredictReference(x []float64) float64 {
-	if len(f.trees) == 0 {
-		return math.NaN()
-	}
-	s := 0.0
-	for _, t := range f.trees {
-		s += t.predict(x)
-	}
-	return s / float64(len(f.trees))
-}
-
-func (n *treeNode) predict(x []float64) float64 {
-	for !n.leafFlag {
-		if x[n.feature] <= n.thresh {
-			n = n.lo
-		} else {
-			n = n.hi
-		}
-	}
-	return n.value
 }

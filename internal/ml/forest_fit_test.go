@@ -105,25 +105,6 @@ func (b *refBuilder) build(idx []int, depth int) *treeNode {
 	}
 }
 
-// sameTree reports where two trees first differ: structure, split
-// feature, or the bits of a threshold or leaf value. "" means identical.
-func sameTree(got, want *treeNode, path string) string {
-	switch {
-	case got.leafFlag != want.leafFlag:
-		return fmt.Sprintf("%s: leaf %v, want %v", path, got.leafFlag, want.leafFlag)
-	case got.leafFlag && math.Float64bits(got.value) != math.Float64bits(want.value):
-		return fmt.Sprintf("%s: leaf value %v, want %v", path, got.value, want.value)
-	case got.leafFlag:
-		return ""
-	case got.feature != want.feature || math.Float64bits(got.thresh) != math.Float64bits(want.thresh):
-		return fmt.Sprintf("%s: split x[%d] <= %v, want x[%d] <= %v", path, got.feature, got.thresh, want.feature, want.thresh)
-	}
-	if d := sameTree(got.lo, want.lo, path+"L"); d != "" {
-		return d
-	}
-	return sameTree(got.hi, want.hi, path+"H")
-}
-
 // fitDataset is a seeded training set built to stress the split search's
 // ties: y spans six decades, so a prefix sum taken in another order
 // rounds differently.
@@ -159,10 +140,11 @@ func fitDataset(name string, seed int64) ([][]float64, []float64) {
 }
 
 // TestFitMatchesReference is the differential oracle of the parallel,
-// pair-sorting Fit: on datasets heavy with tied values, duplicate rows
-// and constant columns it must grow the reference builder's trees node
-// for node, bit for bit, whatever GOMAXPROCS is (CI runs it at -cpu
-// 1,2,4 under -race).
+// pair-sorting Fit, which appends each tree's nodes straight into flat
+// arrays: on datasets heavy with tied values, duplicate rows and
+// constant columns its arrays must equal, bit for bit, the flattened
+// trees of the serial pointer-tree builder, and be exactly sized,
+// whatever GOMAXPROCS is (CI runs it at -cpu 1,2,4 under -race).
 func TestFitMatchesReference(t *testing.T) {
 	for _, name := range []string{"ties", "duplicates", "constant"} {
 		for _, f := range []Forest{
@@ -171,14 +153,18 @@ func TestFitMatchesReference(t *testing.T) {
 		} {
 			t.Run(fmt.Sprintf("%s/minleaf%d", name, f.MinLeaf), func(t *testing.T) {
 				x, y := fitDataset(name, 11)
-				want := referenceFit(&f, x, y)
+				want := flatten(referenceFit(&f, x, y))
 				if err := f.Fit(x, y); err != nil {
 					t.Fatal(err)
 				}
-				for i := range want {
-					if d := sameTree(f.trees[i], want[i], fmt.Sprintf("tree %d root", i)); d != "" {
-						t.Fatal(d)
-					}
+				if d := sameFlat(&f.flat, &want); d != "" {
+					t.Fatal(d)
+				}
+				ff := &f.flat
+				n := len(ff.feature)
+				if cap(ff.roots) != len(ff.roots) || cap(ff.feature) != n || cap(ff.thresh) != n ||
+					cap(ff.lo) != n || cap(ff.hi) != n || cap(ff.value) != n {
+					t.Fatalf("arrays of %d nodes not exactly sized", n)
 				}
 			})
 		}

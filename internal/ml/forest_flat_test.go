@@ -8,10 +8,9 @@ import (
 	"testing"
 )
 
-// fitTestForest trains a small forest on a deterministic nonlinear
-// surface wide enough to produce real splits on every feature.
-func fitTestForest(t *testing.T, trees, n, d int) (*Forest, [][]float64) {
-	t.Helper()
+// testForestData is a deterministic nonlinear surface wide enough to
+// produce real splits on every feature.
+func testForestData(n, d int) ([][]float64, []float64) {
 	rng := rand.New(rand.NewSource(11))
 	x := make([][]float64, n)
 	y := make([]float64, n)
@@ -23,7 +22,15 @@ func fitTestForest(t *testing.T, trees, n, d int) (*Forest, [][]float64) {
 		x[i] = row
 		y[i] = math.Sin(row[0]) + row[1]*row[1] + 0.25*row[d-1] + 0.01*rng.NormFloat64()
 	}
-	f := &Forest{Trees: trees, Seed: 3}
+	return x, y
+}
+
+// fitTestForest trains a small forest on testForestData, with every
+// parameter set so that referenceFit can grow the same trees.
+func fitTestForest(t *testing.T, trees, n, d int) (*Forest, [][]float64) {
+	t.Helper()
+	x, y := testForestData(n, d)
+	f := &Forest{Trees: trees, MaxDepth: 16, MinLeaf: 2, MaxFeatures: (d + 2) / 3, Seed: 3}
 	if err := f.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
@@ -31,10 +38,12 @@ func fitTestForest(t *testing.T, trees, n, d int) (*Forest, [][]float64) {
 }
 
 // The flattened index-walking Predict must be bit-identical to the
-// pointer-tree reference walk on every input, including points far
-// outside the training range.
+// pointer-tree walk over the serial reference builder's trees on every
+// input, including points far outside the training range.
 func TestFlattenedPredictMatchesReference(t *testing.T) {
 	f, x := fitTestForest(t, 24, 400, 6)
+	_, y := testForestData(400, 6)
+	ref := refForest(referenceFit(f, x, y))
 	rng := rand.New(rand.NewSource(5))
 	probe := make([]float64, 6)
 	for trial := 0; trial < 2000; trial++ {
@@ -48,7 +57,7 @@ func TestFlattenedPredictMatchesReference(t *testing.T) {
 			row = probe
 		}
 		got := f.Predict(row)
-		want := f.PredictReference(row)
+		want := ref.predict(row)
 		if got != want {
 			t.Fatalf("trial %d: flattened %v != reference %v", trial, got, want)
 		}
@@ -116,19 +125,15 @@ func TestCheckFittedAcrossAlgorithms(t *testing.T) {
 }
 
 // Persistence must reject bundles whose tree arrays are empty, and a
-// round-trip must preserve predictions bit-exactly (the loaded forest
-// re-flattens from the decoded pointer trees).
+// round-trip must preserve predictions bit-exactly and decode into
+// exactly the arrays that were saved.
 func TestForestPersistValidation(t *testing.T) {
 	if _, err := LoadModel(strings.NewReader(`{"algo":"RandomForest","data":{"trees":[]}}`)); err == nil {
 		t.Error("empty-tree forest bundle accepted")
 	}
 
 	f, x := fitTestForest(t, 8, 120, 4)
-	var buf bytes.Buffer
-	if err := SaveModel(&buf, f); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadModel(bytes.NewReader(buf.Bytes()))
+	loaded, err := LoadModel(bytes.NewReader(saveModel(t, f)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,6 +143,9 @@ func TestForestPersistValidation(t *testing.T) {
 	}
 	if err := lf.CheckFitted(); err != nil {
 		t.Fatal(err)
+	}
+	if d := sameFlat(&lf.flat, &f.flat); d != "" {
+		t.Fatal(d)
 	}
 	for i, row := range x {
 		if got, want := lf.Predict(row), f.Predict(row); got != want {

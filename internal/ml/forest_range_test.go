@@ -8,11 +8,13 @@ import (
 )
 
 // rangeTestForests returns the small forests FuzzForestPredictInto
-// draws from, all over three features: fitted ones of 1, 4 and 9 trees
-// whose training values sit on a 0.5 grid, so batch values on the 0.25
-// grid land exactly on their thresholds, and one hand-built tree with a
-// NaN and two infinite thresholds, which no fit produces.
-func rangeTestForests(tb testing.TB) []*Forest {
+// draws from, all over three features, each with its pointer trees:
+// fitted ones of 1, 4 and 9 trees, whose pointer trees come from the
+// serial reference builder and whose training values sit on a 0.5 grid,
+// so batch values on the 0.25 grid land exactly on their thresholds,
+// and one hand-built forest, flattened, with a NaN and two infinite
+// thresholds, which no fit produces.
+func rangeTestForests(tb testing.TB) ([]*Forest, []refForest) {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(17))
 	x := make([][]float64, 60)
@@ -26,28 +28,29 @@ func rangeTestForests(tb testing.TB) []*Forest {
 		y[i] = x[i][0]*x[i][1] - math.Abs(x[i][2]) + 0.1*rng.NormFloat64()
 	}
 	var forests []*Forest
+	var refs []refForest
 	for _, f := range []*Forest{
-		{Trees: 1, MinLeaf: 1, Seed: 1},
-		{Trees: 4, MaxDepth: 3, Seed: 2},
-		{Trees: 9, MinLeaf: 1, MaxFeatures: 3, Seed: 3},
+		{Trees: 1, MaxDepth: 16, MinLeaf: 1, MaxFeatures: 1, Seed: 1},
+		{Trees: 4, MaxDepth: 3, MinLeaf: 2, MaxFeatures: 1, Seed: 2},
+		{Trees: 9, MaxDepth: 16, MinLeaf: 1, MaxFeatures: 3, Seed: 3},
 	} {
 		if err := f.Fit(x, y); err != nil {
 			tb.Fatal(err)
 		}
 		forests = append(forests, f)
+		refs = append(refs, referenceFit(f, x, y))
 	}
 	leaf := func(v float64) *treeNode { return &treeNode{leafFlag: true, value: v} }
 	split := func(feature int, thresh float64, lo, hi *treeNode) *treeNode {
 		return &treeNode{feature: feature, thresh: thresh, lo: lo, hi: hi}
 	}
-	odd := &Forest{trees: []*treeNode{
+	odd := refForest{
 		split(0, 0.25,
 			split(1, math.Inf(1), split(0, -1, leaf(1), leaf(2)), leaf(3)),
 			split(2, math.NaN(), leaf(4), split(1, math.Inf(-1), leaf(5), split(2, 0.5, leaf(6), leaf(7))))),
 		split(2, 0, leaf(-1), leaf(-2)),
-	}}
-	odd.flat = flatten(odd.trees)
-	return append(forests, odd)
+	}
+	return append(forests, &Forest{flat: flatten(odd)}), append(refs, odd)
 }
 
 // Column kinds FuzzForestPredictInto builds a batch from. Every kind
@@ -110,13 +113,13 @@ func rangeTestColumn(rng *rand.Rand, rows [][]float64, j, kind int) {
 }
 
 // PredictInto walks monotone batches as row ranges and every other
-// batch row by row; both must be bit-identical to the pointer-tree
-// oracle on every row (NaN equal to NaN), write nothing past the batch,
-// and take the range walk exactly when they may. The batches mix
-// ascending, descending, constant and tied columns with non-monotone
-// ones, NaN and ±Inf, and run from 0 rows up.
+// batch row by row; both must be bit-identical to the walk over the
+// forest's pointer trees on every row (NaN equal to NaN), write nothing
+// past the batch, and take the range walk exactly when they may. The
+// batches mix ascending, descending, constant and tied columns with
+// non-monotone ones, NaN and ±Inf, and run from 0 rows up.
 func FuzzForestPredictInto(f *testing.F) {
-	forests := rangeTestForests(f)
+	forests, refs := rangeTestForests(f)
 	pack := func(a, b, c int) uint32 { return uint32(a | b<<4 | c<<8) }
 	f.Add(uint8(0), uint8(0), pack(colAscending, colAscending, colAscending), int64(1))
 	f.Add(uint8(1), uint8(1), pack(colDescending, colConstant, colTied), int64(2))
@@ -126,7 +129,7 @@ func FuzzForestPredictInto(f *testing.F) {
 	f.Add(uint8(1), uint8(17), pack(colNaN, colAscending, colAscending), int64(6))
 	f.Add(uint8(3), uint8(9), pack(colInfUp, colTied, colNaN), int64(7))
 	f.Fuzz(func(t *testing.T, which, n uint8, kinds uint32, seed int64) {
-		forest := forests[int(which)%len(forests)]
+		forest, ref := forests[int(which)%len(forests)], refs[int(which)%len(forests)]
 		rng := rand.New(rand.NewSource(seed))
 		rows := make([][]float64, int(n)%40)
 		for i := range rows {
@@ -152,7 +155,7 @@ func FuzzForestPredictInto(f *testing.F) {
 			t.Fatalf("PredictInto wrote past the batch: %v", dst[len(rows)])
 		}
 		for i, row := range rows {
-			want := forest.PredictReference(row)
+			want := ref.predict(row)
 			if !sameBits(dst[i], want) {
 				t.Fatalf("row %d of %d %v: PredictInto %v != reference %v", i, len(rows), row, dst[i], want)
 			}

@@ -2,19 +2,30 @@ package ml
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
+
+// saveModel returns the envelope WriteJSON writes for m as a field.
+func saveModel(t *testing.T, m Regressor) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteJSON(&buf, Field{Key: "m", Value: m}); err != nil {
+		t.Fatalf("%s: save: %v", m.Name(), err)
+	}
+	var doc struct{ M json.RawMessage }
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	return doc.M
+}
 
 // roundTrip saves and reloads a model, checking predictions match
 // exactly on a probe grid.
 func roundTrip(t *testing.T, m Regressor, dims int) {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := SaveModel(&buf, m); err != nil {
-		t.Fatalf("%s: save: %v", m.Name(), err)
-	}
-	loaded, err := LoadModel(&buf)
+	loaded, err := LoadModel(bytes.NewReader(saveModel(t, m)))
 	if err != nil {
 		t.Fatalf("%s: load: %v", m.Name(), err)
 	}
@@ -49,8 +60,8 @@ func TestSaveLoadAllModelTypes(t *testing.T) {
 
 func TestSaveUnfittedSVRFails(t *testing.T) {
 	var buf bytes.Buffer
-	if err := SaveModel(&buf, &SVR{}); err == nil {
-		t.Fatal("unfitted SVR saved")
+	if err := WriteJSON(&buf, Field{Key: "m", Value: &SVR{}}); err == nil || buf.Len() != 0 {
+		t.Fatalf("unfitted SVR: error %v after %d bytes, want an error and none", err, buf.Len())
 	}
 }
 
@@ -82,9 +93,11 @@ func TestLoadRejectsGarbage(t *testing.T) {
 }
 
 func TestSaveRejectsUnknownType(t *testing.T) {
-	var buf bytes.Buffer
-	if err := SaveModel(&buf, fakeModel{}); err == nil {
-		t.Fatal("unknown model type saved")
+	for _, v := range []any{fakeModel{}, nil, 3.5} {
+		var buf bytes.Buffer
+		if err := WriteJSON(&buf, Field{Key: "a", Value: "b"}, Field{Key: "m", Value: v}); err == nil || buf.Len() != 0 {
+			t.Fatalf("%T: error %v after %d bytes, want an error and none", v, err, buf.Len())
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package model
 
 import (
+	"io"
+	"sync"
 	"testing"
 
 	"synergy/internal/benchsuite"
@@ -54,16 +56,40 @@ func BenchmarkTrain(b *testing.B) {
 	}
 }
 
+// v100Stride8 is the V100 stride-8 forest bundle, the one
+// cmd/synergy-bench's advice daemon serves, trained once per test
+// binary.
+var v100Stride8 = sync.OnceValues(func() (*Models, error) {
+	return TrainDefault(hw.V100(), AlgoForest, 8)
+})
+
 // BenchmarkFingerprint hashes the SaveModels bytes of the V100 stride-8
 // forest bundle, which serve.New and every reload do once.
 func BenchmarkFingerprint(b *testing.B) {
-	m, err := TrainDefault(hw.V100(), AlgoForest, 8)
+	m, err := v100Stride8()
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := m.Fingerprint(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSaveModels writes the same bundle, as synergy-train -save
+// does, to io.Discard.
+func BenchmarkSaveModels(b *testing.B) {
+	m, err := v100Stride8()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := SaveModels(io.Discard, m); err != nil {
 			b.Fatal(err)
 		}
 	}

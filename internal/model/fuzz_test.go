@@ -101,10 +101,11 @@ var reloadProbes = []features.Vector{
 // FuzzLoadModels feeds mutated bundle bytes to LoadModels. It must
 // return an error, or a bundle whose predictor advises every standard
 // target on the reload probes without panicking, every advice naming a
-// clock of the device's table, and which saves to bytes that load back
-// to the same fingerprint. The seeds are compacted: the fuzzer
-// minimizes every new input it finds byte by byte, which takes minutes
-// on an indented bundle.
+// clock of the device's table, which saves to the bytes the
+// encoding/json reference writes for the input decoded and made
+// canonical, and whose saved bytes load back to the same fingerprint.
+// The seeds are compacted: the fuzzer minimizes every new input it
+// finds byte by byte, which takes minutes on an indented bundle.
 func FuzzLoadModels(f *testing.F) {
 	seed := func(bundle []byte) {
 		var buf bytes.Buffer
@@ -134,11 +135,19 @@ func FuzzLoadModels(f *testing.F) {
 				}
 			}
 		}
+		saved := saveBundle(t, m)
+		ref, err := refDecode(data)
+		if err != nil {
+			t.Fatalf("the reference cannot decode a bundle LoadModels accepted: %v", err)
+		}
+		if refBytes, err := refEncode(ref); err != nil || !bytes.Equal(saved, refBytes) {
+			t.Fatalf("SaveModels wrote %d bytes, the reference %d (%v):\n%s\nwant\n%s", len(saved), len(refBytes), err, saved, refBytes)
+		}
 		want, err := m.Fingerprint()
 		if err != nil {
 			t.Fatal(err)
 		}
-		again, err := LoadModels(bytes.NewReader(saveBundle(t, m)))
+		again, err := LoadModels(bytes.NewReader(saved))
 		if err != nil {
 			t.Fatalf("re-saved bundle does not load: %v", err)
 		}

@@ -13,17 +13,16 @@ import (
 	"synergy/internal/ml"
 )
 
-// bundleState serialises the four trained models with their device and
-// algorithm, so the §3.2 installation step (train once per device) can
-// ship its output as a single JSON artifact. Each model is its ml.State
-// when saving and json.RawMessage when loading.
-type bundleState[T any] struct {
-	Device string `json:"device"`
-	Algo   string `json:"algo"`
-	Time   T      `json:"time"`
-	Energy T      `json:"energy"`
-	EDP    T      `json:"edp"`
-	ED2P   T      `json:"ed2p"`
+// bundleState is a bundle as LoadModels decodes it: the device and
+// algorithm of the §3.2 installation step's single JSON artifact, and
+// its four models, each still undecoded.
+type bundleState struct {
+	Device string          `json:"device"`
+	Algo   string          `json:"algo"`
+	Time   json.RawMessage `json:"time"`
+	Energy json.RawMessage `json:"energy"`
+	EDP    json.RawMessage `json:"edp"`
+	ED2P   json.RawMessage `json:"ed2p"`
 }
 
 // deviceKey maps a spec to the identifier used by hw.SpecByName.
@@ -36,31 +35,23 @@ func deviceKey(spec *hw.Spec) (string, error) {
 	return "", fmt.Errorf("model: device %q is not a builtin spec", spec.Name)
 }
 
-// SaveModels writes the trained bundle to w.
+// SaveModels writes the trained bundle to w: an indented JSON object of
+// the device, the algorithm and the four models (ml.WriteJSON). It
+// writes nothing if a model cannot be saved.
 func SaveModels(w io.Writer, m *Models) error {
 	key, err := deviceKey(m.Spec)
 	if err != nil {
 		return err
 	}
-	st := bundleState[any]{Device: key, Algo: m.Algo}
-	for _, part := range []struct {
-		dst *any
-		r   ml.Regressor
-	}{
-		{&st.Time, m.Time}, {&st.Energy, m.Energy}, {&st.EDP, m.EDP}, {&st.ED2P, m.ED2P},
-	} {
-		if *part.dst, err = ml.State(part.r); err != nil {
-			return err
-		}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(st)
+	return ml.WriteJSON(w,
+		ml.Field{Key: "device", Value: key}, ml.Field{Key: "algo", Value: m.Algo},
+		ml.Field{Key: "time", Value: m.Time}, ml.Field{Key: "energy", Value: m.Energy},
+		ml.Field{Key: "edp", Value: m.EDP}, ml.Field{Key: "ed2p", Value: m.ED2P})
 }
 
 // LoadModels reads a bundle written by SaveModels.
 func LoadModels(r io.Reader) (*Models, error) {
-	var st bundleState[json.RawMessage]
+	var st bundleState
 	if err := json.NewDecoder(r).Decode(&st); err != nil {
 		return nil, fmt.Errorf("model: decoding bundle: %w", err)
 	}
@@ -105,11 +96,14 @@ func LoadFile(path string) (*Models, error) {
 }
 
 // Fingerprint returns a short content fingerprint of the bundle: the
-// truncated SHA-256 of its canonical SaveModels serialization. Two
-// bundles fingerprint equal exactly when they would serve identical
-// predictions, so the serve daemon can echo the fingerprint on every
-// response and prove reload atomicity (no response computed from a mix
-// of two bundles).
+// truncated SHA-256 of its SaveModels bytes, streamed into the hash as
+// they are written. Those bytes are canonical: a loaded bundle keeps
+// only what its predictions read, so a hand-edited bundle that sets
+// other fields fingerprints as the bundle it predicts like. Two bundles
+// fingerprint equal exactly when they would serve identical predictions,
+// so the serve daemon can echo the fingerprint on every response and
+// prove reload atomicity (no response computed from a mix of two
+// bundles).
 func (m *Models) Fingerprint() (string, error) {
 	h := sha256.New()
 	if err := SaveModels(h, m); err != nil {

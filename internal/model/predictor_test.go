@@ -43,12 +43,13 @@ func forestBundle(t testing.TB, spec *hw.Spec) *Models {
 	return trainedBundle(t, spec, AlgoForest)
 }
 
-// The flattened forest is the production predictor; the pointer trees it
-// was built from stay around as the differential oracle. Across every
-// builtin device, every suite benchmark and every supported frequency,
-// all four target models must agree bit-for-bit, both one row at a time
-// (Predict) and over the device's whole clock table at once
-// (PredictInto, whose clock-table batches take the range walk).
+// The flattened forest is the only form a forest keeps; the oracle of
+// its walks is the pointer trees that encoding/json decodes from the
+// bundle's saved bytes. Across every builtin device, every suite
+// benchmark and every supported frequency, all four target models must
+// agree bit-for-bit, both one row at a time (Predict) and over the
+// device's whole clock table at once (PredictInto, whose clock-table
+// batches take the range walk).
 func TestFlattenedForestMatchesReferenceAcrossDevices(t *testing.T) {
 	devices := hw.BuiltinSpecs()
 	freqStep := 1
@@ -63,9 +64,20 @@ func TestFlattenedForestMatchesReferenceAcrossDevices(t *testing.T) {
 	for name, spec := range devices {
 		t.Run(name, func(t *testing.T) {
 			m := forestBundle(t, spec)
-			forests := map[string]*ml.Forest{
-				"time": m.Time.(*ml.Forest), "energy": m.Energy.(*ml.Forest),
-				"edp": m.EDP.(*ml.Forest), "ed2p": m.ED2P.(*ml.Forest),
+			ref, err := refDecode(saveBundle(t, m))
+			if err != nil {
+				t.Fatal(err)
+			}
+			type pair struct {
+				flat *ml.Forest
+				ref  *refForest
+			}
+			tree := func(model, decoded any) pair {
+				return pair{model.(*ml.Forest), decoded.(refEnvelope).Data.(*refForest)}
+			}
+			forests := map[string]pair{
+				"time": tree(m.Time, ref.Time), "energy": tree(m.Energy, ref.Energy),
+				"edp": tree(m.EDP, ref.EDP), "ed2p": tree(m.ED2P, ref.ED2P),
 			}
 			rows := make([][]float64, len(spec.CoreFreqsMHz))
 			batch := make([]float64, len(rows))
@@ -75,11 +87,11 @@ func TestFlattenedForestMatchesReferenceAcrossDevices(t *testing.T) {
 					rows[i] = featuresRow(v, f)
 				}
 				for which, fr := range forests {
-					fr.PredictInto(batch, rows)
+					fr.flat.PredictInto(batch, rows)
 					for i := 0; i < len(rows); i += freqStep {
 						f := spec.CoreFreqsMHz[i]
-						got := fr.Predict(rows[i])
-						want := fr.PredictReference(rows[i])
+						got := fr.flat.Predict(rows[i])
+						want := fr.ref.predict(rows[i])
 						if got != want || batch[i] != want {
 							t.Fatalf("%s/%s@%dMHz %s model: flat %v, batch %v != reference %v",
 								name, b.Name, f, which, got, batch[i], want)

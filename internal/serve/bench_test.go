@@ -9,7 +9,9 @@ import (
 	"testing"
 
 	"synergy/internal/features"
+	"synergy/internal/hw"
 	"synergy/internal/metrics"
+	"synergy/internal/model"
 )
 
 // BenchmarkServePredict is the daemon's in-process hot path: one advice
@@ -110,6 +112,35 @@ func BenchmarkServeHTTP(b *testing.B) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
 			b.Fatalf("status %d", resp.StatusCode)
+		}
+	}
+}
+
+// BenchmarkReload is one reload of the V100 stride-8 forest bundle, the
+// one cmd/synergy-bench's advice daemon serves, from its saved bytes:
+// LoadModels, then Reload's Check, Fingerprint and self-test.
+func BenchmarkReload(b *testing.B) {
+	m, err := model.TrainDefault(hw.V100(), model.AlgoForest, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var saved bytes.Buffer
+	if err := model.SaveModels(&saved, m); err != nil {
+		b.Fatal(err)
+	}
+	s, err := New(m, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cand, err := model.LoadModels(bytes.NewReader(saved.Bytes()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := s.Reload(cand); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
