@@ -1,7 +1,6 @@
 package opt_test
 
 import (
-	"strconv"
 	"testing"
 
 	"synergy/internal/benchsuite"
@@ -23,89 +22,24 @@ func BenchmarkOptimizeSuite(b *testing.B) {
 	}
 }
 
-// hostileWide is one repeat holding a 3,200-instruction loop-carried
-// chain: nothing in it can be hoisted, so LICM examines every
-// instruction and moves none.
-func hostileWide() *kernelir.Kernel {
-	b := kernelir.NewBuilder("hostile_wide")
-	in := b.BufferF32("in", kernelir.Read)
-	out := b.BufferF32("out", kernelir.Write)
-	s := b.ScalarF("s")
-	gid := b.GlobalID()
-	b.Repeat(4, func() {
-		x := b.LoadF(in, gid)
-		for i := 0; i < 3198; i++ {
-			if i%2 == 0 {
-				x = b.AddF(x, s)
-			} else {
-				x = b.MulF(x, s)
-			}
-		}
-		b.StoreF(out, gid, x)
-	})
-	return b.MustBuild()
-}
-
-// hostileNest is 800 distinct invariants, each folded into a
-// loop-carried sum, 4 repeats deep: LICM lifts the whole batch out one
-// level per round.
-func hostileNest() *kernelir.Kernel {
-	b := kernelir.NewBuilder("hostile_nest")
-	in := b.BufferF32("in", kernelir.Read)
-	out := b.BufferF32("out", kernelir.Write)
-	ps := make([]kernelir.FloatReg, 40)
-	for i := range ps {
-		ps[i] = b.ScalarF("p" + strconv.Itoa(i))
-	}
-	gid := b.GlobalID()
-	var nest func(depth int)
-	nest = func(depth int) {
-		if depth > 0 {
-			b.Repeat(2, func() { nest(depth - 1) })
-			return
-		}
-		x := b.LoadF(in, gid)
-		for k := 0; k < 800; k++ {
-			x = b.AddF(x, b.AddF(ps[k%40], ps[k/40]))
-		}
-		b.StoreF(out, gid, x)
-	}
-	nest(4)
-	return b.MustBuild()
-}
-
-// hostileChain is a 400-link invariant chain in one repeat: each link
-// reads the one before, so LICM can lift only the chain's head per
-// round.
-func hostileChain() *kernelir.Kernel {
-	b := kernelir.NewBuilder("hostile_chain")
-	in := b.BufferF32("in", kernelir.Read)
-	out := b.BufferF32("out", kernelir.Write)
-	s := b.ScalarF("s")
-	gid := b.GlobalID()
-	b.Repeat(2, func() {
-		v := b.LoadF(in, gid)
-		x := s
-		for k := 0; k < 400; k++ {
-			x = b.AddF(x, s)
-		}
-		b.StoreF(out, gid, b.AddF(v, x))
-	})
-	return b.MustBuild()
-}
-
-// BenchmarkOptimizeHostile times the optimizer on kernels far larger
-// than any real one, shaped to stress LICM: a wide loop with nothing to
-// hoist, a batch of invariants deep in a nest, and an invariant chain
-// that leaves one link per LICM round.
+// BenchmarkOptimizeHostile times the optimizer on the hostile
+// families (hostile_test.go): a wide loop with nothing to hoist, a
+// batch of invariants deep in a nest, an invariant chain that leaves
+// one link per scan of its loop, multiplies that algebra examines and
+// cannot reduce, and sibling empty repeats for dce to remove. The last
+// two run at two sizes, a factor of two apart, so their growth shows.
 func BenchmarkOptimizeHostile(b *testing.B) {
 	for _, c := range []struct {
 		name string
 		k    *kernelir.Kernel
 	}{
-		{"wide", hostileWide()},
-		{"nest", hostileNest()},
-		{"chain", hostileChain()},
+		{"wide", hostileWide(3200)},
+		{"nest", hostileNest(800)},
+		{"chain", hostileChain(400)},
+		{"mul/1600", hostileMul(1600)},
+		{"mul/3200", hostileMul(3200)},
+		{"empty/5000", hostileEmpty(5000)},
+		{"empty/10000", hostileEmpty(10000)},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
