@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 
 	"synergy/internal/benchsuite"
@@ -69,7 +68,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		spec = s
 	}
 
-	kernels, err := loadTargets(fs.Args())
+	kernels, err := benchsuite.Kernels(fs.Args())
 	if err != nil {
 		fmt.Fprintf(stderr, "synergy-lint: %v\n", err)
 		return 2
@@ -122,7 +121,7 @@ func renderOpt(w io.Writer, k *kernelir.Kernel, diff bool) {
 		return
 	}
 	fmt.Fprintf(w, "  opt: %d -> %d instructions (%s)%s\n",
-		res.Before, res.After, pct(res.Before, res.After), passSummary(res))
+		res.Before, res.After, opt.PctChange(res.Before, res.After), res.PassSummary())
 	if diff {
 		for _, rw := range res.Rewrites {
 			fmt.Fprintf(w, "    %-9s pc %3d: %s\n", rw.Pass, rw.PC, rw.Note)
@@ -143,63 +142,5 @@ func renderOptTotal(w io.Writer, kernels []*kernelir.Kernel) {
 		before += res.Before
 		after += res.After
 	}
-	fmt.Fprintf(w, "total: %d -> %d instructions (%s)\n", before, after, pct(before, after))
-}
-
-func pct(before, after int) string {
-	if before == 0 {
-		return "+0.0%"
-	}
-	return fmt.Sprintf("%+.1f%%", 100*float64(after-before)/float64(before))
-}
-
-func passSummary(res opt.Result) string {
-	counts := res.PassCounts()
-	if len(counts) == 0 {
-		return ""
-	}
-	names := make([]string, 0, len(counts))
-	for name := range counts {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	parts := make([]string, len(names))
-	for i, name := range names {
-		parts[i] = fmt.Sprintf("%s %d", name, counts[name])
-	}
-	return "; " + strings.Join(parts, ", ")
-}
-
-// loadTargets resolves benchmark names and .kir files into kernels; no
-// targets means the full suite.
-func loadTargets(args []string) ([]*kernelir.Kernel, error) {
-	if len(args) == 0 {
-		all := benchsuite.All()
-		ks := make([]*kernelir.Kernel, len(all))
-		for i, b := range all {
-			ks[i] = b.Kernel
-		}
-		return ks, nil
-	}
-	ks := make([]*kernelir.Kernel, 0, len(args))
-	for _, arg := range args {
-		if strings.HasSuffix(arg, ".kir") {
-			text, err := os.ReadFile(arg)
-			if err != nil {
-				return nil, err
-			}
-			k, err := kernelir.Assemble(string(text))
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", arg, err)
-			}
-			ks = append(ks, k)
-			continue
-		}
-		b, err := benchsuite.ByName(arg)
-		if err != nil {
-			return nil, err
-		}
-		ks = append(ks, b.Kernel)
-	}
-	return ks, nil
+	fmt.Fprintf(w, "total: %d -> %d instructions (%s)\n", before, after, opt.PctChange(before, after))
 }

@@ -8,7 +8,9 @@ package benchsuite
 
 import (
 	"fmt"
+	"os"
 	"sort"
+	"strings"
 
 	"synergy/internal/kernelir"
 
@@ -70,6 +72,40 @@ func ByName(name string) (*Benchmark, error) {
 		}
 	}
 	return nil, fmt.Errorf("benchsuite: unknown benchmark %q", name)
+}
+
+// Kernels resolves command-line targets, each a benchmark name or the
+// path of a .kir file, into kernels; no targets means the full suite.
+func Kernels(targets []string) ([]*kernelir.Kernel, error) {
+	if len(targets) == 0 {
+		all := All()
+		ks := make([]*kernelir.Kernel, len(all))
+		for i, b := range all {
+			ks[i] = b.Kernel
+		}
+		return ks, nil
+	}
+	ks := make([]*kernelir.Kernel, 0, len(targets))
+	for _, arg := range targets {
+		if strings.HasSuffix(arg, ".kir") {
+			text, err := os.ReadFile(arg)
+			if err != nil {
+				return nil, err
+			}
+			k, err := kernelir.Assemble(string(text))
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", arg, err)
+			}
+			ks = append(ks, k)
+			continue
+		}
+		b, err := ByName(arg)
+		if err != nil {
+			return nil, err
+		}
+		ks = append(ks, b.Kernel)
+	}
+	return ks, nil
 }
 
 // Names lists the suite in order.

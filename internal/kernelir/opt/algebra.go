@@ -16,16 +16,24 @@ import (
 //
 // Strength reduction rewrites x * 2^k into x << k when the power-of-two
 // constant register is defined once and consumed only by that multiply,
-// so its defining OpConstI can be retargeted to hold k. Features-wise
-// this moves the instruction from the IntMul class to IntBw — the same
-// merged IntOps resource in the hardware model, but the sharper class
-// the SYnergy feature vector wants.
+// so its defining OpConstI can be retargeted to hold k. The pass counts
+// each register's writes and reads once, at the first multiply it
+// examines, and keeps the counts current at every rewrite after, so a
+// candidate costs no scan of the body.
+// Features-wise this moves the instruction from the IntMul class to
+// IntBw — the same merged IntOps resource in the hardware model, but
+// the sharper class the SYnergy feature vector wants.
 func algebraPass(k *kernelir.Kernel, body []kernelir.Instr) ([]kernelir.Instr, []Rewrite) {
 	out := append([]kernelir.Instr(nil), body...)
+	var u *regUse // counts out from the first strength-reduction candidate on
 	var rws []Rewrite
 
 	rewrite := func(pc int, in kernelir.Instr, note string) {
-		out[pc] = in
+		if u != nil {
+			u.set(pc, in)
+		} else {
+			out[pc] = in
+		}
 		rws = append(rws, Rewrite{Pass: "algebra", PC: pc, Note: note})
 	}
 	moveI := func(dst, src int) kernelir.Instr {
@@ -75,7 +83,10 @@ func algebraPass(k *kernelir.Kernel, body []kernelir.Instr) ([]kernelir.Instr, [
 			case aKnown && aConst == 1:
 				rewrite(pc, moveI(in.Dst, in.B), fmt.Sprintf("1 * i%d = i%d", in.B, in.B))
 			default:
-				strengthReduce(out, pc, st, &rws)
+				if u == nil {
+					u = newRegUse(k, out)
+				}
+				strengthReduce(u, pc, st, &rws)
 			}
 		case kernelir.OpDivI:
 			if bKnown && bConst == 1 {
@@ -150,35 +161,35 @@ func algebraPass(k *kernelir.Kernel, body []kernelir.Instr) ([]kernelir.Instr, [
 	return out, rws
 }
 
-// strengthReduce rewrites out[pc] (an OpMulI) into a shift when one
+// strengthReduce rewrites the OpMulI at pc into a shift when one
 // operand register is a single-def single-use power-of-two OpConstI:
 // the constant's defining instruction is retargeted to hold the shift
 // count and the multiply becomes OpShlI. Both conditions are required —
 // the constant register changes value, so no other instruction may
 // observe it.
-func strengthReduce(out []kernelir.Instr, pc int, st *constState, rws *[]Rewrite) {
-	in := out[pc]
+func strengthReduce(u *regUse, pc int, st *constState, rws *[]Rewrite) {
+	in := u.body[pc]
 	if in.A == in.B {
 		return // x*x with x constant is handled by folding, not here
 	}
 	try := func(constReg, otherReg int) bool {
 		r := kernelir.Reg{File: kernelir.I32, N: constReg}
-		imm, defPC, ok := uniqueConstDef(out, r)
+		imm, defPC, ok := u.constDef(r)
 		// The unique definition must execute before the multiply; in
 		// structured straight-line code that is textual order.
-		if !ok || defPC >= pc || out[defPC].Op != kernelir.OpConstI {
+		if !ok || defPC >= pc || u.body[defPC].Op != kernelir.OpConstI {
 			return false
 		}
 		v := int64(imm)
 		if v < 2 || v&(v-1) != 0 {
 			return false
 		}
-		if readCount(out, r) != 1 {
+		if u.reads[u.k.RegIndex(r)] != 1 {
 			return false
 		}
 		shift := int64(bits.TrailingZeros64(uint64(v)))
-		out[defPC] = kernelir.Instr{Op: kernelir.OpConstI, Dst: out[defPC].Dst, Imm: float64(shift)}
-		out[pc] = kernelir.Instr{Op: kernelir.OpShlI, Dst: in.Dst, A: otherReg, B: constReg}
+		u.set(defPC, kernelir.Instr{Op: kernelir.OpConstI, Dst: constReg, Imm: float64(shift)})
+		u.set(pc, kernelir.Instr{Op: kernelir.OpShlI, Dst: in.Dst, A: otherReg, B: constReg})
 		// The const register's value changed under the walker's feet;
 		// refresh the propagation state so later rewrites in this same
 		// walk see the shift count, not the stale multiplier.

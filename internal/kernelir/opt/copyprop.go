@@ -24,10 +24,6 @@ import (
 // subtree writes, which invalidates loop-carried copies for the walk of
 // the body.
 func copyPropPass(k *kernelir.Kernel, body []kernelir.Instr) ([]kernelir.Instr, []Rewrite) {
-	tree, err := kernelir.BuildLoopTree(body)
-	if err != nil {
-		return nil, nil
-	}
 	out := append([]kernelir.Instr(nil), body...)
 	var rws []Rewrite
 	vers := make([]int, k.NumRegs())
@@ -49,47 +45,33 @@ func copyPropPass(k *kernelir.Kernel, body []kernelir.Instr) ([]kernelir.Instr, 
 		return c.src, true
 	}
 
-	var scan func(lo, hi int)
-	scan = func(lo, hi int) {
-		for pc := lo; pc < hi; pc++ {
-			in := out[pc]
-			if in.Op == kernelir.OpRepeatBegin {
-				end := tree.Match(pc)
-				bumpWrites(k, vers, out[pc+1:end])
-				scan(pc+1, end)
-				pc = end
-				continue
-			}
-			if in.Op == kernelir.OpRepeatEnd {
-				continue
-			}
-			// Substitute operands before processing the write.
-			rs, n := in.Reads()
-			for i, r := range rs[:n] {
-				if s, ok := resolve(r); ok && s != r.N {
-					rws = append(rws, Rewrite{
-						Pass: "copyprop", PC: pc,
-						Note: fmt.Sprintf("%s operand %s: r%d is a live copy of r%d", in.Op, "ABC"[i:i+1], r.N, s),
-					})
-					in.SetRead(i, s)
-				}
-			}
-			out[pc] = in
-
-			w, hasDst := in.Write()
-			if !hasDst {
-				continue
-			}
-			d := k.RegIndex(w)
-			vers[d]++
-			delete(copies, d)
-			if (in.Op == kernelir.OpMoveI || in.Op == kernelir.OpMoveF) && in.A != in.Dst {
-				src := kernelir.Reg{File: w.File, N: in.A}
-				copies[d] = cp{src: in.A, srcVer: vers[k.RegIndex(src)], ownVer: vers[d]}
+	walk(out, func(r kernelir.Reg) { vers[k.RegIndex(r)]++ }, func(pc int) {
+		in := out[pc]
+		// Substitute operands before processing the write.
+		rs, n := in.Reads()
+		for i, r := range rs[:n] {
+			if s, ok := resolve(r); ok && s != r.N {
+				rws = append(rws, Rewrite{
+					Pass: "copyprop", PC: pc,
+					Note: fmt.Sprintf("%s operand %s: r%d is a live copy of r%d", in.Op, "ABC"[i:i+1], r.N, s),
+				})
+				in.SetRead(i, s)
 			}
 		}
-	}
-	scan(0, len(body))
+		out[pc] = in
+
+		w, hasDst := in.Write()
+		if !hasDst {
+			return
+		}
+		d := k.RegIndex(w)
+		vers[d]++
+		delete(copies, d)
+		if (in.Op == kernelir.OpMoveI || in.Op == kernelir.OpMoveF) && in.A != in.Dst {
+			src := kernelir.Reg{File: w.File, N: in.A}
+			copies[d] = cp{src: in.A, srcVer: vers[k.RegIndex(src)], ownVer: vers[d]}
+		}
+	})
 	if len(rws) == 0 {
 		return nil, nil
 	}

@@ -43,16 +43,6 @@ type exprHolder struct {
 	ver int
 }
 
-// bumpWrites bumps the version of every register body writes; vers is
-// indexed by k's flat register index.
-func bumpWrites(k *kernelir.Kernel, vers []int, body []kernelir.Instr) {
-	for _, in := range body {
-		if w, ok := in.Write(); ok {
-			vers[k.RegIndex(w)]++
-		}
-	}
-}
-
 // cseable reports whether in may participate in available-expressions
 // numbering.
 func cseable(in kernelir.Instr) bool {
@@ -65,10 +55,6 @@ func cseable(in kernelir.Instr) bool {
 }
 
 func csePass(k *kernelir.Kernel, body []kernelir.Instr) ([]kernelir.Instr, []Rewrite) {
-	tree, err := kernelir.BuildLoopTree(body)
-	if err != nil {
-		return nil, nil
-	}
 	out := append([]kernelir.Instr(nil), body...)
 	var rws []Rewrite
 	vers := make([]int, k.NumRegs())
@@ -86,49 +72,35 @@ func csePass(k *kernelir.Kernel, body []kernelir.Instr) ([]kernelir.Instr, []Rew
 		return key
 	}
 
-	var scan func(lo, hi int)
-	scan = func(lo, hi int) {
-		for pc := lo; pc < hi; pc++ {
-			in := out[pc]
-			if in.Op == kernelir.OpRepeatBegin {
-				end := tree.Match(pc)
-				// Kill: iterations beyond the first observe loop-carried
-				// values for everything the subtree writes.
-				bumpWrites(k, vers, out[pc+1:end])
-				scan(pc+1, end)
-				pc = end
-				continue
+	// Kill on loop entry: iterations beyond the first observe
+	// loop-carried values for everything the block writes.
+	walk(out, func(r kernelir.Reg) { vers[k.RegIndex(r)]++ }, func(pc int) {
+		in := out[pc]
+		w, hasDst := in.Write()
+		if !cseable(in) {
+			if hasDst {
+				vers[k.RegIndex(w)]++
 			}
-			if in.Op == kernelir.OpRepeatEnd {
-				continue
-			}
-			w, hasDst := in.Write()
-			if !cseable(in) {
-				if hasDst {
-					vers[k.RegIndex(w)]++
-				}
-				continue
-			}
-			d := k.RegIndex(w)
-			key := mkKey(in)
-			if h, ok := avail[key]; ok && vers[k.RegIndex(kernelir.Reg{File: w.File, N: h.reg})] == h.ver && h.reg != w.N {
-				mov := kernelir.OpMoveI
-				if w.File == kernelir.F32 {
-					mov = kernelir.OpMoveF
-				}
-				out[pc] = kernelir.Instr{Op: mov, Dst: w.N, A: h.reg}
-				rws = append(rws, Rewrite{
-					Pass: "cse", PC: pc,
-					Note: fmt.Sprintf("%s over identical operand versions already available in r%d", in.Op, h.reg),
-				})
-				vers[d]++
-				continue
-			}
-			vers[d]++
-			avail[key] = exprHolder{reg: w.N, ver: vers[d]}
+			return
 		}
-	}
-	scan(0, len(body))
+		d := k.RegIndex(w)
+		key := mkKey(in)
+		if h, ok := avail[key]; ok && vers[k.RegIndex(kernelir.Reg{File: w.File, N: h.reg})] == h.ver && h.reg != w.N {
+			mov := kernelir.OpMoveI
+			if w.File == kernelir.F32 {
+				mov = kernelir.OpMoveF
+			}
+			out[pc] = kernelir.Instr{Op: mov, Dst: w.N, A: h.reg}
+			rws = append(rws, Rewrite{
+				Pass: "cse", PC: pc,
+				Note: fmt.Sprintf("%s over identical operand versions already available in r%d", in.Op, h.reg),
+			})
+			vers[d]++
+			return
+		}
+		vers[d]++
+		avail[key] = exprHolder{reg: w.N, ver: vers[d]}
+	})
 	if len(rws) == 0 {
 		return nil, nil
 	}

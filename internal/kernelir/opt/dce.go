@@ -83,29 +83,27 @@ func dcePass(k *kernelir.Kernel, body []kernelir.Instr) ([]kernelir.Instr, []Rew
 }
 
 // sweepEmptyLoops removes RepeatBegin/RepeatEnd pairs with empty bodies
-// (repeatedly, for nests emptied inside-out). A trip-only loop has no
-// effect: the interpreter counts it down and moves on. body must be a
-// copy owned by the caller — it is truncated in place.
+// in one pass: a RepeatEnd that meets its begin on top of the kept body
+// closes an empty block, so nests emptied inside-out go too. A trip-only
+// loop has no effect: the interpreter counts it down and moves on. Each
+// pair is logged at its pcs in the body as the deletions and earlier
+// removals left it. body must be a copy owned by the caller — it is
+// compacted in place.
 func sweepEmptyLoops(body []kernelir.Instr, rws []Rewrite) ([]kernelir.Instr, []Rewrite) {
-	for {
-		idx := -1
-		for pc := 0; pc+1 < len(body); pc++ {
-			if body[pc].Op == kernelir.OpRepeatBegin && body[pc+1].Op == kernelir.OpRepeatEnd {
-				idx = pc
-				break
-			}
+	kept := body[:0]
+	for _, in := range body {
+		if n := len(kept); in.Op == kernelir.OpRepeatEnd && n > 0 && kept[n-1].Op == kernelir.OpRepeatBegin {
+			rws = append(rws,
+				Rewrite{Pass: "dce", PC: n - 1, Note: "empty repeat block (begin)"},
+				Rewrite{Pass: "dce", PC: n, Note: "empty repeat block (end)"},
+			)
+			kept = kept[:n-1]
+			continue
 		}
-		if idx < 0 {
-			break
-		}
-		rws = append(rws,
-			Rewrite{Pass: "dce", PC: idx, Note: "empty repeat block (begin)"},
-			Rewrite{Pass: "dce", PC: idx + 1, Note: "empty repeat block (end)"},
-		)
-		body = append(body[:idx], body[idx+2:]...)
+		kept = append(kept, in)
 	}
 	if len(rws) == 0 {
 		return nil, nil
 	}
-	return body, rws
+	return kept, rws
 }

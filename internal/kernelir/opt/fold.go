@@ -44,14 +44,6 @@ func (st *constState) intOf(reg int) (int64, bool) {
 	return v.i, v.known
 }
 
-func (st *constState) killWrites(body []kernelir.Instr) {
-	for _, in := range body {
-		if w, ok := in.Write(); ok {
-			st.vals[st.k.RegIndex(w)] = constVal{}
-		}
-	}
-}
-
 // transfer updates st with in's effect. It must over-approximate the
 // interpreter: a register is marked known only when every execution of
 // in (in any launch, any item) produces that exact value.
@@ -81,29 +73,11 @@ func (st *constState) transfer(in kernelir.Instr) {
 // rewrite body[pc] in place; the transfer runs on the (possibly
 // rewritten) instruction.
 func walkConst(k *kernelir.Kernel, body []kernelir.Instr, visit func(pc int, st *constState)) {
-	tree, err := kernelir.BuildLoopTree(body)
-	if err != nil {
-		return // Validate-checked earlier; fail safe by doing nothing.
-	}
 	st := newConstState(k)
-	var scan func(lo, hi int)
-	scan = func(lo, hi int) {
-		for pc := lo; pc < hi; pc++ {
-			switch body[pc].Op {
-			case kernelir.OpRepeatBegin:
-				end := tree.Match(pc)
-				st.killWrites(body[pc+1 : end])
-				scan(pc+1, end)
-				pc = end
-			case kernelir.OpRepeatEnd:
-				// Unreachable: begins jump over their block.
-			default:
-				visit(pc, st)
-				st.transfer(body[pc])
-			}
-		}
-	}
-	scan(0, len(body))
+	walk(body, func(r kernelir.Reg) { st.vals[k.RegIndex(r)] = constVal{} }, func(pc int) {
+		visit(pc, st)
+		st.transfer(body[pc])
+	})
 }
 
 // immRoundTrips reports whether v survives the float64 Instr.Imm

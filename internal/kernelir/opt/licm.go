@@ -25,88 +25,114 @@ import (
 // candidate once before the block is execute-exactly-what-would-have-
 // executed, with identical operand values — bit-exact including floats.
 //
-// Hoisting proceeds innermost-first and reruns to fixpoint, so chains
-// of invariant instructions cascade out of nested loops (the const
-// feeding a mul feeding an add all reach the outermost prologue).
+// The pass builds the loop tree once and drains the loops in
+// post-order, children before their loop and siblings in body order:
+// it hoists batch after batch out of one loop until nothing in it
+// qualifies, then moves on. Of the loops still to drain, a batch moves
+// only its own loop's begin (down, past the batch), and it adds nothing
+// to a loop drained before, so the drain hoists the batches that
+// restarting from the innermost loop after each batch would. Chains of
+// invariant instructions cascade out of nested loops (the const feeding
+// a mul feeding an add all reach the outermost prologue). LICM moves
+// instructions but never rewrites one, so the divisor facts of the
+// pass's input hold throughout.
 func licmPass(k *kernelir.Kernel, body []kernelir.Instr) ([]kernelir.Instr, []Rewrite) {
-	out := append([]kernelir.Instr(nil), body...)
-	var rws []Rewrite
-	s := newLoopUse(k)
-	for licmRound(s, out, &rws) {
+	tree, err := kernelir.BuildLoopTree(body)
+	if err != nil {
+		return nil, nil
 	}
+	out := append([]kernelir.Instr(nil), body...)
+	s := newLoopUse(k, body)
+	var rws []Rewrite
+	var drain func(n *kernelir.LoopNode)
+	drain = func(n *kernelir.LoopNode) {
+		for _, l := range n.Children {
+			drain(l)
+			for {
+				picks := hoistable(s, out, l.Begin, l.End)
+				if len(picks) == 0 {
+					break
+				}
+				rws = hoist(out, l.Begin, picks, rws)
+				l.Begin += len(picks)
+			}
+		}
+	}
+	drain(tree.Root)
 	if len(rws) == 0 {
 		return nil, nil
 	}
 	return out, rws
 }
 
-// licmRound hoists one batch out of the first (innermost) loop that has
-// eligible instructions, rewriting out in place. Returns whether
-// anything moved.
-func licmRound(s *loopUse, out []kernelir.Instr, rws *[]Rewrite) bool {
-	tree, err := kernelir.BuildLoopTree(out)
-	if err != nil {
-		return false
+// hoist moves the picked instructions (ascending pcs inside the loop
+// whose RepeatBegin is at begin) to just before that begin, in their
+// order, and logs each move; the rest of the span keeps its order.
+func hoist(out []kernelir.Instr, begin int, picks []int, rws []Rewrite) []Rewrite {
+	last := picks[len(picks)-1]
+	span := make([]kernelir.Instr, 0, last+1-begin)
+	for _, pc := range picks {
+		span = append(span, out[pc])
+		rws = append(rws, Rewrite{
+			Pass: "licm", PC: pc,
+			Note: fmt.Sprintf("%s is invariant in the repeat at pc %d (operands unwritten in loop, single write, no prior read)", out[pc].Op, begin),
+		})
 	}
-	// Innermost first: a post-order walk visits children before their
-	// loop, siblings in body order.
-	var loops []*kernelir.LoopNode
-	var collect func(n *kernelir.LoopNode)
-	collect = func(n *kernelir.LoopNode) {
-		for _, c := range n.Children {
-			collect(c)
-			loops = append(loops, c)
-		}
-	}
-	collect(tree.Root)
-
-	for _, l := range loops {
-		picks := hoistable(s, out, l.Begin, l.End)
-		if len(picks) == 0 {
+	next := 0
+	for pc := begin; pc <= last; pc++ {
+		if next < len(picks) && picks[next] == pc {
+			next++
 			continue
 		}
-		// Rebuild: hoisted instructions, in original order, immediately
-		// before the RepeatBegin; the rest of the subtree keeps its order.
-		nb := make([]kernelir.Instr, 0, len(out))
-		nb = append(nb, out[:l.Begin]...)
-		for _, pc := range picks {
-			nb = append(nb, out[pc])
-			*rws = append(*rws, Rewrite{
-				Pass: "licm", PC: pc,
-				Note: fmt.Sprintf("%s is invariant in the repeat at pc %d (operands unwritten in loop, single write, no prior read)", out[pc].Op, l.Begin),
-			})
-		}
-		next := 0
-		for pc := l.Begin; pc < len(out); pc++ {
-			if next < len(picks) && picks[next] == pc {
-				next++
-				continue
-			}
-			nb = append(nb, out[pc])
-		}
-		copy(out, nb)
-		return true
+		span = append(span, out[pc])
 	}
-	return false
+	copy(out[begin:], span)
+	return rws
 }
 
 // loopUse holds, for the loop hoistable is looking at, each register's
 // write count and the pc of its first read, by flat register index.
 // One is allocated per pass and cleared after each loop, so a kernel of
 // many small loops pays for what its loops touch, not for its register
-// files.
+// files. body is the pass's input, and defs counts it for the divisor
+// test, once, when the first invariant div/rem asks.
 type loopUse struct {
 	k         *kernelir.Kernel
 	writes    []int
 	firstRead []int // math.MaxInt when unread
+	body      []kernelir.Instr
+	defs      *regUse
 }
 
-func newLoopUse(k *kernelir.Kernel) *loopUse {
-	s := &loopUse{k: k, writes: make([]int, k.NumRegs()), firstRead: make([]int, k.NumRegs())}
+func newLoopUse(k *kernelir.Kernel, body []kernelir.Instr) *loopUse {
+	s := &loopUse{k: k, writes: make([]int, k.NumRegs()), firstRead: make([]int, k.NumRegs()), body: body}
 	for i := range s.firstRead {
 		s.firstRead[i] = math.MaxInt
 	}
 	return s
+}
+
+// mayDivideByZero reports whether in is a div/rem whose divisor
+// register cannot be proven a nonzero constant. Hoisting of div/rem is
+// gated on this: the interpreter defines x/0 = 0 and the optimizer
+// keeps that evaluation exactly where it was. The pass's input is
+// counted at the first div/rem asked about.
+func (s *loopUse) mayDivideByZero(in kernelir.Instr) bool {
+	var r kernelir.Reg
+	switch in.Op {
+	case kernelir.OpDivI, kernelir.OpRemI:
+		r = kernelir.Reg{File: kernelir.I32, N: in.B}
+	case kernelir.OpDivF:
+		r = kernelir.Reg{File: kernelir.F32, N: in.B}
+	default:
+		return false
+	}
+	if s.defs == nil {
+		s.defs = newRegUse(s.k, s.body)
+	}
+	imm, _, ok := s.defs.constDef(r)
+	// imm == 0 catches ±0.0; an int divisor is the truncated value.
+	return !ok || imm == 0 || (r.File == kernelir.I32 && int64(imm) == 0)
 }
 
 // hoistable returns the pcs (ascending) of instructions eligible to
@@ -145,7 +171,7 @@ func hoistable(s *loopUse, out []kernelir.Instr, begin, end int) []int {
 		for _, r := range rs[:n] {
 			invariant = invariant && s.writes[s.k.RegIndex(r)] == 0
 		}
-		if invariant && !divisorMayBeZero(out, in) {
+		if invariant && !s.mayDivideByZero(in) {
 			picks = append(picks, pc)
 		}
 	}

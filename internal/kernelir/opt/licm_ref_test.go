@@ -68,6 +68,39 @@ func refHoistable(out []kernelir.Instr, begin, end int) []int {
 	return picks
 }
 
+// divisorMayBeZero and uniqueConstDef are the body-rescanning divisor
+// test refHoistable keeps: LICM reads the same facts from one count of
+// the pass's input (loopUse.mayDivideByZero).
+func divisorMayBeZero(body []kernelir.Instr, in kernelir.Instr) bool {
+	switch in.Op {
+	case kernelir.OpDivI, kernelir.OpRemI:
+		imm, ok := uniqueConstDef(body, kernelir.Reg{File: kernelir.I32, N: in.B})
+		return !ok || int64(imm) == 0
+	case kernelir.OpDivF:
+		imm, ok := uniqueConstDef(body, kernelir.Reg{File: kernelir.F32, N: in.B})
+		return !ok || imm == 0 // catches ±0.0
+	}
+	return false
+}
+
+// uniqueConstDef returns the value of r's definition, if r is written
+// exactly once in body and that write is an OpConstI/OpConstF.
+func uniqueConstDef(body []kernelir.Instr, r kernelir.Reg) (float64, bool) {
+	var def *kernelir.Instr
+	for pc := range body {
+		if w, ok := body[pc].Write(); ok && w == r {
+			if def != nil {
+				return 0, false // multiply defined
+			}
+			def = &body[pc]
+		}
+	}
+	if def == nil || (def.Op != kernelir.OpConstI && def.Op != kernelir.OpConstF) {
+		return 0, false
+	}
+	return def.Imm, true
+}
+
 // fuzzOptKernel decodes a fuzz input as FuzzOptVsInterp does: 5 bytes
 // per instruction over three parameters and two 4-register files, up
 // to 64 instructions. The result need not validate.
@@ -99,41 +132,51 @@ func fuzzOptKernel(data []byte) *kernelir.Kernel {
 	return k
 }
 
-// checkHoistable compares hoistable with refHoistable on every loop of
-// body, then lets LICM move one batch and compares again, until LICM
-// moves nothing: the cascades of a real licmPass see every body the
-// comparison sees.
+// checkHoistable drains every loop of k as licmPass does, in
+// post-order and batch after batch, and requires each batch's picks to
+// equal refHoistable's on the same body. The drained body and its log
+// must then be licmPass's.
 func checkHoistable(t *testing.T, k *kernelir.Kernel) {
 	t.Helper()
+	tree, err := kernelir.BuildLoopTree(k.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
 	body := append([]kernelir.Instr(nil), k.Body...)
-	s := newLoopUse(k)
+	s := newLoopUse(k, k.Body)
 	var rws []Rewrite
-	for round := 0; ; round++ {
-		tree, err := kernelir.BuildLoopTree(body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var walk func(n *kernelir.LoopNode)
-		walk = func(n *kernelir.LoopNode) {
-			for _, c := range n.Children {
-				walk(c)
-				got, want := hoistable(s, body, c.Begin, c.End), refHoistable(body, c.Begin, c.End)
+	var drain func(n *kernelir.LoopNode)
+	drain = func(n *kernelir.LoopNode) {
+		for _, l := range n.Children {
+			drain(l)
+			for batch := 0; ; batch++ {
+				got, want := hoistable(s, body, l.Begin, l.End), refHoistable(body, l.Begin, l.End)
 				if !slices.Equal(got, want) {
-					t.Fatalf("round %d, repeat at pc %d: hoistable picked %v, reference %v\n%s",
-						round, c.Begin, got, want, k.WithBody(body).Disassemble())
+					t.Fatalf("batch %d, repeat at pc %d: hoistable picked %v, reference %v\n%s",
+						batch, l.Begin, got, want, k.WithBody(body).Disassemble())
 				}
+				if len(got) == 0 {
+					break
+				}
+				rws = hoist(body, l.Begin, got, rws)
+				l.Begin += len(got)
 			}
 		}
-		walk(tree.Root)
-		if !licmRound(s, body, &rws) {
-			return
-		}
+	}
+	drain(tree.Root)
+	out, passRws := licmPass(k, k.Body)
+	if out == nil {
+		out = k.Body
+	}
+	if !slices.Equal(out, body) || !slices.Equal(passRws, rws) {
+		t.Fatalf("licmPass differs from the checked drain:\n%s\n-- drain --\n%s",
+			k.WithBody(out).Disassemble(), k.WithBody(body).Disassemble())
 	}
 }
 
 // FuzzHoistableMatchesReference requires the one-scan hoistable to pick
 // exactly refHoistable's pcs for every loop of every valid decoded
-// kernel, through every LICM round.
+// kernel, through every LICM batch.
 func FuzzHoistableMatchesReference(f *testing.F) {
 	f.Add([]byte{byte(kernelir.OpRepeatBegin), 0, 0, 0, 4,
 		byte(kernelir.OpGlobalID), 1, 0, 0, 0,

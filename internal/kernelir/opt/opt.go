@@ -43,6 +43,8 @@ package opt
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 
 	"synergy/internal/kernelir"
 )
@@ -54,11 +56,16 @@ import (
 const maxRounds = 16
 
 // Rewrite records one justified transformation: the pass that applied
-// it, the instruction index in the body the pass saw (before the pass
-// ran), and the licensing analysis fact in human-readable form.
+// it, the instruction's index, and the licensing analysis fact in
+// human-readable form.
 type Rewrite struct {
 	Pass string // "constfold", "algebra", "cse", "licm", "dce"
-	PC   int    // index into the pre-pass body
+	// PC indexes the body as the pass's earlier rewrites left it. For
+	// the in-place passes and dce's deletions that is the body before
+	// the pass. licm logs each batch in the body its earlier batches
+	// left (the note's repeat pc too), and dce logs an emptied repeat
+	// in the body left by its deletions and earlier removals.
+	PC   int
 	Note string // the analysis fact that licensed the rewrite
 }
 
@@ -90,6 +97,35 @@ func (r Result) PassCounts() map[string]int {
 		m[rw.Pass]++
 	}
 	return m
+}
+
+// PassSummary renders PassCounts for a one-line report: "; " and then
+// "pass count" items by pass name, comma-separated, or "" when nothing
+// was rewritten.
+func (r Result) PassSummary() string {
+	counts := r.PassCounts()
+	if len(counts) == 0 {
+		return ""
+	}
+	names := make([]string, 0, len(counts))
+	for name := range counts {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	parts := make([]string, len(names))
+	for i, name := range names {
+		parts[i] = fmt.Sprintf("%s %d", name, counts[name])
+	}
+	return "; " + strings.Join(parts, ", ")
+}
+
+// PctChange renders the change from before to after instructions as a
+// signed percentage with one decimal, "+0.0%" for an empty body.
+func PctChange(before, after int) string {
+	if before == 0 {
+		return "+0.0%"
+	}
+	return fmt.Sprintf("%+.1f%%", 100*float64(after-before)/float64(before))
 }
 
 // pass is one pipeline stage: it returns a rewritten copy of body and
@@ -180,60 +216,86 @@ func pureOp(in kernelir.Instr) bool {
 	return info.Writes && !info.IsMemOp && !info.IsLocal
 }
 
-// uniqueConstDef returns the value of the unique constant definition of
-// r in body, if r is written exactly once and that write is an
-// OpConstI/OpConstF. Passes use it to prove a divisor is a nonzero
-// constant (licensing div/rem hoisting) and to find strength-reduction
-// candidates.
-func uniqueConstDef(body []kernelir.Instr, r kernelir.Reg) (imm float64, defPC int, ok bool) {
-	defPC = -1
-	for pc, in := range body {
-		if w, has := in.Write(); !has || w != r {
-			continue
-		}
-		if defPC >= 0 {
-			return 0, -1, false // multiply defined
-		}
-		defPC = pc
-		switch in.Op {
-		case kernelir.OpConstI, kernelir.OpConstF:
-		default:
-			return 0, -1, false
-		}
-		imm = in.Imm
+// walk visits body's non-control instructions in program order. On
+// entering a Repeat block it first calls kill with every register the
+// block writes, nested blocks included: iterations after the first
+// observe the loop-carried values, so facts about those registers from
+// before the block do not hold inside it, and one linear walk is sound
+// for every iteration. visit may rewrite body[pc] in place, keeping its
+// destination.
+func walk(body []kernelir.Instr, kill func(kernelir.Reg), visit func(pc int)) {
+	tree, err := kernelir.BuildLoopTree(body)
+	if err != nil {
+		return // Validate-checked earlier; fail safe by doing nothing.
 	}
-	if defPC < 0 {
+	for pc := range body {
+		switch body[pc].Op {
+		case kernelir.OpRepeatBegin:
+			for _, in := range body[pc+1 : tree.Match(pc)] {
+				if w, ok := in.Write(); ok {
+					kill(w)
+				}
+			}
+		case kernelir.OpRepeatEnd:
+		default:
+			visit(pc)
+		}
+	}
+}
+
+// regUse counts, by flat register index, the writes to each register
+// in body, its reads (operand slots) and the pc of its last write. A
+// pass builds it at most once. A pass that rewrites body in place keeps
+// it current through set; one that only moves instructions reads it
+// against the body it was built from.
+type regUse struct {
+	k                        *kernelir.Kernel
+	body                     []kernelir.Instr
+	writes, reads, lastWrite []int
+}
+
+func newRegUse(k *kernelir.Kernel, body []kernelir.Instr) *regUse {
+	n := k.NumRegs()
+	counts := make([]int, 3*n)
+	u := &regUse{k: k, body: body, writes: counts[:n], reads: counts[n : 2*n], lastWrite: counts[2*n:]}
+	for pc, in := range body {
+		u.countReads(in, 1)
+		if w, ok := in.Write(); ok {
+			i := k.RegIndex(w)
+			u.writes[i]++
+			u.lastWrite[i] = pc
+		}
+	}
+	return u
+}
+
+func (u *regUse) countReads(in kernelir.Instr, delta int) {
+	rs, n := in.Reads()
+	for _, r := range rs[:n] {
+		u.reads[u.k.RegIndex(r)] += delta
+	}
+}
+
+// set replaces body[pc] with in, which must write the register the
+// instruction it replaces wrote, and keeps the read counts current.
+func (u *regUse) set(pc int, in kernelir.Instr) {
+	u.countReads(u.body[pc], -1)
+	u.body[pc] = in
+	u.countReads(in, 1)
+}
+
+// constDef returns the value and pc of r's definition, if r is written
+// exactly once in the body and that write is an OpConstI/OpConstF.
+// Passes use it to prove a divisor is a nonzero constant (licensing
+// div/rem hoisting) and to find strength-reduction candidates.
+func (u *regUse) constDef(r kernelir.Reg) (imm float64, defPC int, ok bool) {
+	i := u.k.RegIndex(r)
+	if u.writes[i] != 1 {
 		return 0, -1, false
 	}
-	return imm, defPC, true
-}
-
-// readCount counts how many operand slots in body read r.
-func readCount(body []kernelir.Instr, r kernelir.Reg) int {
-	count := 0
-	for _, in := range body {
-		rs, n := in.Reads()
-		for _, s := range rs[:n] {
-			if s == r {
-				count++
-			}
-		}
+	def := u.body[u.lastWrite[i]]
+	if def.Op != kernelir.OpConstI && def.Op != kernelir.OpConstF {
+		return 0, -1, false
 	}
-	return count
-}
-
-// divisorMayBeZero reports whether a div/rem divisor register cannot be
-// proven a nonzero constant. Folding and hoisting of div/rem are gated
-// on this: the interpreter defines x/0 = 0 and the optimizer keeps that
-// evaluation exactly where it was.
-func divisorMayBeZero(body []kernelir.Instr, in kernelir.Instr) bool {
-	switch in.Op {
-	case kernelir.OpDivI, kernelir.OpRemI:
-		imm, _, ok := uniqueConstDef(body, kernelir.Reg{File: kernelir.I32, N: in.B})
-		return !ok || int64(imm) == 0
-	case kernelir.OpDivF:
-		imm, _, ok := uniqueConstDef(body, kernelir.Reg{File: kernelir.F32, N: in.B})
-		return !ok || imm == 0 // catches ±0.0
-	}
-	return false
+	return def.Imm, u.lastWrite[i], true
 }

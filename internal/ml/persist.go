@@ -171,7 +171,7 @@ func WriteJSON(w io.Writer, fields ...Field) error {
 		if !ok {
 			return fmt.Errorf("ml: cannot save model type %T", f.Value)
 		}
-		if err := checkSave(m); err != nil {
+		if err := CheckSave(m); err != nil {
 			return err
 		}
 	}
@@ -192,8 +192,10 @@ func WriteJSON(w io.Writer, fields ...Field) error {
 	return jw.err
 }
 
-// checkSave reports why WriteJSON cannot write m.
-func checkSave(m Regressor) error {
+// CheckSave reports why WriteJSON cannot write m: it is not a model of
+// a known type, it is an unfitted SVR, or it holds a NaN or infinite
+// value. Training refuses a fitted model by the same rule.
+func CheckSave(m Regressor) error {
 	var vals [][]float64
 	switch r := m.(type) {
 	case *Linear:
@@ -308,7 +310,7 @@ func (w *jsonWriter) floats(fs []float64) {
 	w.close(']')
 }
 
-// model writes m's envelope; checkSave has passed it.
+// model writes m's envelope; CheckSave has passed it.
 func (w *jsonWriter) model(m Regressor) {
 	w.open('{')
 	w.key("algo")

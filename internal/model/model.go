@@ -212,10 +212,11 @@ func Train(spec *hw.Spec, ts *TrainingSet, algo string) (*Models, error) {
 	}
 	m := &Models{Spec: spec, Algo: algo}
 	for _, tgt := range []struct {
-		y   []float64
-		dst *ml.Regressor
+		name string
+		y    []float64
+		dst  *ml.Regressor
 	}{
-		{yT, &m.Time}, {yE, &m.Energy}, {yEDP, &m.EDP}, {yED2P, &m.ED2P},
+		{"time", yT, &m.Time}, {"energy", yE, &m.Energy}, {"EDP", yEDP, &m.EDP}, {"ED2P", yED2P, &m.ED2P},
 	} {
 		r, err := NewRegressor(algo)
 		if err != nil {
@@ -223,6 +224,12 @@ func Train(spec *hw.Spec, ts *TrainingSet, algo string) (*Models, error) {
 		}
 		if err := r.Fit(x, tgt.y); err != nil {
 			return nil, fmt.Errorf("model: fitting %s: %w", algo, err)
+		}
+		// Finite targets can still overflow a fit (a leaf's mean, a
+		// least-squares solve); a bundle holding the NaN or ±Inf could
+		// be neither saved nor fingerprinted.
+		if err := ml.CheckSave(r); err != nil {
+			return nil, fmt.Errorf("model: fitting %s: the %s model: %w", algo, tgt.name, err)
 		}
 		*tgt.dst = r
 	}

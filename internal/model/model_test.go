@@ -1,6 +1,8 @@
 package model
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"synergy/internal/benchsuite"
@@ -61,6 +63,26 @@ func TestTrainAllAlgorithms(t *testing.T) {
 			if p.TimeNs != p.TimeNs || p.EnergyNanoJ != p.EnergyNanoJ {
 				t.Fatalf("%s: NaN prediction at %d MHz", algo, p.FreqMHz)
 			}
+		}
+	}
+}
+
+// Energies of math.MaxFloat64 are finite, but a forest leaf that
+// averages three of them overflows to +Inf and the least-squares fit
+// gets a NaN coefficient. Train must refuse both models with an error
+// naming the energy model, not return a bundle that Check passes and
+// only saving refuses.
+func TestTrainRefusesNonFiniteModel(t *testing.T) {
+	ts := &TrainingSet{Device: "v100"}
+	for _, f := range []int{500, 900, 1300} {
+		ts.Samples = append(ts.Samples, Sample{
+			Kernel: "k", Features: features.Vector{FloatAdd: 1}, FreqMHz: f,
+			TimeNs: 1e-300, EnergyNanoJ: math.MaxFloat64,
+		})
+	}
+	for _, algo := range []string{AlgoForest, AlgoLinear} {
+		if _, err := Train(hw.V100(), ts, algo); err == nil || !strings.Contains(err.Error(), "the energy model") {
+			t.Errorf("%s: Train returned %v, want an error naming the energy model", algo, err)
 		}
 	}
 }
