@@ -28,8 +28,9 @@ import (
 //     substitution, multiset-preserving motion, pure-only deletion).
 //
 // Any violation fails the whole optimization: Optimize returns the
-// original kernel with Result.Err set.
-func checkPass(k *kernelir.Kernel, orig, before, after []kernelir.Instr, passName string, rws []Rewrite) error {
+// original kernel with Result.Err set. mem carries the original body's
+// memory sequence from one check to the next.
+func checkPass(k *kernelir.Kernel, mem *memTrace, before, after []kernelir.Instr, passName string, rws []Rewrite) error {
 	nk := k.WithBody(after)
 	if err := nk.Validate(); err != nil {
 		return fmt.Errorf("%s: rewritten body fails validation: %w", passName, err)
@@ -37,7 +38,7 @@ func checkPass(k *kernelir.Kernel, orig, before, after []kernelir.Instr, passNam
 	if _, err := kernelir.BuildLoopTree(after); err != nil {
 		return fmt.Errorf("%s: rewritten body has no loop tree: %w", passName, err)
 	}
-	if err := sameMemSequence(orig, after); err != nil {
+	if err := mem.check(k.Body, after); err != nil {
 		return fmt.Errorf("%s: %w", passName, err)
 	}
 	if err := memOpsFrozen(before, after, passName); err != nil {
@@ -66,48 +67,37 @@ type memEvent struct {
 	op   kernelir.Op
 	buf  int
 	imm  uint64
-	path string // "/"-joined enclosing Repeat trip counts
+	path int // the enclosing Repeat trip counts, as a memTrace path id
 }
 
-func memSequence(body []kernelir.Instr) ([]memEvent, error) {
-	tree, err := kernelir.BuildLoopTree(body)
-	if err != nil {
-		return nil, err
-	}
-	var evs []memEvent
-	var scan func(lo, hi int, path string)
-	scan = func(lo, hi int, path string) {
-		for pc := lo; pc < hi; pc++ {
-			in := body[pc]
-			if in.Op == kernelir.OpRepeatBegin {
-				end := tree.Match(pc)
-				scan(pc+1, end, fmt.Sprintf("%s/%d", path, int64(in.Imm)))
-				pc = end
-				continue
-			}
-			if info := in.Op.Info(); !info.IsMemOp && !info.IsLocal {
-				continue
-			}
-			evs = append(evs, memEvent{
-				op: in.Op, buf: in.Buf, imm: math.Float64bits(in.Imm), path: path,
-			})
-		}
-	}
-	scan(0, len(body), "")
-	return evs, nil
+// tripStep is a trip path as its enclosing path's id and the trip count
+// of its innermost Repeat.
+type tripStep struct {
+	parent int
+	trip   int64
 }
 
-// sameMemSequence checks invariant (2): identical access sequences with
-// identical loop-trip context.
-func sameMemSequence(orig, after []kernelir.Instr) error {
-	oe, err := memSequence(orig)
-	if err != nil {
-		return err
+// memTrace checks invariant (2) through one Optimize call. paths names
+// each trip path by an id, the empty path 0 and any other its
+// tripStep's entry; both bodies' sequences take their ids from this one
+// table, so equal ids mean equal paths. orig is the original body's
+// sequence, built at the first check, and after is reused by every
+// check.
+type memTrace struct {
+	paths       map[tripStep]int
+	orig, after []memEvent
+}
+
+// check compares after's memory sequence with orig's: identical
+// accesses with identical loop-trip context. Both bodies have passed
+// Validate, so their Repeat blocks nest.
+func (m *memTrace) check(orig, after []kernelir.Instr) error {
+	if m.paths == nil {
+		m.paths = make(map[tripStep]int)
+		m.orig = m.sequence(nil, orig)
 	}
-	ae, err := memSequence(after)
-	if err != nil {
-		return err
-	}
+	m.after = m.sequence(m.after[:0], after)
+	oe, ae := m.orig, m.after
 	if len(oe) != len(ae) {
 		return fmt.Errorf("memory-op count changed: %d -> %d", len(oe), len(ae))
 	}
@@ -117,6 +107,27 @@ func sameMemSequence(orig, after []kernelir.Instr) error {
 		}
 	}
 	return nil
+}
+
+// sequence appends body's memory events to evs, in textual order.
+func (m *memTrace) sequence(evs []memEvent, body []kernelir.Instr) []memEvent {
+	path, outer := 0, make([]int, 0, kernelir.MaxDepth)
+	for _, in := range body {
+		switch info := in.Op.Info(); {
+		case in.Op == kernelir.OpRepeatBegin:
+			outer = append(outer, path)
+			step := tripStep{path, int64(in.Imm)}
+			if path = m.paths[step]; path == 0 {
+				path = len(m.paths) + 1
+				m.paths[step] = path
+			}
+		case in.Op == kernelir.OpRepeatEnd:
+			path, outer = outer[len(outer)-1], outer[:len(outer)-1]
+		case info.IsMemOp || info.IsLocal:
+			evs = append(evs, memEvent{op: in.Op, buf: in.Buf, imm: math.Float64bits(in.Imm), path: path})
+		}
+	}
+	return evs
 }
 
 // memOpsFrozen enforces the per-pass freeze: the i-th memory/local

@@ -166,6 +166,7 @@ func Optimize(k *kernelir.Kernel) (*kernelir.Kernel, Result) {
 	}
 	body := append([]kernelir.Instr(nil), k.Body...)
 	res.Before = len(body)
+	var mem memTrace
 	for round := 0; ; round++ {
 		if round == maxRounds {
 			res.Err = fmt.Errorf("opt: %s did not converge after %d rounds", k.Name, maxRounds)
@@ -177,7 +178,7 @@ func Optimize(k *kernelir.Kernel) (*kernelir.Kernel, Result) {
 			if len(rws) == 0 {
 				continue
 			}
-			if err := checkPass(k, k.Body, body, nb, p.name, rws); err != nil {
+			if err := checkPass(k, &mem, body, nb, p.name, rws); err != nil {
 				return k, Result{Err: fmt.Errorf("opt: %s: translation validation failed: %w", k.Name, err)}
 			}
 			body = nb

@@ -13,9 +13,9 @@ import (
 // Forest is a random-forest regressor: bootstrap-aggregated CART trees
 // with per-split feature subsampling. Deterministic for a fixed Seed.
 //
-// The ensemble lives in one flattened structure-of-arrays block, which
-// Fit builds and LoadModel decodes into; Predict and PredictInto walk it
-// by index and perform no allocations, and WriteJSON writes the bundle
+// The ensemble lives in one flattened slice of 16-byte nodes, which Fit
+// builds and LoadModel decodes into; Predict and PredictInto walk it by
+// index and perform no allocations, and WriteJSON writes the bundle
 // form from it.
 type Forest struct {
 	// Trees is the ensemble size (default 100).
@@ -33,92 +33,75 @@ type Forest struct {
 	flat flatForest
 }
 
-// leafFeature marks a leaf in the flattened feature array; lo/hi of a
-// leaf are unused and value holds the prediction.
+// leafFeature marks a leaf in a node's feature.
 const leafFeature = int32(-1)
 
-// flatForest is the ensemble: all nodes of all trees in one
-// structure-of-arrays block, each tree in preorder and identified by its
-// root index. Children are stored as absolute node indices, so a predict
-// walk is pure index chasing over five dense slices — no pointers, no
-// per-call allocation, cache-friendly. A leaf has thresh 0 and lo and hi
-// 0; a split has value 0.
+// flatForest is the ensemble: all nodes of all trees in one exactly
+// sized slice, each tree in preorder and identified by its root index.
+// A split's low child is the next node and its high child is hi, an
+// absolute index, so a predict walk is index chasing over one dense
+// slice: no pointers, no per-call allocation, one cache line per
+// visited split.
 type flatForest struct {
-	roots   []int32
-	feature []int32 // split feature, or leafFeature for a leaf
-	thresh  []float64
-	lo, hi  []int32
-	value   []float64 // leaf prediction (meaningful when feature < 0)
+	roots []int32
+	nodes []node
 }
 
-// node is one tree node as Fit's builders and LoadModel lay a tree out:
-// in preorder, children indexed from the tree's root.
+// node is one tree node. A split sends x to the next node when
+// x[feature] <= x, to hi otherwise; a leaf has feature leafFeature, hi
+// 0 and its prediction in x. Fit's builders and LoadModel lay each tree
+// out alone, hi indexed from the tree's root; merge makes it absolute.
 type node struct {
-	feature, lo, hi int32
-	thresh, value   float64
+	feature int32
+	hi      int32
+	x       float64 // a split's threshold, a leaf's value
 }
 
-// merge lays the trees out one after another, in order, in exactly
-// sized arrays.
+// merge lays the trees out one after another, in order, in one exactly
+// sized slice.
 func merge(trees [][]node) flatForest {
 	total := 0
 	for _, t := range trees {
 		total += len(t)
 	}
-	ff := flatForest{
-		roots:   make([]int32, len(trees)),
-		feature: make([]int32, total),
-		thresh:  make([]float64, total),
-		lo:      make([]int32, total),
-		hi:      make([]int32, total),
-		value:   make([]float64, total),
-	}
-	i := 0
+	ff := flatForest{roots: make([]int32, len(trees)), nodes: make([]node, 0, total)}
 	for t, tree := range trees {
-		root := int32(i)
+		root := int32(len(ff.nodes))
 		ff.roots[t] = root
 		for _, n := range tree {
-			ff.feature[i], ff.thresh[i], ff.value[i] = n.feature, n.thresh, n.value
 			if n.feature != leafFeature {
-				ff.lo[i], ff.hi[i] = root+n.lo, root+n.hi
+				n.hi += root
 			}
-			i++
+			ff.nodes = append(ff.nodes, n)
 		}
 	}
 	return ff
 }
 
-// validate checks the structural invariants a well-formed flattened
-// forest satisfies: non-empty ensemble, every root and child index
-// in-bounds, and interior nodes pointing strictly forward (the preorder
-// layout guarantee, which rules out cycles).
+// validate checks the structural invariants of a well-formed flattened
+// forest: a tree at least, every root in bounds, and every split at i
+// with its high child at i+1 < hi < len(nodes), which puts its low child
+// i+1 in bounds too. Children point strictly forward (the preorder
+// layout guarantee), which rules out cycles.
 func (ff *flatForest) validate() error {
 	if len(ff.roots) == 0 {
 		return fmt.Errorf("ml: forest has no trees")
 	}
-	n := len(ff.feature)
-	if len(ff.thresh) != n || len(ff.lo) != n || len(ff.hi) != n || len(ff.value) != n {
-		return fmt.Errorf("ml: forest node arrays have mismatched lengths")
-	}
-	if n == 0 {
-		return fmt.Errorf("ml: forest has no nodes")
-	}
+	n := len(ff.nodes)
 	for _, r := range ff.roots {
 		if r < 0 || int(r) >= n {
 			return fmt.Errorf("ml: forest root index %d out of bounds [0, %d)", r, n)
 		}
 	}
-	for i := 0; i < n; i++ {
-		if ff.feature[i] == leafFeature {
+	for i, nd := range ff.nodes {
+		if nd.feature == leafFeature {
 			continue
 		}
-		if ff.feature[i] < 0 {
-			return fmt.Errorf("ml: forest node %d has invalid feature %d", i, ff.feature[i])
+		if nd.feature < 0 {
+			return fmt.Errorf("ml: forest node %d has invalid feature %d", i, nd.feature)
 		}
-		for _, c := range [2]int32{ff.lo[i], ff.hi[i]} {
-			if int(c) >= n || c <= int32(i) {
-				return fmt.Errorf("ml: forest node %d child index %d out of bounds (%d nodes)", i, c, n)
-			}
+		if int(nd.hi) <= i+1 || int(nd.hi) >= n {
+			return fmt.Errorf("ml: forest node %d high child %d out of bounds (%d nodes)", i, nd.hi, n)
 		}
 	}
 	return nil
@@ -250,7 +233,7 @@ func (b *treeBuilder) build(idx []int, depth int) {
 		mean += b.y[i]
 	}
 	mean /= float64(len(idx))
-	leaf := node{feature: leafFeature, value: mean}
+	leaf := node{feature: leafFeature, x: mean}
 	if depth == 0 || len(idx) < 2*b.minLeaf || constantTargets(b.y, idx) {
 		b.nodes = append(b.nodes, leaf)
 		return
@@ -320,7 +303,7 @@ func (b *treeBuilder) build(idx []int, depth int) {
 	}
 	copy(idx[nLo:], hi)
 	n := len(b.nodes)
-	b.nodes = append(b.nodes, node{feature: int32(bestFeat), thresh: bestThresh, lo: int32(n + 1)})
+	b.nodes = append(b.nodes, node{feature: int32(bestFeat), x: bestThresh})
 	b.build(idx[:nLo], depth-1)
 	b.nodes[n].hi = int32(len(b.nodes))
 	b.build(idx[nLo:], depth-1)
@@ -378,8 +361,7 @@ func (f *Forest) PredictInto(dst []float64, rows [][]float64) {
 		}
 		return
 	}
-	feature, thresh := ff.feature, ff.thresh
-	lo, hi, value := ff.lo, ff.hi, ff.value
+	nodes := ff.nodes
 	clear(dst)
 	ranged := monotone(rows)
 	for _, root := range ff.roots {
@@ -389,14 +371,14 @@ func (f *Forest) PredictInto(dst []float64, rows [][]float64) {
 		}
 		for i, x := range rows {
 			n := root
-			for feature[n] >= 0 {
-				if x[feature[n]] <= thresh[n] {
-					n = lo[n]
+			for nodes[n].feature >= 0 {
+				if x[nodes[n].feature] <= nodes[n].x {
+					n++
 				} else {
-					n = hi[n]
+					n = nodes[n].hi
 				}
 			}
-			dst[i] += value[n]
+			dst[i] += nodes[n].x
 		}
 	}
 	trees := float64(len(ff.roots))
@@ -451,14 +433,14 @@ func monotone(rows [][]float64) bool {
 // follows them; otherwise a binary search finds the first row that goes
 // the other way, one side recurses and the other continues the loop.
 func (ff *flatForest) walkRange(dst []float64, rows [][]float64, n int32, a, b int) {
-	for ff.feature[n] >= 0 {
-		j, t := ff.feature[n], ff.thresh[n]
+	for ff.nodes[n].feature >= 0 {
+		j, t := ff.nodes[n].feature, ff.nodes[n].x
 		first := rows[a][j] <= t
 		if first == (rows[b-1][j] <= t) {
 			if first {
-				n = ff.lo[n]
+				n++
 			} else {
-				n = ff.hi[n]
+				n = ff.nodes[n].hi
 			}
 			continue
 		}
@@ -473,14 +455,14 @@ func (ff *flatForest) walkRange(dst []float64, rows [][]float64, n int32, a, b i
 				end = mid
 			}
 		}
-		head, tail := ff.lo[n], ff.hi[n]
+		head, tail := n+1, ff.nodes[n].hi
 		if !first {
 			head, tail = tail, head
 		}
 		ff.walkRange(dst, rows, head, a, c)
 		n, a = tail, c
 	}
-	v := ff.value[n]
+	v := ff.nodes[n].x
 	for i := a; i < b; i++ {
 		dst[i] += v
 	}

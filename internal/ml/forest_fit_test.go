@@ -140,9 +140,9 @@ func fitDataset(name string, seed int64) ([][]float64, []float64) {
 }
 
 // TestFitMatchesReference is the differential oracle of the parallel,
-// pair-sorting Fit, which appends each tree's nodes straight into flat
-// arrays: on datasets heavy with tied values, duplicate rows and
-// constant columns its arrays must equal, bit for bit, the flattened
+// pair-sorting Fit, which appends each tree's nodes straight into a
+// node slice: on datasets heavy with tied values, duplicate rows and
+// constant columns its nodes must equal, bit for bit, the flattened
 // trees of the serial pointer-tree builder, and be exactly sized,
 // whatever GOMAXPROCS is (CI runs it at -cpu 1,2,4 under -race).
 func TestFitMatchesReference(t *testing.T) {
@@ -161,10 +161,9 @@ func TestFitMatchesReference(t *testing.T) {
 					t.Fatal(d)
 				}
 				ff := &f.flat
-				n := len(ff.feature)
-				if cap(ff.roots) != len(ff.roots) || cap(ff.feature) != n || cap(ff.thresh) != n ||
-					cap(ff.lo) != n || cap(ff.hi) != n || cap(ff.value) != n {
-					t.Fatalf("arrays of %d nodes not exactly sized", n)
+				if cap(ff.roots) != len(ff.roots) || cap(ff.nodes) != len(ff.nodes) {
+					t.Fatalf("%d roots (cap %d) and %d nodes (cap %d) not exactly sized",
+						len(ff.roots), cap(ff.roots), len(ff.nodes), cap(ff.nodes))
 				}
 			})
 		}

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // testForestData is a deterministic nonlinear surface wide enough to
@@ -154,26 +156,56 @@ func TestForestPersistValidation(t *testing.T) {
 	}
 }
 
+// A node is one 16-byte record: a split visited by a walk costs one
+// cache line.
+func TestNodeIsSixteenBytes(t *testing.T) {
+	if n := unsafe.Sizeof(node{}); n != 16 {
+		t.Fatalf("node is %d bytes, want 16", n)
+	}
+}
+
 func TestFlatForestValidate(t *testing.T) {
 	f, _ := fitTestForest(t, 4, 60, 3)
 	if err := f.flat.validate(); err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt a child index out of bounds.
-	broken := f.flat
-	broken.feature = append([]int32(nil), f.flat.feature...)
-	broken.lo = append([]int32(nil), f.flat.lo...)
-	for i, ft := range broken.feature {
-		if ft != leafFeature {
-			broken.lo[i] = int32(len(broken.feature)) + 7
-			break
+	nodes := f.flat.nodes
+	n := int32(len(nodes))
+	// The last split: the nodes behind it are real ones.
+	i := int32(-1)
+	for j, nd := range nodes {
+		if nd.feature != leafFeature {
+			i = int32(j)
 		}
 	}
-	if err := broken.validate(); err == nil {
-		t.Error("out-of-bounds child index accepted")
+	if i < 1 {
+		t.Fatal("no split past the first node in the test forest")
+	}
+	// Each case corrupts one copy of the nodes.
+	for name, corrupt := range map[string]func(nodes []node){
+		"split in the last slot":    func(nodes []node) { nodes[n-1] = node{feature: 0, hi: n - 1} },
+		"high child is the low one": func(nodes []node) { nodes[i].hi = i + 1 },
+		"high child is the split":   func(nodes []node) { nodes[i].hi = i },
+		"high child behind":         func(nodes []node) { nodes[i].hi = i - 1 },
+		"high child negative":       func(nodes []node) { nodes[i].hi = -5 },
+		"high child at the end":     func(nodes []node) { nodes[i].hi = n },
+		"high child past the end":   func(nodes []node) { nodes[i].hi = n + 7 },
+		"negative split feature":    func(nodes []node) { nodes[i].feature = -2 },
+	} {
+		broken := flatForest{roots: f.flat.roots, nodes: slices.Clone(nodes)}
+		corrupt(broken.nodes)
+		if err := broken.validate(); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 	empty := flatForest{}
 	if err := empty.validate(); err == nil {
 		t.Error("empty flat forest accepted")
+	}
+	if err := (&flatForest{roots: []int32{0}}).validate(); err == nil {
+		t.Error("forest with no nodes accepted")
+	}
+	if err := (&flatForest{roots: []int32{1}, nodes: []node{{feature: leafFeature}}}).validate(); err == nil {
+		t.Error("root out of bounds accepted")
 	}
 }

@@ -21,26 +21,18 @@ type treeNode struct {
 // flattenInto appends one pointer tree in preorder and returns its root
 // index.
 func (ff *flatForest) flattenInto(n *treeNode) int32 {
-	idx := int32(len(ff.feature))
+	idx := int32(len(ff.nodes))
 	if n.leafFlag {
-		ff.feature = append(ff.feature, leafFeature)
-		ff.thresh = append(ff.thresh, 0)
-		ff.lo = append(ff.lo, 0)
-		ff.hi = append(ff.hi, 0)
-		ff.value = append(ff.value, n.value)
+		ff.nodes = append(ff.nodes, node{feature: leafFeature, x: n.value})
 		return idx
 	}
-	ff.feature = append(ff.feature, int32(n.feature))
-	ff.thresh = append(ff.thresh, n.thresh)
-	ff.lo = append(ff.lo, 0)
-	ff.hi = append(ff.hi, 0)
-	ff.value = append(ff.value, 0)
-	ff.lo[idx] = ff.flattenInto(n.lo)
-	ff.hi[idx] = ff.flattenInto(n.hi)
+	ff.nodes = append(ff.nodes, node{feature: int32(n.feature), x: n.thresh})
+	ff.flattenInto(n.lo)
+	ff.nodes[idx].hi = ff.flattenInto(n.hi)
 	return idx
 }
 
-// flatten lays pointer trees out as the flat forest's arrays.
+// flatten lays pointer trees out as the flat forest's nodes.
 func flatten(trees []*treeNode) flatForest {
 	var ff flatForest
 	ff.roots = make([]int32, 0, len(trees))
@@ -79,24 +71,21 @@ func (n *treeNode) predict(x []float64) float64 {
 }
 
 // sameFlat reports where got first differs from want: the tree roots,
-// or a node's split feature, children, or the bits of its threshold or
+// or a node's split feature, high child, or the bits of its threshold or
 // value. "" means identical.
 func sameFlat(got, want *flatForest) string {
-	if len(got.roots) != len(want.roots) || len(got.feature) != len(want.feature) {
-		return fmt.Sprintf("%d trees of %d nodes, want %d of %d", len(got.roots), len(got.feature), len(want.roots), len(want.feature))
+	if len(got.roots) != len(want.roots) || len(got.nodes) != len(want.nodes) {
+		return fmt.Sprintf("%d trees of %d nodes, want %d of %d", len(got.roots), len(got.nodes), len(want.roots), len(want.nodes))
 	}
 	for i := range want.roots {
 		if got.roots[i] != want.roots[i] {
 			return fmt.Sprintf("tree %d at node %d, want %d", i, got.roots[i], want.roots[i])
 		}
 	}
-	for i := range want.feature {
-		if got.feature[i] != want.feature[i] || got.lo[i] != want.lo[i] || got.hi[i] != want.hi[i] ||
-			math.Float64bits(got.thresh[i]) != math.Float64bits(want.thresh[i]) ||
-			math.Float64bits(got.value[i]) != math.Float64bits(want.value[i]) {
-			return fmt.Sprintf("node %d: x[%d] <= %v (lo %d, hi %d) value %v, want x[%d] <= %v (lo %d, hi %d) value %v",
-				i, got.feature[i], got.thresh[i], got.lo[i], got.hi[i], got.value[i],
-				want.feature[i], want.thresh[i], want.lo[i], want.hi[i], want.value[i])
+	for i, w := range want.nodes {
+		if g := got.nodes[i]; g.feature != w.feature || g.hi != w.hi || math.Float64bits(g.x) != math.Float64bits(w.x) {
+			return fmt.Sprintf("node %d: {feature %d, hi %d, x %v}, want {feature %d, hi %d, x %v}",
+				i, g.feature, g.hi, g.x, w.feature, w.hi, w.x)
 		}
 	}
 	return ""

@@ -59,23 +59,23 @@ type svrState struct {
 	Support [][]float64 `json:"support"`
 }
 
-// appendTree appends the decoded tree s to nodes in preorder, children
-// indexed from the start of nodes. It keeps what a prediction reads: a
-// leaf's value, and a split's feature, threshold and children.
+// appendTree appends the decoded tree s to nodes in preorder, high
+// children indexed from the start of nodes. It keeps what a prediction
+// reads: a leaf's value, and a split's feature, threshold and children.
 func appendTree(nodes []node, s *nodeState) ([]node, error) {
 	if s.Leaf {
-		return append(nodes, node{feature: leafFeature, value: s.Value}), nil
+		return append(nodes, node{feature: leafFeature, x: s.Value}), nil
 	}
 	if s.Lo == nil || s.Hi == nil {
 		return nil, fmt.Errorf("ml: interior tree node missing children")
 	}
-	// The flattened forest stores features as int32, where a wider
-	// index could wrap into range or onto leafFeature.
+	// A node stores its feature as int32, where a wider index could
+	// wrap into range or onto leafFeature.
 	if s.Feature < 0 || s.Feature > math.MaxInt32 {
 		return nil, fmt.Errorf("ml: interior tree node splits on feature %d", s.Feature)
 	}
 	n := len(nodes)
-	nodes = append(nodes, node{feature: int32(s.Feature), thresh: s.Thresh, lo: int32(n + 1)})
+	nodes = append(nodes, node{feature: int32(s.Feature), x: s.Thresh})
 	nodes, err := appendTree(nodes, s.Lo)
 	if err != nil {
 		return nil, err
@@ -203,7 +203,11 @@ func CheckSave(m Regressor) error {
 	case *Lasso:
 		vals = [][]float64{{r.Alpha, r.Intercept}, r.Coef}
 	case *Forest:
-		vals = [][]float64{r.flat.thresh, r.flat.value}
+		for _, n := range r.flat.nodes {
+			if err := checkFinite(m, n.x); err != nil {
+				return err
+			}
+		}
 	case *SVR:
 		if r.scaler == nil {
 			return fmt.Errorf("ml: cannot save unfitted SVR")
@@ -214,10 +218,18 @@ func CheckSave(m Regressor) error {
 	}
 	for _, vs := range vals {
 		for _, v := range vs {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("ml: cannot save %s: it holds %v, which JSON cannot represent", m.Name(), v)
+			if err := checkFinite(m, v); err != nil {
+				return err
 			}
 		}
+	}
+	return nil
+}
+
+// checkFinite refuses v, a value of m, if it is NaN or infinite.
+func checkFinite(m Regressor, v float64) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("ml: cannot save %s: it holds %v, which JSON cannot represent", m.Name(), v)
 	}
 	return nil
 }
@@ -335,7 +347,7 @@ func (w *jsonWriter) model(m Regressor) {
 		w.open('[')
 		for _, root := range r.flat.roots {
 			w.next()
-			w.tree(&r.flat, root)
+			w.tree(r.flat.nodes, root)
 		}
 		w.close(']')
 	case *SVR:
@@ -363,22 +375,28 @@ func (w *jsonWriter) model(m Regressor) {
 	w.close('}')
 }
 
-// tree writes the subtree at node n, a leaf's feature as 0: "leaf"
-// marks a leaf in the bundle, whose bytes must not change.
-func (w *jsonWriter) tree(ff *flatForest, n int32) {
-	leaf := ff.feature[n] == leafFeature
+// tree writes the subtree at nodes[n], a leaf's feature and threshold
+// and a split's value as 0: "leaf" marks a leaf in the bundle, whose
+// bytes must not change.
+func (w *jsonWriter) tree(nodes []node, n int32) {
+	nd := nodes[n]
+	leaf := nd.feature == leafFeature
+	t, v := nd.x, 0.0
+	if leaf {
+		t, v = 0, nd.x
+	}
 	w.open('{')
 	w.key("f")
-	w.b = strconv.AppendInt(w.b, int64(max(ff.feature[n], 0)), 10)
-	w.num("t", ff.thresh[n])
-	w.num("v", ff.value[n])
+	w.b = strconv.AppendInt(w.b, int64(max(nd.feature, 0)), 10)
+	w.num("t", t)
+	w.num("v", v)
 	w.key("leaf")
 	w.b = strconv.AppendBool(w.b, leaf)
 	if !leaf {
 		w.key("lo")
-		w.tree(ff, ff.lo[n])
+		w.tree(nodes, n+1)
 		w.key("hi")
-		w.tree(ff, ff.hi[n])
+		w.tree(nodes, nd.hi)
 	}
 	w.close('}')
 }

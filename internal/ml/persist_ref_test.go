@@ -31,7 +31,7 @@ func refState(m Regressor) (any, error) {
 	case *Forest:
 		st := forestState{Trees: make([]*nodeState, len(r.flat.roots))}
 		for i, root := range r.flat.roots {
-			st.Trees[i] = refNodeState(&r.flat, root)
+			st.Trees[i] = refNodeState(r.flat.nodes, root)
 		}
 		data = st
 	case *SVR:
@@ -49,15 +49,17 @@ func refState(m Regressor) (any, error) {
 	return refEnvelope{Algo: m.Name(), Data: data}, nil
 }
 
-// refNodeState is the subtree at node n as a pointer tree of states: a
-// leaf with its value, a split with its feature, threshold and children.
-func refNodeState(ff *flatForest, n int32) *nodeState {
-	if ff.feature[n] == leafFeature {
-		return &nodeState{Value: ff.value[n], Leaf: true}
+// refNodeState is the subtree at nodes[n] as a pointer tree of states:
+// a leaf with its value, a split with its feature, threshold and
+// children.
+func refNodeState(nodes []node, n int32) *nodeState {
+	nd := nodes[n]
+	if nd.feature == leafFeature {
+		return &nodeState{Value: nd.x, Leaf: true}
 	}
 	return &nodeState{
-		Feature: int(ff.feature[n]), Thresh: ff.thresh[n],
-		Lo: refNodeState(ff, ff.lo[n]), Hi: refNodeState(ff, ff.hi[n]),
+		Feature: int(nd.feature), Thresh: nd.x,
+		Lo: refNodeState(nodes, n+1), Hi: refNodeState(nodes, nd.hi),
 	}
 }
 

@@ -80,7 +80,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		`{"algo":"RandomForest","data":{"trees":[{"f":0,"t":1,"leaf":false}]}}`)); err == nil {
 		t.Error("malformed tree accepted")
 	}
-	// Negative split features, and ones the int32 flat arrays cannot
+	// Negative split features, and ones a node's int32 feature cannot
 	// hold: -1 and 2^32-1 would land on leafFeature and turn the split
 	// into a leaf silently.
 	for _, f := range []string{"-1", "-2", "4294967295", "4294967296"} {

@@ -59,9 +59,9 @@ func CheckWidth(r Regressor, d int) error {
 			return fmt.Errorf("ml: Lasso has %d coefficients for %d features", len(m.Coef), d)
 		}
 	case *Forest:
-		for i, f := range m.flat.feature {
-			if int(f) >= d {
-				return fmt.Errorf("ml: RandomForest node %d splits on feature %d of %d", i, f, d)
+		for i, n := range m.flat.nodes {
+			if int(n.feature) >= d {
+				return fmt.Errorf("ml: RandomForest node %d splits on feature %d of %d", i, n.feature, d)
 			}
 		}
 	case *SVR:

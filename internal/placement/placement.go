@@ -86,7 +86,7 @@ func BuildGroundTruth(eng *sweep.Engine, fleet *hw.Fleet, k *kernelir.Kernel, it
 	if err := fleet.Validate(); err != nil {
 		return nil, err
 	}
-	g := &Grid{Fleet: fleet, Kernel: k.Name}
+	g := newGrid(fleet, k.Name)
 	for di, fd := range fleet.Devices {
 		sw, err := eng.GroundTruth(fd.Spec, k, items)
 		if err != nil {
@@ -116,7 +116,7 @@ func BuildPredicted(fleet *hw.Fleet, preds []*model.Predictor, v features.Vector
 	if len(preds) != len(fleet.Devices) {
 		return nil, fmt.Errorf("placement: %d predictors for %d fleet devices", len(preds), len(fleet.Devices))
 	}
-	g := &Grid{Fleet: fleet, Kernel: "predicted"}
+	g := newGrid(fleet, "predicted")
 	for di, fd := range fleet.Devices {
 		p := preds[di]
 		if p == nil {
@@ -137,6 +137,16 @@ func BuildPredicted(fleet *hw.Fleet, preds []*model.Predictor, v features.Vector
 	}
 	g.index()
 	return g, nil
+}
+
+// newGrid returns an empty grid with room for one candidate per clock
+// of every fleet device, the number both builders add.
+func newGrid(fleet *hw.Fleet, kernel string) *Grid {
+	n := 0
+	for _, fd := range fleet.Devices {
+		n += len(fd.Spec.CoreFreqsMHz)
+	}
+	return &Grid{Fleet: fleet, Kernel: kernel, Candidates: make([]Candidate, 0, n)}
 }
 
 // add appends one candidate with its power accounting.
