@@ -13,7 +13,7 @@ import (
 func TestGuardedNilBreakerIsPlainApply(t *testing.T) {
 	t.Parallel()
 	pm, dev := v100Manager(t, true)
-	res := ApplyFrequencyGuarded(pm, dev.Spec().MinCoreMHz(), DefaultRetryPolicy(), nil)
+	res := ApplyFrequencyMetered(pm, dev.Spec().MinCoreMHz(), DefaultRetryPolicy(), nil, nil, "")
 	if !res.Applied || res.Err != nil {
 		t.Fatalf("guarded apply = %+v, want applied", res)
 	}
@@ -31,7 +31,7 @@ func TestGuardedBreakerTripsOnRepeatedFailures(t *testing.T) {
 	br := resilience.NewBreaker("gpu0", cfg)
 	pol := DefaultRetryPolicy()
 	for i := 0; i < cfg.FailureThreshold; i++ {
-		res := ApplyFrequencyGuarded(pm, 877, pol, br)
+		res := ApplyFrequencyMetered(pm, 877, pol, br, nil, "")
 		if res.Applied || res.Degraded {
 			t.Fatalf("call %d: %+v, want terminal failure", i, res)
 		}
@@ -44,7 +44,7 @@ func TestGuardedBreakerTripsOnRepeatedFailures(t *testing.T) {
 	}
 	before := dev.Now()
 	calls := dev.FaultInjector().CallCount(nvml.SiteSetAppClocks + ":gpu0")
-	res := ApplyFrequencyGuarded(pm, 877, pol, br)
+	res := ApplyFrequencyMetered(pm, 877, pol, br, nil, "")
 	if !res.Degraded || !errors.Is(res.Err, resilience.ErrOpen) {
 		t.Fatalf("open-breaker apply = %+v, want degraded with ErrOpen", res)
 	}
@@ -71,7 +71,7 @@ func TestGuardedBreakerHalfOpenRecovery(t *testing.T) {
 	cfg := resilience.Config{FailureThreshold: 2, CooldownSec: 0.25, HalfOpenSuccesses: 1}
 	br := resilience.NewBreaker("gpu0", cfg)
 	for i := 0; i < 2; i++ {
-		if res := ApplyFrequencyGuarded(pm, 877, pol, br); res.Applied {
+		if res := ApplyFrequencyMetered(pm, 877, pol, br, nil, ""); res.Applied {
 			t.Fatalf("call %d unexpectedly applied", i)
 		}
 	}
@@ -80,7 +80,7 @@ func TestGuardedBreakerHalfOpenRecovery(t *testing.T) {
 	}
 	// Cool-down elapses in device virtual time only.
 	dev.AdvanceIdle(cfg.CooldownSec)
-	res := ApplyFrequencyGuarded(pm, dev.Spec().MinCoreMHz(), pol, br)
+	res := ApplyFrequencyMetered(pm, dev.Spec().MinCoreMHz(), pol, br, nil, "")
 	if !res.Applied {
 		t.Fatalf("probe after cool-down = %+v, want applied", res)
 	}
@@ -107,7 +107,7 @@ func TestGuardedDenialStormTripsBreaker(t *testing.T) {
 	br := resilience.NewBreaker("gpu0", cfg)
 	pol := DefaultRetryPolicy()
 	for i := 0; i < 2; i++ {
-		res := ApplyFrequencyGuarded(pm, 877, pol, br)
+		res := ApplyFrequencyMetered(pm, 877, pol, br, nil, "")
 		if !res.Degraded {
 			t.Fatalf("call %d: %+v, want degraded", i, res)
 		}
@@ -115,7 +115,7 @@ func TestGuardedDenialStormTripsBreaker(t *testing.T) {
 	if br.Current() != resilience.Open {
 		t.Fatalf("breaker %v after denial storm, want open", br.Current())
 	}
-	res := ApplyFrequencyGuarded(pm, 877, pol, br)
+	res := ApplyFrequencyMetered(pm, 877, pol, br, nil, "")
 	if !res.Degraded || !errors.Is(res.Err, resilience.ErrOpen) {
 		t.Fatalf("post-storm apply = %+v, want short-circuited degradation", res)
 	}

@@ -8,11 +8,25 @@ import (
 	"synergy/internal/telemetry"
 )
 
-// ApplyFrequencyMetered is ApplyFrequencyGuarded with telemetry: the
-// outcome of every clock-set attempt sequence is recorded against the
-// device label. A nil registry makes this exactly ApplyFrequencyGuarded
-// (every telemetry method is nil-safe), and a nil breaker disables the
-// guard as usual.
+// ApplyFrequencyMetered is ApplyFrequency behind a per-device circuit
+// breaker, with telemetry. When the breaker is open the governor does
+// not burn the retry budget at all: the call degrades immediately (the
+// queue runs at current clocks and records the forfeited saving) with
+// zero SetCoreFreq attempts and zero backoff. Otherwise the attempt
+// sequence runs as usual and its outcome feeds the breaker — only an
+// applied clock set counts as healthy; a denial (degraded) or an
+// exhausted retry budget counts as a failure, so denial storms and
+// flaky drivers both trip the breaker and stop consuming attempts while
+// the device is unhealthy.
+//
+// Breaker time is the device's virtual clock (power.Manager.DeviceNow),
+// so cool-downs elapse with simulated work, never wall time. A nil
+// breaker disables the guard.
+//
+// The outcome of every clock-set attempt sequence is recorded against
+// the device label; a nil registry records nothing (every telemetry
+// method is nil-safe), so with a nil registry and a nil breaker this
+// is exactly ApplyFrequency.
 //
 // The emitted counters satisfy an exact identity the cross-validation
 // suite asserts: attempts - retries = applied + denied + exhausted

@@ -167,21 +167,28 @@ func (a *analyzer) deadPass() {
 			a.diag("unused-param", Warning, -1, "parameter %q is never referenced", p.Name)
 		}
 	}
-	a.deadCode(a.tree.Root)
+	a.deadCode()
 }
 
 // deadCode flags Repeat bodies that cannot execute (zero or negative
-// trip counts) or contain no instructions.
-func (a *analyzer) deadCode(n *kernelir.LoopNode) {
-	for _, c := range n.Children {
-		if skippableTrip(c.Trip) {
-			a.diag("dead-code", Warning, c.Begin,
-				"repeat body never executes (trip count %v)", c.Trip)
-			continue // everything inside is already dead
+// trip counts) or contain no instructions, scanning the repeat begins
+// in body order.
+func (a *analyzer) deadCode() {
+	body := a.k.Body
+	for pc := 0; pc < len(body); pc++ {
+		in := body[pc]
+		if in.Op != kernelir.OpRepeatBegin {
+			continue
 		}
-		if c.End == c.Begin+1 {
-			a.diag("dead-code", Warning, c.Begin, "empty repeat body")
+		end := a.tree.Match(pc)
+		if skippableTrip(in.Imm) {
+			a.diag("dead-code", Warning, pc,
+				"repeat body never executes (trip count %v)", in.Imm)
+			pc = end // everything inside is already dead
+			continue
 		}
-		a.deadCode(c)
+		if end == pc+1 {
+			a.diag("dead-code", Warning, pc, "empty repeat body")
+		}
 	}
 }

@@ -47,7 +47,7 @@ type ival struct{ lo, hi int64 }
 func fullIval() ival            { return ival{iNegInf, iInf} }
 func (v ival) isConst() bool    { return v.lo == v.hi && v.lo != iInf && v.lo != iNegInf }
 func (v ival) nonNeg() bool     { return v.lo >= 0 }
-func (v ival) join(w ival) ival { return ival{min64(v.lo, w.lo), max64(v.hi, w.hi)} }
+func (v ival) join(w ival) ival { return ival{min(v.lo, w.lo), max(v.hi, w.hi)} }
 
 // constIval tracks an exact constant, except for the two values the
 // lattice reserves as ±inf sentinels — those become ⊤ so that later
@@ -217,7 +217,7 @@ func (v ival) mul(w ival) ival {
 		if i == 0 {
 			out = ival{x, x}
 		} else {
-			out.lo, out.hi = min64(out.lo, x), max64(out.hi, x)
+			out.lo, out.hi = min(out.lo, x), max(out.hi, x)
 		}
 	}
 	return out
@@ -258,9 +258,9 @@ func transfer(st []ival, in kernelir.Instr) {
 	case kernelir.OpRemI:
 		out = remIval(a, b)
 	case kernelir.OpMinI:
-		out = ival{min64(a.lo, b.lo), min64(a.hi, b.hi)}
+		out = ival{min(a.lo, b.lo), min(a.hi, b.hi)}
 	case kernelir.OpMaxI:
-		out = ival{max64(a.lo, b.lo), max64(a.hi, b.hi)}
+		out = ival{max(a.lo, b.lo), max(a.hi, b.hi)}
 	case kernelir.OpCmpLTI, kernelir.OpCmpEQI, kernelir.OpCmpLTF:
 		out = ival{0, 1}
 	case kernelir.OpSelI:
@@ -329,7 +329,7 @@ func remIval(a, b ival) ival {
 func andIval(a, b ival) ival {
 	switch {
 	case a.nonNeg() && b.nonNeg():
-		return ival{0, min64(a.hi, b.hi)}
+		return ival{0, min(a.hi, b.hi)}
 	case a.nonNeg():
 		return ival{0, a.hi}
 	case b.nonNeg():
@@ -345,7 +345,7 @@ func orXorIval(a, b ival) ival {
 	if !a.nonNeg() || !b.nonNeg() {
 		return fullIval()
 	}
-	m := max64(a.hi, b.hi)
+	m := max(a.hi, b.hi)
 	if m >= 1<<62 {
 		return ival{0, iInf}
 	}
@@ -454,20 +454,6 @@ func (v ival) String() string {
 		}
 	}
 	return f(v.lo) + ", " + f(v.hi)
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func abs64(a int64) int64 {

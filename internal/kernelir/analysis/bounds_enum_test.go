@@ -45,9 +45,9 @@ func concreteInt(op kernelir.Op, x, y int64) int64 {
 		}
 		return x % y
 	case kernelir.OpMinI:
-		return min64(x, y)
+		return min(x, y)
 	case kernelir.OpMaxI:
-		return max64(x, y)
+		return max(x, y)
 	case kernelir.OpAndI:
 		return x & y
 	case kernelir.OpOrI:

@@ -248,7 +248,8 @@ func TestGoldenZeroTripBody(t *testing.T) {
 	t.Parallel()
 	// Assemble rejects repeat 0, so build the kernel directly: the
 	// analyzer must stay total, flag the Validate failure and the dead
-	// body, and must NOT let the dead def of f0 reach the store.
+	// body once (not the empty block nested in it), and must NOT let the
+	// dead def of f0 reach the store.
 	k := &kernelir.Kernel{
 		Name:         "zerotrip",
 		Params:       []kernelir.Param{{Name: "out", IsBuffer: true, Type: kernelir.F32, Access: kernelir.Write}},
@@ -257,16 +258,18 @@ func TestGoldenZeroTripBody(t *testing.T) {
 		Body: []kernelir.Instr{
 			{Op: kernelir.OpRepeatBegin, Imm: 0},         // 0
 			{Op: kernelir.OpConstF, Dst: 0, Imm: 1},      // 1: dead def
-			{Op: kernelir.OpRepeatEnd},                   // 2
-			{Op: kernelir.OpGlobalID, Dst: 0},            // 3
-			{Op: kernelir.OpStoreGF, A: 0, B: 0, Buf: 0}, // 4: reads f0 -> uninit
+			{Op: kernelir.OpRepeatBegin, Imm: 2},         // 2: empty, but dead already
+			{Op: kernelir.OpRepeatEnd},                   // 3
+			{Op: kernelir.OpRepeatEnd},                   // 4
+			{Op: kernelir.OpGlobalID, Dst: 0},            // 5
+			{Op: kernelir.OpStoreGF, A: 0, B: 0, Buf: 0}, // 6: reads f0 -> uninit
 		},
 	}
 	r := analysis.Analyze(k, analysis.Options{})
 	wantKeys(t, r, []diagKey{
 		{"validate", analysis.Error, -1},
 		{"dead-code", analysis.Warning, 0},
-		{"uninit", analysis.Error, 4},
+		{"uninit", analysis.Error, 6},
 	})
 }
 

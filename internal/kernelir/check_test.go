@@ -148,22 +148,11 @@ func TestBuildLoopTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	root := tree.Root
-	if len(root.Children) != 2 {
-		t.Fatalf("root children = %d, want 2", len(root.Children))
-	}
-	outer, empty := root.Children[0], root.Children[1]
-	if outer.Begin != 1 || outer.End != 5 || outer.Trip != 4 {
-		t.Fatalf("outer node = %+v", outer)
-	}
-	if len(outer.Children) != 1 || outer.Children[0].Begin != 2 || outer.Children[0].End != 4 {
-		t.Fatalf("inner node = %+v", outer.Children[0])
-	}
-	if empty.Begin != 6 || empty.End != 7 || empty.Trip != 3 {
-		t.Fatalf("empty node = %+v", empty)
-	}
-	if tree.Match(1) != 5 || tree.Match(5) != 1 || tree.Match(2) != 4 {
-		t.Fatal("Match inconsistent with nesting")
+	for begin, end := range map[int]int{1: 5, 2: 4, 6: 7} {
+		if tree.Match(begin) != end || tree.Match(end) != begin {
+			t.Fatalf("Match(%d) = %d, Match(%d) = %d; want the pair %d, %d",
+				begin, tree.Match(begin), end, tree.Match(end), begin, end)
+		}
 	}
 	// Walk multiplies nested trip counts.
 	mults := map[int]float64{}

@@ -156,35 +156,11 @@ func loopStep(trip int64, body []step) step {
 	}
 }
 
-func clampIdx(i int64, n int) int {
-	if i < 0 {
-		return 0
-	}
-	if i >= int64(n) {
-		return n - 1
-	}
-	return int(i)
-}
-
 func b2i(b bool) int64 {
 	if b {
 		return 1
 	}
 	return 0
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // lower specializes one instruction into a step closure. d2 >= 0 selects
@@ -330,14 +306,14 @@ func (lw *lowering) lower(in kernelir.Instr, d2 int) step {
 		}
 	case kernelir.OpMinI:
 		if d2 < 0 {
-			return func(m *machine) { m.ints[dst] = min64(m.ints[a], m.ints[b]) }
+			return func(m *machine) { m.ints[dst] = min(m.ints[a], m.ints[b]) }
 		}
-		return func(m *machine) { v := min64(m.ints[a], m.ints[b]); m.ints[dst] = v; m.ints[d2] = v }
+		return func(m *machine) { v := min(m.ints[a], m.ints[b]); m.ints[dst] = v; m.ints[d2] = v }
 	case kernelir.OpMaxI:
 		if d2 < 0 {
-			return func(m *machine) { m.ints[dst] = max64(m.ints[a], m.ints[b]) }
+			return func(m *machine) { m.ints[dst] = max(m.ints[a], m.ints[b]) }
 		}
-		return func(m *machine) { v := max64(m.ints[a], m.ints[b]); m.ints[dst] = v; m.ints[d2] = v }
+		return func(m *machine) { v := max(m.ints[a], m.ints[b]); m.ints[dst] = v; m.ints[d2] = v }
 	case kernelir.OpCmpLTI:
 		if d2 < 0 {
 			return func(m *machine) { m.ints[dst] = b2i(m.ints[a] < m.ints[b]) }
@@ -501,49 +477,49 @@ func (lw *lowering) lower(in kernelir.Instr, d2 int) step {
 		if d2 < 0 {
 			return func(m *machine) {
 				bf := m.bufF[buf]
-				m.floats[dst] = float64(bf[clampIdx(m.ints[a], len(bf))])
+				m.floats[dst] = float64(bf[kernelir.ClampIndex(m.ints[a], len(bf))])
 			}
 		}
 		return func(m *machine) {
 			bf := m.bufF[buf]
-			v := float64(bf[clampIdx(m.ints[a], len(bf))])
+			v := float64(bf[kernelir.ClampIndex(m.ints[a], len(bf))])
 			m.floats[dst] = v
 			m.floats[d2] = v
 		}
 	case kernelir.OpStoreGF:
 		return func(m *machine) {
 			bf := m.bufF[buf]
-			bf[clampIdx(m.ints[a], len(bf))] = float32(m.floats[b])
+			bf[kernelir.ClampIndex(m.ints[a], len(bf))] = float32(m.floats[b])
 		}
 	case kernelir.OpLoadGI:
 		if d2 < 0 {
 			return func(m *machine) {
 				bi := m.bufI[buf]
-				m.ints[dst] = int64(bi[clampIdx(m.ints[a], len(bi))])
+				m.ints[dst] = int64(bi[kernelir.ClampIndex(m.ints[a], len(bi))])
 			}
 		}
 		return func(m *machine) {
 			bi := m.bufI[buf]
-			v := int64(bi[clampIdx(m.ints[a], len(bi))])
+			v := int64(bi[kernelir.ClampIndex(m.ints[a], len(bi))])
 			m.ints[dst] = v
 			m.ints[d2] = v
 		}
 	case kernelir.OpStoreGI:
 		return func(m *machine) {
 			bi := m.bufI[buf]
-			bi[clampIdx(m.ints[a], len(bi))] = int32(m.ints[b])
+			bi[kernelir.ClampIndex(m.ints[a], len(bi))] = int32(m.ints[b])
 		}
 	case kernelir.OpLoadLF:
 		if d2 < 0 {
-			return func(m *machine) { m.floats[dst] = m.local[clampIdx(m.ints[a], len(m.local))] }
+			return func(m *machine) { m.floats[dst] = m.local[kernelir.ClampIndex(m.ints[a], len(m.local))] }
 		}
 		return func(m *machine) {
-			v := m.local[clampIdx(m.ints[a], len(m.local))]
+			v := m.local[kernelir.ClampIndex(m.ints[a], len(m.local))]
 			m.floats[dst] = v
 			m.floats[d2] = v
 		}
 	case kernelir.OpStoreLF:
-		return func(m *machine) { m.local[clampIdx(m.ints[a], len(m.local))] = m.floats[b] }
+		return func(m *machine) { m.local[kernelir.ClampIndex(m.ints[a], len(m.local))] = m.floats[b] }
 	default:
 		panic(fmt.Sprintf("compile: unhandled opcode %v", in.Op))
 	}

@@ -2,8 +2,6 @@ package compile
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"synergy/internal/features"
 	"synergy/internal/hw"
@@ -100,39 +98,11 @@ func (p *Program) ExecuteGridWorkers(a kernelir.Args, items, nx, workers int) er
 	return p.run(env, items, nx, workers)
 }
 
-// run partitions work-items exactly like the interpreter: workers capped
-// at the item count, contiguous ceil(items/workers) chunks, one machine
-// per worker whose registers persist across that worker's items (the
-// interpreter's observable register-carryover semantics).
+// run partitions work-items with the interpreter's kernelir.Partition,
+// one machine per worker whose registers persist across that worker's
+// items (the interpreter's observable register-carryover semantics).
 func (p *Program) run(env *kernelir.Bound, items, nx, workers int) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > items {
-		workers = items
-	}
-	chunk := (items + workers - 1) / workers
-	if workers == 1 {
-		p.runChunk(env, 0, items, nx)
-		return nil
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > items {
-			hi = items
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			p.runChunk(env, lo, hi, nx)
-		}(lo, hi)
-	}
-	wg.Wait()
+	kernelir.Partition(items, workers, func(lo, hi int) { p.runChunk(env, lo, hi, nx) })
 	return nil
 }
 

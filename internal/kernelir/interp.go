@@ -74,7 +74,10 @@ func Bind(k *Kernel, a Args) (*Bound, error) {
 	return b, nil
 }
 
-func clampIdx(i int64, n int) int {
+// ClampIndex is where an access at index i of an n-element buffer
+// lands: below 0 at element 0, at or past n at element n-1. Global and
+// local accesses clamp through it on every executor.
+func ClampIndex(i int64, n int) int {
 	if i < 0 {
 		return 0
 	}
@@ -149,52 +152,65 @@ func InterpretGridWorkers(k *Kernel, a Args, items, nx, workers int) error {
 }
 
 // interpretBound is the interpreter's execution core over a resolved
-// environment. workers <= 0 selects GOMAXPROCS. The worker chunking here
-// is the normative work-item partition: compiled executors replicate it
-// exactly so racy kernels resolve collisions with the same worker
-// geometry.
+// environment. workers <= 0 selects GOMAXPROCS.
 func interpretBound(k *Kernel, env *Bound, items, nx, workers int) error {
-	// The loop tree is the shared structured-control normalization; the
-	// interpreter only needs its begin/end matching.
 	tree, err := BuildLoopTree(k.Body)
 	if err != nil {
 		return err
 	}
-	match := tree.match
+	Partition(items, workers, func(lo, hi int) {
+		ints := make([]int64, k.NumIntRegs)
+		floats := make([]float64, k.NumFloatRegs)
+		var local []float64
+		if k.LocalF32 > 0 {
+			local = make([]float64, k.LocalF32)
+		}
+		for gid := lo; gid < hi; gid++ {
+			runItem(k, env, tree.match, int64(gid), int64(nx), ints, floats, local)
+		}
+	})
+	return nil
+}
 
+// Partition runs work-items [0, items) as contiguous chunks of
+// ceil(items/workers), calling run(lo, hi) once per chunk, each on its
+// own goroutine (a single chunk runs on the caller's), and returns when
+// all are done. workers <= 0 selects GOMAXPROCS, and at most items
+// workers run. It is the one work-item partition: every executor runs
+// its chunks through it, so kernels whose items race on clamped stores
+// resolve the collisions with the same worker geometry on every path.
+func Partition(items, workers int, run func(lo, hi int)) {
+	if items <= 0 {
+		return
+	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > items {
-		workers = items
-	}
 	chunk := (items + workers - 1) / workers
+	if chunk >= items {
+		run(0, items)
+		return
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > items {
-			hi = items
-		}
-		if lo >= hi {
-			break
-		}
+	for lo := 0; lo < items; lo += chunk {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			ints := make([]int64, k.NumIntRegs)
-			floats := make([]float64, k.NumFloatRegs)
-			var local []float64
-			if k.LocalF32 > 0 {
-				local = make([]float64, k.LocalF32)
-			}
-			for gid := lo; gid < hi; gid++ {
-				runItem(k, env, match, int64(gid), int64(nx), ints, floats, local)
-			}
-		}(lo, hi)
+			run(lo, hi)
+		}(lo, min(lo+chunk, items))
 	}
 	wg.Wait()
-	return nil
+}
+
+// Compute evaluates in on the interpreter over operand values: ints
+// and floats (four registers each) hold the values of its A, B and C
+// operands at indices 0-2, each in the file its slot reads, and the
+// result lands at index 3 of the file in writes. in must read only
+// registers: no parameter, global id, memory or control.
+func (in Instr) Compute(ints []int64, floats []float64) {
+	in.Dst, in.A, in.B, in.C = 3, 0, 1, 2
+	k := Kernel{Body: []Instr{in}}
+	runItem(&k, nil, nil, 0, 0, ints, floats, nil)
 }
 
 // runItem interprets the kernel body for one work-item.
@@ -255,9 +271,9 @@ func runItem(k *Kernel, env *Bound, match []int, gid, nx int64, ints []int64, fl
 				ints[in.Dst] = ints[in.A] % ints[in.B]
 			}
 		case OpMinI:
-			ints[in.Dst] = min64(ints[in.A], ints[in.B])
+			ints[in.Dst] = min(ints[in.A], ints[in.B])
 		case OpMaxI:
-			ints[in.Dst] = max64(ints[in.A], ints[in.B])
+			ints[in.Dst] = max(ints[in.A], ints[in.B])
 		case OpCmpLTI:
 			ints[in.Dst] = b2i(ints[in.A] < ints[in.B])
 		case OpCmpEQI:
@@ -318,20 +334,20 @@ func runItem(k *Kernel, env *Bound, match []int, gid, nx int64, ints []int64, fl
 			floats[in.Dst] = math.Erf(floats[in.A])
 		case OpLoadGF:
 			buf := env.BufF[in.Buf]
-			floats[in.Dst] = float64(buf[clampIdx(ints[in.A], len(buf))])
+			floats[in.Dst] = float64(buf[ClampIndex(ints[in.A], len(buf))])
 		case OpStoreGF:
 			buf := env.BufF[in.Buf]
-			buf[clampIdx(ints[in.A], len(buf))] = float32(floats[in.B])
+			buf[ClampIndex(ints[in.A], len(buf))] = float32(floats[in.B])
 		case OpLoadGI:
 			buf := env.BufI[in.Buf]
-			ints[in.Dst] = int64(buf[clampIdx(ints[in.A], len(buf))])
+			ints[in.Dst] = int64(buf[ClampIndex(ints[in.A], len(buf))])
 		case OpStoreGI:
 			buf := env.BufI[in.Buf]
-			buf[clampIdx(ints[in.A], len(buf))] = int32(ints[in.B])
+			buf[ClampIndex(ints[in.A], len(buf))] = int32(ints[in.B])
 		case OpLoadLF:
-			floats[in.Dst] = local[clampIdx(ints[in.A], len(local))]
+			floats[in.Dst] = local[ClampIndex(ints[in.A], len(local))]
 		case OpStoreLF:
-			local[clampIdx(ints[in.A], len(local))] = floats[in.B]
+			local[ClampIndex(ints[in.A], len(local))] = floats[in.B]
 		case OpRepeatBegin:
 			if trips == nil {
 				trips = make(map[int]int64, 4)
@@ -354,18 +370,4 @@ func b2i(b bool) int64 {
 		return 1
 	}
 	return 0
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -3,7 +3,10 @@ package kernelir
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -435,6 +438,39 @@ func TestExecuteParallelDeterminism(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("non-deterministic result at %d: %v vs %v", i, a[i], b[i])
+		}
+	}
+}
+
+// TestPartition pins the work-item partition every executor shares:
+// contiguous chunks of ceil(items/workers), no more workers than items,
+// and GOMAXPROCS workers for workers <= 0.
+func TestPartition(t *testing.T) {
+	chunks := func(items, workers int) [][2]int {
+		var mu sync.Mutex
+		var got [][2]int
+		Partition(items, workers, func(lo, hi int) {
+			mu.Lock()
+			got = append(got, [2]int{lo, hi})
+			mu.Unlock()
+		})
+		slices.SortFunc(got, func(a, b [2]int) int { return a[0] - b[0] })
+		return got
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	for _, c := range []struct {
+		items, workers int
+		want           [][2]int
+	}{
+		{10, 4, [][2]int{{0, 3}, {3, 6}, {6, 9}, {9, 10}}},
+		{3, 8, [][2]int{{0, 1}, {1, 2}, {2, 3}}},
+		{5, 1, [][2]int{{0, 5}}},
+		{10, 0, [][2]int{{0, 4}, {4, 8}, {8, 10}}},
+		{10, -2, [][2]int{{0, 4}, {4, 8}, {8, 10}}},
+		{0, 4, nil},
+	} {
+		if got := chunks(c.items, c.workers); !slices.Equal(got, c.want) {
+			t.Errorf("%d items over %d workers: chunks %v, want %v", c.items, c.workers, got, c.want)
 		}
 	}
 }

@@ -2,60 +2,39 @@ package kernelir
 
 import "fmt"
 
-// LoopNode is one node of a kernel's loop tree: the root spans the whole
-// body and every other node is one Repeat block.
-type LoopNode struct {
-	// Begin and End are the pcs of the OpRepeatBegin / OpRepeatEnd pair
-	// (-1 and len(body) for the root). The block's body occupies
-	// [Begin+1, End).
-	Begin, End int
-	// Trip is the static trip count (1 for the root).
-	Trip float64
-	// Children lists the directly nested Repeat blocks, in body order.
-	Children []*LoopNode
-}
-
 // LoopTree is the shared structured-control normalization of a kernel
-// body. Because the IR's only control flow is statically-bounded Repeat
-// nesting, the control-flow graph of any kernel reduces without loss to
-// this tree; the interpreter (begin/end matching), the feature
-// extraction pass (trip-count multipliers, internal/features) and the
-// static analyzer (per-block dataflow spans, internal/kernelir/analysis)
-// all walk the same normalization instead of re-deriving it.
+// body: the pc of the OpRepeatEnd that closes each OpRepeatBegin, and
+// the other way round. Because the IR's only control flow is
+// statically-bounded Repeat nesting, that table is the whole
+// control-flow graph of any kernel; the interpreter and the compiler
+// (begin/end matching), the feature extraction pass (trip-count
+// multipliers, internal/features), the static analyzer
+// (internal/kernelir/analysis) and the optimizer all read it instead of
+// re-deriving it.
 type LoopTree struct {
 	body  []Instr
 	match []int
-	Root  *LoopNode
 }
 
 // BuildLoopTree normalizes a body's Repeat structure, failing on
 // unmatched begin/end pairs.
 func BuildLoopTree(body []Instr) (*LoopTree, error) {
-	t := &LoopTree{
-		body:  body,
-		match: make([]int, len(body)),
-		Root:  &LoopNode{Begin: -1, End: len(body), Trip: 1},
-	}
-	stack := []*LoopNode{t.Root}
+	t := &LoopTree{body: body, match: make([]int, len(body))}
+	open := make([]int, 0, MaxDepth) // pcs of the unclosed begins
 	for pc, in := range body {
 		switch in.Op {
 		case OpRepeatBegin:
-			n := &LoopNode{Begin: pc, End: -1, Trip: in.Imm}
-			top := stack[len(stack)-1]
-			top.Children = append(top.Children, n)
-			stack = append(stack, n)
+			open = append(open, pc)
 		case OpRepeatEnd:
-			if len(stack) == 1 {
+			if len(open) == 0 {
 				return nil, fmt.Errorf("kernelir: unmatched repeat end at %d", pc)
 			}
-			n := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			n.End = pc
-			t.match[n.Begin] = pc
-			t.match[pc] = n.Begin
+			begin := open[len(open)-1]
+			open = open[:len(open)-1]
+			t.match[begin], t.match[pc] = pc, begin
 		}
 	}
-	if len(stack) != 1 {
+	if len(open) != 0 {
 		return nil, fmt.Errorf("kernelir: unclosed repeat block")
 	}
 	return t, nil
@@ -64,9 +43,6 @@ func BuildLoopTree(body []Instr) (*LoopTree, error) {
 // Match returns the pc of the matching OpRepeatEnd for an OpRepeatBegin
 // pc and vice versa (undefined for other pcs).
 func (t *LoopTree) Match(pc int) int { return t.match[pc] }
-
-// Body returns the instruction stream the tree was built from.
-func (t *LoopTree) Body() []Instr { return t.body }
 
 // ReadsBeforeWrites calls fn once for each register whose first access
 // in the body is a read, at that read, in program order; an

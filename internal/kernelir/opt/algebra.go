@@ -23,7 +23,7 @@ import (
 // Features-wise this moves the instruction from the IntMul class to
 // IntBw — the same merged IntOps resource in the hardware model, but
 // the sharper class the SYnergy feature vector wants.
-func algebraPass(k *kernelir.Kernel, body []kernelir.Instr) ([]kernelir.Instr, []Rewrite) {
+func algebraPass(k *kernelir.Kernel, body []kernelir.Instr, tree *kernelir.LoopTree) ([]kernelir.Instr, []Rewrite) {
 	out := append([]kernelir.Instr(nil), body...)
 	var u *regUse // counts out from the first strength-reduction candidate on
 	var rws []Rewrite
@@ -46,7 +46,7 @@ func algebraPass(k *kernelir.Kernel, body []kernelir.Instr) ([]kernelir.Instr, [
 		return kernelir.Instr{Op: kernelir.OpConstI, Dst: dst, Imm: float64(v)}
 	}
 
-	walkConst(k, out, func(pc int, st *constState) {
+	walkConst(k, tree, out, func(pc int, st *constState) {
 		in := out[pc]
 		rs, n := in.Reads()
 		intConst := func(slot int) (int64, bool) {

@@ -29,34 +29,41 @@ import (
 //
 // Any violation fails the whole optimization: Optimize returns the
 // original kernel with Result.Err set. mem carries the original body's
-// memory sequence from one check to the next.
-func checkPass(k *kernelir.Kernel, mem *memTrace, before, after []kernelir.Instr, passName string, rws []Rewrite) error {
+// memory sequence from one check to the next. On success checkPass
+// returns after's loop tree, which the next pass gets.
+func checkPass(k *kernelir.Kernel, mem *memTrace, before, after []kernelir.Instr, passName string, rws []Rewrite) (*kernelir.LoopTree, error) {
 	nk := k.WithBody(after)
 	if err := nk.Validate(); err != nil {
-		return fmt.Errorf("%s: rewritten body fails validation: %w", passName, err)
+		return nil, fmt.Errorf("%s: rewritten body fails validation: %w", passName, err)
 	}
-	if _, err := kernelir.BuildLoopTree(after); err != nil {
-		return fmt.Errorf("%s: rewritten body has no loop tree: %w", passName, err)
+	tree, err := kernelir.BuildLoopTree(after)
+	if err != nil {
+		return nil, fmt.Errorf("%s: rewritten body has no loop tree: %w", passName, err)
 	}
 	if err := mem.check(k.Body, after); err != nil {
-		return fmt.Errorf("%s: %w", passName, err)
+		return nil, fmt.Errorf("%s: %w", passName, err)
 	}
 	if err := memOpsFrozen(before, after, passName); err != nil {
-		return fmt.Errorf("%s: %w", passName, err)
+		return nil, fmt.Errorf("%s: %w", passName, err)
 	}
 	switch passName {
 	case "constfold", "algebra":
-		return checkInPlace(before, after, passName, rws)
+		err = checkInPlace(before, after, passName, rws)
 	case "cse":
-		return checkCSE(before, after, rws)
+		err = checkCSE(before, after, rws)
 	case "copyprop":
-		return checkCopyProp(before, after, rws)
+		err = checkCopyProp(before, after, rws)
 	case "licm":
-		return checkLICM(before, after, rws)
+		err = checkLICM(before, after, rws)
 	case "dce":
-		return checkDCE(before, after, rws)
+		err = checkDCE(before, after, rws)
+	default:
+		err = fmt.Errorf("unknown pass %q", passName)
 	}
-	return fmt.Errorf("unknown pass %q", passName)
+	if err != nil {
+		return nil, err
+	}
+	return tree, nil
 }
 
 // memEvent is one memory or local-scratch access with its loop context.

@@ -23,7 +23,7 @@ import (
 // the versions they had at the move. Repeat entry bumps everything the
 // subtree writes, which invalidates loop-carried copies for the walk of
 // the body.
-func copyPropPass(k *kernelir.Kernel, body []kernelir.Instr) ([]kernelir.Instr, []Rewrite) {
+func copyPropPass(k *kernelir.Kernel, body []kernelir.Instr, tree *kernelir.LoopTree) ([]kernelir.Instr, []Rewrite) {
 	out := append([]kernelir.Instr(nil), body...)
 	var rws []Rewrite
 	vers := make([]int, k.NumRegs())
@@ -45,7 +45,7 @@ func copyPropPass(k *kernelir.Kernel, body []kernelir.Instr) ([]kernelir.Instr, 
 		return c.src, true
 	}
 
-	walk(out, func(r kernelir.Reg) { vers[k.RegIndex(r)]++ }, func(pc int) {
+	walk(tree, out, func(r kernelir.Reg) { vers[k.RegIndex(r)]++ }, func(pc int) {
 		in := out[pc]
 		// Substitute operands before processing the write.
 		rs, n := in.Reads()

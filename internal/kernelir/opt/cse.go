@@ -54,7 +54,7 @@ func cseable(in kernelir.Instr) bool {
 	return pureOp(in)
 }
 
-func csePass(k *kernelir.Kernel, body []kernelir.Instr) ([]kernelir.Instr, []Rewrite) {
+func csePass(k *kernelir.Kernel, body []kernelir.Instr, tree *kernelir.LoopTree) ([]kernelir.Instr, []Rewrite) {
 	out := append([]kernelir.Instr(nil), body...)
 	var rws []Rewrite
 	vers := make([]int, k.NumRegs())
@@ -74,7 +74,7 @@ func csePass(k *kernelir.Kernel, body []kernelir.Instr) ([]kernelir.Instr, []Rew
 
 	// Kill on loop entry: iterations beyond the first observe
 	// loop-carried values for everything the block writes.
-	walk(out, func(r kernelir.Reg) { vers[k.RegIndex(r)]++ }, func(pc int) {
+	walk(tree, out, func(r kernelir.Reg) { vers[k.RegIndex(r)]++ }, func(pc int) {
 		in := out[pc]
 		w, hasDst := in.Write()
 		if !cseable(in) {

@@ -22,11 +22,7 @@ import (
 //   - live at the end of a Repeat body additionally includes every
 //     register the body reads anywhere — the back edge makes any
 //     in-body read reachable from any in-body point.
-func dcePass(k *kernelir.Kernel, body []kernelir.Instr) ([]kernelir.Instr, []Rewrite) {
-	tree, err := kernelir.BuildLoopTree(body)
-	if err != nil {
-		return nil, nil
-	}
+func dcePass(k *kernelir.Kernel, body []kernelir.Instr, tree *kernelir.LoopTree) ([]kernelir.Instr, []Rewrite) {
 	live := make([]bool, k.NumRegs())
 	tree.ReadsBeforeWrites(k, func(_ int, r kernelir.Reg) { live[k.RegIndex(r)] = true })
 	markReads := func(in kernelir.Instr) {

@@ -69,12 +69,12 @@ func (st *constState) transfer(in kernelir.Instr) {
 }
 
 // walkConst runs visit over every non-control instruction with the
-// constant state as of that point, applying loop kills. visit may
-// rewrite body[pc] in place; the transfer runs on the (possibly
-// rewritten) instruction.
-func walkConst(k *kernelir.Kernel, body []kernelir.Instr, visit func(pc int, st *constState)) {
+// constant state as of that point, applying loop kills; tree is body's
+// loop tree. visit may rewrite body[pc] in place; the transfer runs on
+// the (possibly rewritten) instruction.
+func walkConst(k *kernelir.Kernel, tree *kernelir.LoopTree, body []kernelir.Instr, visit func(pc int, st *constState)) {
 	st := newConstState(k)
-	walk(body, func(r kernelir.Reg) { st.vals[k.RegIndex(r)] = constVal{} }, func(pc int) {
+	walk(tree, body, func(r kernelir.Reg) { st.vals[k.RegIndex(r)] = constVal{} }, func(pc int) {
 		visit(pc, st)
 		st.transfer(body[pc])
 	})
@@ -95,26 +95,24 @@ func cvtFIFoldable(f float64) bool {
 	return !math.IsNaN(f) && math.Abs(f) <= 1<<53
 }
 
-func b2i(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// foldValue evaluates in over known operands, performing exactly the
-// operation interp.go's runItem performs (same Go expressions, so float
-// rounding, NaN production and shift masking are identical). It refuses
-// to fold div/rem with a zero divisor (the interpreter's x/0 = 0 path
-// stays in the code), integer results that do not round-trip through
-// the Imm encoding, and float→int conversions outside the exact range.
+// foldValue evaluates in over known operands on the interpreter
+// (Instr.Compute), so float rounding, NaN production and shift masking
+// are the interpreter's own. It folds only pure instructions that read
+// registers: a parameter or global-id read depends on the launch or the
+// item. It refuses div/rem with a zero divisor (the interpreter's
+// x/0 = 0 path stays in the code), integer results that do not
+// round-trip through the Imm encoding, and float→int conversions
+// outside the exact range.
 func foldValue(in kernelir.Instr, st *constState) (constVal, bool) {
+	rs, n := in.Reads()
+	if n == 0 || !pureOp(in) {
+		return constVal{}, false
+	}
 	// Each operand's int and float fields: an int register's float field
 	// is 0 and the other way round, and each op reads only the fields of
 	// its operands' files.
-	var ints [3]int64
-	var floats [3]float64
-	rs, n := in.Reads()
+	var ints [4]int64
+	var floats [4]float64
 	for i, r := range rs[:n] {
 		v := st.of(r)
 		if !v.known {
@@ -122,109 +120,28 @@ func foldValue(in kernelir.Instr, st *constState) (constVal, bool) {
 		}
 		ints[i], floats[i] = v.i, v.f
 	}
-	ai, bi, ci := ints[0], ints[1], ints[2]
-	af, bf := floats[0], floats[1]
-
-	intVal := func(v int64) (constVal, bool) {
-		if !immRoundTrips(v) {
-			return constVal{}, false
-		}
-		return constVal{known: true, i: v}, true
-	}
-	floatVal := func(v float64) (constVal, bool) {
-		return constVal{known: true, f: v}, true
-	}
-
 	switch in.Op {
-	case kernelir.OpAddI:
-		return intVal(ai + bi)
-	case kernelir.OpSubI:
-		return intVal(ai - bi)
-	case kernelir.OpMulI:
-		return intVal(ai * bi)
-	case kernelir.OpDivI:
-		if bi == 0 {
+	case kernelir.OpDivI, kernelir.OpRemI:
+		if ints[1] == 0 {
 			return constVal{}, false // never folded: x/0 stays in the code
 		}
-		return intVal(ai / bi)
-	case kernelir.OpRemI:
-		if bi == 0 {
-			return constVal{}, false
-		}
-		return intVal(ai % bi)
-	case kernelir.OpMinI:
-		return intVal(min(ai, bi))
-	case kernelir.OpMaxI:
-		return intVal(max(ai, bi))
-	case kernelir.OpCmpLTI:
-		return intVal(b2i(ai < bi))
-	case kernelir.OpCmpEQI:
-		return intVal(b2i(ai == bi))
-	case kernelir.OpSelI:
-		if ci != 0 {
-			return intVal(ai)
-		}
-		return intVal(bi)
-	case kernelir.OpAndI:
-		return intVal(ai & bi)
-	case kernelir.OpOrI:
-		return intVal(ai | bi)
-	case kernelir.OpXorI:
-		return intVal(ai ^ bi)
-	case kernelir.OpShlI:
-		return intVal(ai << (uint64(bi) & 63))
-	case kernelir.OpShrI:
-		return intVal(ai >> (uint64(bi) & 63))
-	case kernelir.OpCvtIF:
-		return floatVal(float64(ai))
-	case kernelir.OpCvtFI:
-		if !cvtFIFoldable(af) {
-			return constVal{}, false
-		}
-		return intVal(int64(af))
-	case kernelir.OpAddF:
-		return floatVal(af + bf)
-	case kernelir.OpSubF:
-		return floatVal(af - bf)
-	case kernelir.OpMulF:
-		return floatVal(af * bf)
 	case kernelir.OpDivF:
-		if bf == 0 {
+		if floats[1] == 0 {
 			return constVal{}, false // never folded, ±0.0 included
 		}
-		return floatVal(af / bf)
-	case kernelir.OpMinF:
-		return floatVal(math.Min(af, bf))
-	case kernelir.OpMaxF:
-		return floatVal(math.Max(af, bf))
-	case kernelir.OpAbsF:
-		return floatVal(math.Abs(af))
-	case kernelir.OpNegF:
-		return floatVal(-af)
-	case kernelir.OpCmpLTF:
-		return intVal(b2i(af < bf))
-	case kernelir.OpSelF:
-		if ci != 0 {
-			return floatVal(af)
+	case kernelir.OpCvtFI:
+		if !cvtFIFoldable(floats[0]) {
+			return constVal{}, false
 		}
-		return floatVal(bf)
-	case kernelir.OpSqrtF:
-		return floatVal(math.Sqrt(af))
-	case kernelir.OpExpF:
-		return floatVal(math.Exp(af))
-	case kernelir.OpLogF:
-		return floatVal(math.Log(af))
-	case kernelir.OpSinF:
-		return floatVal(math.Sin(af))
-	case kernelir.OpCosF:
-		return floatVal(math.Cos(af))
-	case kernelir.OpPowF:
-		return floatVal(math.Pow(af, bf))
-	case kernelir.OpErfF:
-		return floatVal(math.Erf(af))
 	}
-	// param.i/f, gid variants, loads: launch- or item-dependent.
-	return constVal{}, false
+	in.Compute(ints[:], floats[:])
+	if w, _ := in.Write(); w.File == kernelir.F32 {
+		return constVal{known: true, f: floats[3]}, true
+	}
+	if !immRoundTrips(ints[3]) {
+		return constVal{}, false
+	}
+	return constVal{known: true, i: ints[3]}, true
 }
 
 // foldPass replaces every instruction whose operands are known
@@ -232,10 +149,10 @@ func foldValue(in kernelir.Instr, st *constState) (constVal, bool) {
 // known condition, with a move of the chosen operand). Instruction
 // count is unchanged; downstream passes clean up the orphaned
 // producers.
-func foldPass(k *kernelir.Kernel, body []kernelir.Instr) ([]kernelir.Instr, []Rewrite) {
+func foldPass(k *kernelir.Kernel, body []kernelir.Instr, tree *kernelir.LoopTree) ([]kernelir.Instr, []Rewrite) {
 	out := append([]kernelir.Instr(nil), body...)
 	var rws []Rewrite
-	walkConst(k, out, func(pc int, st *constState) {
+	walkConst(k, tree, out, func(pc int, st *constState) {
 		in := out[pc]
 		switch in.Op {
 		case kernelir.OpConstI, kernelir.OpConstF, kernelir.OpMoveI, kernelir.OpMoveF:

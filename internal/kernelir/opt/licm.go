@@ -7,7 +7,7 @@ import (
 	"synergy/internal/kernelir"
 )
 
-// Loop-invariant code motion over BuildLoopTree. An instruction may
+// Loop-invariant code motion over the loop tree. An instruction may
 // move out of its Repeat block when:
 //
 //   - it is pure (no memory, local or control effect);
@@ -25,40 +25,35 @@ import (
 // candidate once before the block is execute-exactly-what-would-have-
 // executed, with identical operand values — bit-exact including floats.
 //
-// The pass builds the loop tree once and drains the loops in
-// post-order, children before their loop and siblings in body order:
-// it hoists batch after batch out of one loop until nothing in it
-// qualifies, then moves on. Of the loops still to drain, a batch moves
-// only its own loop's begin (down, past the batch), and it adds nothing
-// to a loop drained before, so the drain hoists the batches that
-// restarting from the innermost loop after each batch would. Chains of
-// invariant instructions cascade out of nested loops (the const feeding
-// a mul feeding an add all reach the outermost prologue). LICM moves
-// instructions but never rewrites one, so the divisor facts of the
-// pass's input hold throughout.
-func licmPass(k *kernelir.Kernel, body []kernelir.Instr) ([]kernelir.Instr, []Rewrite) {
-	tree, err := kernelir.BuildLoopTree(body)
-	if err != nil {
-		return nil, nil
-	}
+// The pass drains the loops in ascending order of their end pcs, which
+// is post-order: children before their loop and siblings in body order.
+// It hoists batch after batch out of one loop until nothing in it
+// qualifies, then moves on. A batch permutes only the span before its
+// loop's end, so it moves no end and, of the loops still to drain, only
+// its own loop's begin (down, past the batch); the input's loop tree
+// locates every loop. A batch adds nothing to a loop drained before, so
+// the drain hoists the batches that restarting from the innermost loop
+// after each batch would. Chains of invariant instructions cascade out
+// of nested loops (the const feeding a mul feeding an add all reach the
+// outermost prologue). LICM moves instructions but never rewrites one,
+// so the divisor facts of the pass's input hold throughout.
+func licmPass(k *kernelir.Kernel, body []kernelir.Instr, tree *kernelir.LoopTree) ([]kernelir.Instr, []Rewrite) {
 	out := append([]kernelir.Instr(nil), body...)
 	s := newLoopUse(k, body)
 	var rws []Rewrite
-	var drain func(n *kernelir.LoopNode)
-	drain = func(n *kernelir.LoopNode) {
-		for _, l := range n.Children {
-			drain(l)
-			for {
-				picks := hoistable(s, out, l.Begin, l.End)
-				if len(picks) == 0 {
-					break
-				}
-				rws = hoist(out, l.Begin, picks, rws)
-				l.Begin += len(picks)
+	for end, in := range body {
+		if in.Op != kernelir.OpRepeatEnd {
+			continue
+		}
+		for begin := tree.Match(end); ; {
+			picks := hoistable(s, out, begin, end)
+			if len(picks) == 0 {
+				break
 			}
+			rws = hoist(out, begin, picks, rws)
+			begin += len(picks)
 		}
 	}
-	drain(tree.Root)
 	if len(rws) == 0 {
 		return nil, nil
 	}

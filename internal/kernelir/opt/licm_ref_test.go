@@ -132,10 +132,10 @@ func fuzzOptKernel(data []byte) *kernelir.Kernel {
 	return k
 }
 
-// checkHoistable drains every loop of k as licmPass does, in
-// post-order and batch after batch, and requires each batch's picks to
-// equal refHoistable's on the same body. The drained body and its log
-// must then be licmPass's.
+// checkHoistable drains every loop of k as licmPass does, in ascending
+// order of end pcs and batch after batch, and requires each batch's
+// picks to equal refHoistable's on the same body. The drained body and
+// its log must then be licmPass's.
 func checkHoistable(t *testing.T, k *kernelir.Kernel) {
 	t.Helper()
 	tree, err := kernelir.BuildLoopTree(k.Body)
@@ -145,26 +145,25 @@ func checkHoistable(t *testing.T, k *kernelir.Kernel) {
 	body := append([]kernelir.Instr(nil), k.Body...)
 	s := newLoopUse(k, k.Body)
 	var rws []Rewrite
-	var drain func(n *kernelir.LoopNode)
-	drain = func(n *kernelir.LoopNode) {
-		for _, l := range n.Children {
-			drain(l)
-			for batch := 0; ; batch++ {
-				got, want := hoistable(s, body, l.Begin, l.End), refHoistable(body, l.Begin, l.End)
-				if !slices.Equal(got, want) {
-					t.Fatalf("batch %d, repeat at pc %d: hoistable picked %v, reference %v\n%s",
-						batch, l.Begin, got, want, k.WithBody(body).Disassemble())
-				}
-				if len(got) == 0 {
-					break
-				}
-				rws = hoist(body, l.Begin, got, rws)
-				l.Begin += len(got)
+	for end, in := range k.Body {
+		if in.Op != kernelir.OpRepeatEnd {
+			continue
+		}
+		begin := tree.Match(end)
+		for batch := 0; ; batch++ {
+			got, want := hoistable(s, body, begin, end), refHoistable(body, begin, end)
+			if !slices.Equal(got, want) {
+				t.Fatalf("batch %d, repeat at pc %d: hoistable picked %v, reference %v\n%s",
+					batch, begin, got, want, k.WithBody(body).Disassemble())
 			}
+			if len(got) == 0 {
+				break
+			}
+			rws = hoist(body, begin, got, rws)
+			begin += len(got)
 		}
 	}
-	drain(tree.Root)
-	out, passRws := licmPass(k, k.Body)
+	out, passRws := licmPass(k, k.Body, tree)
 	if out == nil {
 		out = k.Body
 	}

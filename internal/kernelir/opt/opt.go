@@ -2,7 +2,7 @@
 // kernels: a fixpoint pipeline of classic transforming static analyses
 // — constant propagation + folding, algebraic simplification and
 // strength reduction, available-expressions CSE, loop-invariant code
-// motion over BuildLoopTree, and liveness-driven dead-code/dead-store
+// motion over the loop tree, and liveness-driven dead-code/dead-store
 // elimination (the same facts the analysis package reports as warnings,
 // promoted to deletions).
 //
@@ -25,10 +25,10 @@
 //     before writing as live-in (and hence live across the item
 //     boundary);
 //   - float arithmetic identities (x+0, x*1, ...) are never rewritten —
-//     only full constant folding, which performs the identical Go
-//     operation the interpreter would — so -0.0, NaN payloads and
-//     rounding are untouched; folded NaN/Inf constants round-trip
-//     through the disassembler;
+//     only full constant folding, which evaluates on the interpreter
+//     itself (Instr.Compute) — so -0.0, NaN payloads and rounding are
+//     untouched; folded NaN/Inf constants round-trip through the
+//     disassembler;
 //   - integer constants fold only when the result survives the
 //     float64 Instr.Imm encoding round-trip;
 //   - div/rem with a (possibly) zero divisor are never folded and never
@@ -128,11 +128,12 @@ func PctChange(before, after int) string {
 	return fmt.Sprintf("%+.1f%%", 100*float64(after-before)/float64(before))
 }
 
-// pass is one pipeline stage: it returns a rewritten copy of body and
-// the rewrites applied, or (nil, nil) when it found nothing.
+// pass is one pipeline stage: given body and its loop tree, it returns
+// a rewritten copy of body and the rewrites applied, or (nil, nil) when
+// it found nothing.
 type pass struct {
 	name string
-	fn   func(k *kernelir.Kernel, body []kernelir.Instr) ([]kernelir.Instr, []Rewrite)
+	fn   func(k *kernelir.Kernel, body []kernelir.Instr, tree *kernelir.LoopTree) ([]kernelir.Instr, []Rewrite)
 }
 
 // passes is the pipeline order. Folding first exposes operands to the
@@ -166,6 +167,13 @@ func Optimize(k *kernelir.Kernel) (*kernelir.Kernel, Result) {
 	}
 	body := append([]kernelir.Instr(nil), k.Body...)
 	res.Before = len(body)
+	// One loop tree per body version: built here, then the one
+	// checkPass builds for each productive pass's output.
+	tree, err := kernelir.BuildLoopTree(body)
+	if err != nil {
+		res.Err = err // unreachable once Validate passed; fail safe
+		return k, res
+	}
 	var mem memTrace
 	for round := 0; ; round++ {
 		if round == maxRounds {
@@ -174,14 +182,15 @@ func Optimize(k *kernelir.Kernel) (*kernelir.Kernel, Result) {
 		}
 		changed := false
 		for _, p := range passes {
-			nb, rws := p.fn(k, body)
+			nb, rws := p.fn(k, body, tree)
 			if len(rws) == 0 {
 				continue
 			}
-			if err := checkPass(k, &mem, body, nb, p.name, rws); err != nil {
+			nt, err := checkPass(k, &mem, body, nb, p.name, rws)
+			if err != nil {
 				return k, Result{Err: fmt.Errorf("opt: %s: translation validation failed: %w", k.Name, err)}
 			}
-			body = nb
+			body, tree = nb, nt
 			changed = true
 			res.Rewrites = append(res.Rewrites, rws...)
 			if p.name == "licm" {
@@ -217,18 +226,14 @@ func pureOp(in kernelir.Instr) bool {
 	return info.Writes && !info.IsMemOp && !info.IsLocal
 }
 
-// walk visits body's non-control instructions in program order. On
-// entering a Repeat block it first calls kill with every register the
-// block writes, nested blocks included: iterations after the first
-// observe the loop-carried values, so facts about those registers from
-// before the block do not hold inside it, and one linear walk is sound
-// for every iteration. visit may rewrite body[pc] in place, keeping its
-// destination.
-func walk(body []kernelir.Instr, kill func(kernelir.Reg), visit func(pc int)) {
-	tree, err := kernelir.BuildLoopTree(body)
-	if err != nil {
-		return // Validate-checked earlier; fail safe by doing nothing.
-	}
+// walk visits body's non-control instructions in program order; tree
+// is body's loop tree. On entering a Repeat block it first calls kill
+// with every register the block writes, nested blocks included:
+// iterations after the first observe the loop-carried values, so facts
+// about those registers from before the block do not hold inside it,
+// and one linear walk is sound for every iteration. visit may rewrite
+// body[pc] in place, keeping its destination.
+func walk(tree *kernelir.LoopTree, body []kernelir.Instr, kill func(kernelir.Reg), visit func(pc int)) {
 	for pc := range body {
 		switch body[pc].Op {
 		case kernelir.OpRepeatBegin:

@@ -14,7 +14,7 @@ import (
 func TestRewritePCMeaning(t *testing.T) {
 	for _, c := range []struct {
 		name string
-		pass func(*kernelir.Kernel, []kernelir.Instr) ([]kernelir.Instr, []Rewrite)
+		pass func(*kernelir.Kernel, []kernelir.Instr, *kernelir.LoopTree) ([]kernelir.Instr, []Rewrite)
 		kir  string
 		want []Rewrite
 	}{
@@ -67,7 +67,11 @@ func TestRewritePCMeaning(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if _, got := c.pass(k, k.Body); !slices.Equal(got, c.want) {
+		tree, err := kernelir.BuildLoopTree(k.Body)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if _, got := c.pass(k, k.Body, tree); !slices.Equal(got, c.want) {
 			t.Errorf("%s logged\n%v\nwant\n%v", c.name, got, c.want)
 		}
 	}

@@ -177,8 +177,8 @@ func (f *Forest) Fit(x [][]float64, y []float64) error {
 			defer wg.Done()
 			b := &treeBuilder{
 				cols: cols, y: y,
-				minLeaf: minLeaf, maxFeat: maxFeat, d: d,
-				pairs: make([]valueTarget, n), hi: make([]int, n),
+				minLeaf: minLeaf, maxFeat: maxFeat,
+				pairs: make([]valueTarget, n), hi: make([]int, n), perm: make([]int, d),
 			}
 			for t := int(next.Add(1) - 1); t < nTrees; t = int(next.Add(1) - 1) {
 				b.rng = rand.New(rand.NewSource(seeds[t]))
@@ -194,17 +194,18 @@ func (f *Forest) Fit(x [][]float64, y []float64) error {
 }
 
 // treeBuilder grows one tree at a time into nodes. pairs and hi are
-// scratch sized to the bootstrap sample and reused by every node of
-// every tree the builder grows; nodes is reused by every tree.
+// scratch sized to the bootstrap sample, and perm to the features,
+// reused by every node of every tree the builder grows; nodes is reused
+// by every tree.
 type treeBuilder struct {
 	cols    [][]float64 // x by column
 	y       []float64
 	minLeaf int
 	maxFeat int
-	d       int
 	rng     *rand.Rand
 	pairs   []valueTarget
 	hi      []int
+	perm    []int
 	nodes   []node
 }
 
@@ -309,9 +310,18 @@ func (b *treeBuilder) build(idx []int, depth int) {
 	b.build(idx[nLo:], depth-1)
 }
 
+// sampleFeatures draws a node's candidate features into b.perm with
+// rand.Perm's own loop, so the draws, and so the trees, are the ones
+// Perm gives, and returns the first maxFeat. The node's split search is
+// done with them before its children draw theirs.
 func (b *treeBuilder) sampleFeatures() []int {
-	perm := b.rng.Perm(b.d)
-	return perm[:b.maxFeat]
+	p := b.perm
+	for i := range p {
+		j := b.rng.Intn(i + 1)
+		p[i] = p[j]
+		p[j] = i
+	}
+	return p[:b.maxFeat]
 }
 
 func constantTargets(y []float64, idx []int) bool {

@@ -35,9 +35,6 @@ type Manager interface {
 	ResetCoreFreq() error
 	// CurrentCoreFreq reports the pinned clock, or 0 in auto mode.
 	CurrentCoreFreq() int
-	// PowerUsage returns the current board power in watts (as of the
-	// last telemetry sample).
-	PowerUsage() float64
 	// SampledEnergy integrates the sampled power trace over a virtual
 	// time window (what an async polling thread would accumulate).
 	SampledEnergy(t0, t1 float64) float64
@@ -148,14 +145,6 @@ func (m *nvmlManager) ResetCoreFreq() error {
 
 func (m *nvmlManager) CurrentCoreFreq() int { return m.dev.AppClockMHz() }
 
-func (m *nvmlManager) PowerUsage() float64 {
-	mw, err := m.h.GetPowerUsage()
-	if err != nil {
-		return 0
-	}
-	return float64(mw) / 1000
-}
-
 func (m *nvmlManager) SampledEnergy(t0, t1 float64) float64 {
 	e, err := m.h.SampledEnergyBetween(t0, t1)
 	if err != nil {
@@ -205,14 +194,6 @@ func (m *smiManager) ResetCoreFreq() error {
 
 func (m *smiManager) CurrentCoreFreq() int { return m.dev.AppClockMHz() }
 
-func (m *smiManager) PowerUsage() float64 {
-	p, err := m.h.PowerWatts()
-	if err != nil {
-		return 0
-	}
-	return p
-}
-
 func (m *smiManager) SampledEnergy(t0, t1 float64) float64 {
 	e, err := m.h.SampledEnergyBetween(t0, t1)
 	if err != nil {
@@ -260,14 +241,6 @@ func (m *raplManager) ResetCoreFreq() error {
 }
 
 func (m *raplManager) CurrentCoreFreq() int { return m.dev.AppClockMHz() }
-
-func (m *raplManager) PowerUsage() float64 {
-	p, err := m.pkg.PowerWatts()
-	if err != nil {
-		return 0
-	}
-	return p
-}
 
 func (m *raplManager) SampledEnergy(t0, t1 float64) float64 {
 	e, err := m.pkg.SampledEnergyBetween(t0, t1)
