@@ -91,15 +91,14 @@ func TestCloverLeafCompletesWhenClockSetDenied(t *testing.T) {
 }
 
 // TestFaultScenarioTraceIsReproducible runs an identical seeded scenario
-// twice through the full stack — MPI fabric, SYCL runtime, NVML
-// telemetry — and requires bit-identical failure traces.
+// twice through the full stack — MPI fabric and SYCL runtime — and
+// requires bit-identical failure traces.
 func TestFaultScenarioTraceIsReproducible(t *testing.T) {
 	t.Parallel()
 	sc, err := fault.ParseScenario("flaky-fabric", `
-# jittery interconnect and slow submits; power telemetry drops samples
+# jittery interconnect and slow submits
 mpi.send     p=0.3 delay=1ms
 sycl.submit  p=0.2 delay=0.5ms
-nvml.power_sample p=0.2 err=nvml.timeout
 `)
 	if err != nil {
 		t.Fatal(err)

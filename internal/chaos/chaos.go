@@ -205,23 +205,22 @@ var archetypes = []archetype{
 	}},
 }
 
-// generateScenario picks 1-3 archetypes and renders the scenario script.
-func generateScenario(rng *rand.Rand, cfg Config) ([]string, string) {
-	n := 1 + rng.Intn(3)
-	picked := rng.Perm(len(archetypes))[:n]
+// generateScenario picks 1 to most archetypes from menu and renders the
+// scenario script.
+func generateScenario(rng *rand.Rand, menu []archetype, most int, cfg Config) ([]string, string) {
+	n := 1 + rng.Intn(most)
+	picked := make([]bool, len(menu))
+	for _, i := range rng.Perm(len(menu))[:n] {
+		picked[i] = true
+	}
 	// Render in menu order for readable scripts; the choice of rules,
 	// not their line order, is what the permutation randomises.
-	inPick := map[int]bool{}
-	for _, i := range picked {
-		inPick[i] = true
-	}
 	var names, lines []string
-	for i, a := range archetypes {
-		if !inPick[i] {
-			continue
+	for i, a := range menu {
+		if picked[i] {
+			names = append(names, a.name)
+			lines = append(lines, a.gen(rng, cfg))
 		}
-		names = append(names, a.name)
-		lines = append(lines, a.gen(rng, cfg))
 	}
 	return names, strings.Join(lines, "\n") + "\n"
 }
@@ -264,7 +263,7 @@ func episodeSeed(seed int64, ep int) int64 { return seed + int64(ep)*7919 }
 func runEpisode(cfg Config, ep int) (EpisodeReport, error) {
 	seed := episodeSeed(cfg.Seed, ep)
 	rng := rand.New(rand.NewSource(seed))
-	names, script := generateScenario(rng, cfg)
+	names, script := generateScenario(rng, archetypes, 3, cfg)
 	sc, err := fault.ParseScenario(fmt.Sprintf("ep%d", ep), script)
 	if err != nil {
 		return EpisodeReport{}, fmt.Errorf("chaos: episode %d scenario: %w", ep, err)

@@ -84,14 +84,14 @@ func TestSoakTelemetryCounters(t *testing.T) {
 // the rng stream, and distinct seeds explore distinct scenarios.
 func TestScenarioGenerationIsSeeded(t *testing.T) {
 	cfg := Config{}.withDefaults()
-	_, s1 := generateScenario(rand.New(rand.NewSource(7)), cfg)
-	_, s2 := generateScenario(rand.New(rand.NewSource(7)), cfg)
+	_, s1 := generateScenario(rand.New(rand.NewSource(7)), archetypes, 3, cfg)
+	_, s2 := generateScenario(rand.New(rand.NewSource(7)), archetypes, 3, cfg)
 	if s1 != s2 {
 		t.Fatalf("same seed generated different scenarios:\n%s\nvs\n%s", s1, s2)
 	}
 	distinct := map[string]bool{}
 	for seed := int64(0); seed < 16; seed++ {
-		_, s := generateScenario(rand.New(rand.NewSource(seed)), cfg)
+		_, s := generateScenario(rand.New(rand.NewSource(seed)), archetypes, 3, cfg)
 		distinct[s] = true
 	}
 	if len(distinct) < 8 {
@@ -109,7 +109,7 @@ func TestNodeDeathEpisodeRequeues(t *testing.T) {
 	found := false
 	for ep := 0; ep < 200 && !found; ep++ {
 		seed := episodeSeed(11, ep)
-		names, _ := generateScenario(rand.New(rand.NewSource(seed)), cfg)
+		names, _ := generateScenario(rand.New(rand.NewSource(seed)), archetypes, 3, cfg)
 		if len(names) == 1 && names[0] == "node-death" {
 			rep, err := Soak(Config{Seed: 11 + int64(ep)*7919, Episodes: 1})
 			if err != nil {

@@ -98,25 +98,6 @@ var serveArchetypes = []archetype{
 	}},
 }
 
-// generateServeScenario picks 1-2 serve archetypes, seed-deterministic.
-func generateServeScenario(rng *rand.Rand) ([]string, string) {
-	n := 1 + rng.Intn(2)
-	picked := rng.Perm(len(serveArchetypes))[:n]
-	inPick := map[int]bool{}
-	for _, i := range picked {
-		inPick[i] = true
-	}
-	var names, lines []string
-	for i, a := range serveArchetypes {
-		if !inPick[i] {
-			continue
-		}
-		names = append(names, a.name)
-		lines = append(lines, a.gen(rng, Config{}))
-	}
-	return names, strings.Join(lines, "\n") + "\n"
-}
-
 // serveFixture is the expensive, episode-invariant state of a soak:
 // two distinct trained bundles for the same device (A/B reload
 // targets, distinguishable by fingerprint) and the request corpus.
@@ -244,7 +225,7 @@ func ServeSoak(cfg ServeConfig) (*Report, error) {
 func runServeEpisode(cfg ServeConfig, fx *serveFixture, ep int) (EpisodeReport, error) {
 	seed := episodeSeed(cfg.Seed, ep)
 	rng := rand.New(rand.NewSource(seed))
-	names, script := generateServeScenario(rng)
+	names, script := generateScenario(rng, serveArchetypes, 2, Config{})
 	sc, err := fault.ParseScenario(fmt.Sprintf("serve-ep%d", ep), script)
 	if err != nil {
 		return EpisodeReport{}, fmt.Errorf("chaos: serve episode %d scenario: %w", ep, err)

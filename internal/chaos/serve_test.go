@@ -64,8 +64,8 @@ func TestServeScenarioGeneration(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng1 := rand.New(rand.NewSource(seed))
 		rng2 := rand.New(rand.NewSource(seed))
-		n1, s1 := generateServeScenario(rng1)
-		n2, s2 := generateServeScenario(rng2)
+		n1, s1 := generateScenario(rng1, serveArchetypes, 2, Config{})
+		n2, s2 := generateScenario(rng2, serveArchetypes, 2, Config{})
 		if s1 != s2 {
 			t.Fatalf("seed %d: scenarios differ:\n%s\nvs\n%s", seed, s1, s2)
 		}

@@ -3,6 +3,8 @@ package hw
 import (
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 
 	"synergy/internal/fault"
@@ -28,8 +30,9 @@ type KernelRecord struct {
 
 // Device is a virtual GPU: it owns a virtual-time timeline on which
 // kernels execute according to the analytic model, integrates board
-// energy (busy and idle), and exposes the clock controls that the
-// management-library bindings (internal/nvml, internal/rocmsmi) wrap.
+// energy (busy and idle), and exposes the clock controls and the
+// vendor-call fault path that the management-library bindings
+// (internal/nvml, internal/rocmsmi, internal/rapl) wrap.
 //
 // A Device is safe for concurrent use; operations are serialised, which
 // mirrors a real GPU executing one compute kernel at a time per queue.
@@ -110,6 +113,36 @@ func (d *Device) Telemetry() *telemetry.Registry {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.telemetry
+}
+
+// VendorCall is one management-library driver call at a fault site
+// "<lib>.<call>" (nvml.set_app_clocks, rocmsmi.set_clock_level...).
+// The site is qualified by the device label, or by "gpu<idx>" (the
+// library-local device index) when unlabelled, and checked against the
+// attached injector. Injected latency is virtual driver-call latency: it
+// stalls the timeline like the documented clock-set overhead does. With
+// telemetry attached the call increments synergy_vendor_calls_total, and
+// synergy_vendor_faults_total on an injected error, so the call counter
+// equals the injector's CallCount for the site.
+func (d *Device) VendorCall(lib, site string, idx int) error {
+	d.mu.Lock()
+	device, in, tel := d.label, d.injector, d.telemetry
+	d.mu.Unlock()
+	if device == "" {
+		device = "gpu" + strconv.Itoa(idx)
+	}
+	delay, err := in.Check(site + ":" + device)
+	if tel != nil {
+		call := strings.TrimPrefix(site, lib+".")
+		tel.Counter("synergy_vendor_calls_total", "lib", lib, "call", call, "device", device).Inc()
+		if err != nil {
+			tel.Counter("synergy_vendor_faults_total", "lib", lib, "call", call, "device", device).Inc()
+		}
+	}
+	if delay > 0 {
+		d.AdvanceIdle(delay)
+	}
+	return err
 }
 
 // ResetDriverFlags clears all persistent driver state — what a node
@@ -285,14 +318,8 @@ func (d *Device) AdvanceIdle(dt float64) {
 	d.now += dt
 }
 
-// PowerAt returns the instantaneous board power at virtual time t.
+// powerAtLocked returns the instantaneous board power at virtual time t.
 // Outside any busy segment the board draws idle power.
-func (d *Device) PowerAt(t float64) float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.powerAtLocked(t)
-}
-
 func (d *Device) powerAtLocked(t float64) float64 {
 	i := sort.Search(len(d.busy), func(i int) bool { return d.busy[i].End > t })
 	if i < len(d.busy) && d.busy[i].Start <= t && t < d.busy[i].End {

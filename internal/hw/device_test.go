@@ -1,9 +1,13 @@
 package hw
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
+
+	"synergy/internal/fault"
+	"synergy/internal/telemetry"
 )
 
 func TestDeviceExecuteAdvancesTime(t *testing.T) {
@@ -202,6 +206,14 @@ func TestSampledEnergyInaccurateForShortKernels(t *testing.T) {
 	}
 }
 
+// powerAt reads the instantaneous board power at virtual time t, the
+// trace that SampledEnergyBetween polls.
+func powerAt(d *Device, t float64) float64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.powerAtLocked(t)
+}
+
 func TestPowerAtIdentifiesBusyAndIdle(t *testing.T) {
 	t.Parallel()
 	d := NewDevice(V100())
@@ -211,11 +223,73 @@ func TestPowerAtIdentifiesBusyAndIdle(t *testing.T) {
 	}
 	d.AdvanceIdle(1.0)
 	mid := (r.Start + r.End) / 2
-	if got := d.PowerAt(mid); got != r.AvgPowerW {
+	if got := powerAt(d, mid); got != r.AvgPowerW {
 		t.Fatalf("PowerAt(busy) = %v, want %v", got, r.AvgPowerW)
 	}
-	if got := d.PowerAt(r.End + 0.5); got != d.Spec().IdlePowerW {
+	if got := powerAt(d, r.End+0.5); got != d.Spec().IdlePowerW {
 		t.Fatalf("PowerAt(idle) = %v, want idle %v", got, d.Spec().IdlePowerW)
+	}
+}
+
+// TestVendorCall pins the one vendor-call fault path: the site is
+// qualified by the device label, or by gpu<idx> when unlabelled; an
+// injected delay stalls the timeline by exactly the delay; an injected
+// error is returned and counted; and the call counter equals the
+// injector's CallCount for the qualified site.
+func TestVendorCall(t *testing.T) {
+	t.Parallel()
+	errTimeout := errors.New("driver timeout")
+	in := fault.New(1,
+		fault.Rule{Site: "lib.stall", DelaySec: 0.25},
+		fault.Rule{Site: "lib.fail", After: 1, Err: errTimeout},
+	)
+	reg := telemetry.NewRegistry()
+	labelled, unlabelled := NewDevice(V100()), NewDevice(V100())
+	labelled.SetLabel("node0/gpu1")
+	for _, d := range []*Device{labelled, unlabelled} {
+		d.SetFaultInjector(in)
+		d.SetTelemetry(reg)
+	}
+
+	for i := 0; i < 2; i++ {
+		before := labelled.Now()
+		if err := labelled.VendorCall("lib", "lib.stall", 0); err != nil {
+			t.Fatalf("delay-only call returned %v", err)
+		}
+		if got := labelled.Now() - before; got != 0.25 {
+			t.Fatalf("injected 0.25 s delay advanced Now by %v", got)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		err := unlabelled.VendorCall("lib", "lib.fail", 3)
+		if i == 0 && err != nil {
+			t.Fatalf("call before the rule's after= window failed: %v", err)
+		}
+		if i > 0 && !errors.Is(err, errTimeout) {
+			t.Fatalf("call %d: got %v, want the injected error", i+1, err)
+		}
+	}
+	if unlabelled.Now() != 0 {
+		t.Fatalf("error-only calls advanced Now to %v", unlabelled.Now())
+	}
+
+	snap := reg.Snapshot()
+	for _, c := range []struct {
+		site, call, device string
+		calls, faults      int64
+	}{
+		{"lib.stall", "stall", "node0/gpu1", 2, 0},
+		{"lib.fail", "fail", "gpu3", 3, 2},
+	} {
+		labels := []string{"lib", "lib", "call", c.call, "device", c.device}
+		calls := snap.CounterValue("synergy_vendor_calls_total", labels...)
+		if calls != c.calls || calls != in.CallCount(c.site+":"+c.device) {
+			t.Errorf("%s on %s: calls counter %d, injector CallCount %d, want %d",
+				c.site, c.device, calls, in.CallCount(c.site+":"+c.device), c.calls)
+		}
+		if faults := snap.CounterValue("synergy_vendor_faults_total", labels...); faults != c.faults {
+			t.Errorf("%s on %s: faults counter %d, want %d", c.site, c.device, faults, c.faults)
+		}
 	}
 }
 

@@ -176,77 +176,3 @@ func (f *Fleet) DeviceByKey(key string) int {
 	}
 	return -1
 }
-
-// Classes returns the distinct device classes present in the fleet, in
-// class order.
-func (f *Fleet) Classes() []DeviceClass {
-	present := [3]bool{}
-	for _, d := range f.Devices {
-		present[int(d.Spec.Class)] = true
-	}
-	var out []DeviceClass
-	for c := ClassThroughput; c <= ClassAccelerator; c++ {
-		if present[int(c)] {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// Share is one device class's slice of the fleet power budget.
-type Share struct {
-	Class  DeviceClass
-	PowerW float64
-}
-
-// PartitionPower splits the fleet power budget across the device
-// classes present in the fleet, proportionally to the given non-negative
-// weights (Lumos splits its budget across serial cores, throughput
-// cores and accelerators the same way). Conservation is exact by
-// construction: the last share is the remainder against the running sum
-// of the earlier ones, so SumShares always reconstructs Budget.PowerW
-// exactly regardless of the weights — re-partitioning can move power
-// between classes but never create or destroy it. Classes absent from
-// the fleet take no share; at least one
-// present class must have positive weight, and the budget must be set.
-func (f *Fleet) PartitionPower(weights map[DeviceClass]float64) ([]Share, error) {
-	if f.Budget.PowerW <= 0 {
-		return nil, fmt.Errorf("hw: fleet %q has no power budget to partition", f.Name)
-	}
-	classes := f.Classes()
-	var total float64
-	for _, c := range classes {
-		w := weights[c]
-		if w < 0 {
-			return nil, fmt.Errorf("hw: negative partition weight for %s class", c)
-		}
-		total += w
-	}
-	if total <= 0 {
-		return nil, fmt.Errorf("hw: fleet %q partition weights are all zero", f.Name)
-	}
-	shares := make([]Share, len(classes))
-	var used float64
-	for i, c := range classes[:len(classes)-1] {
-		p := f.Budget.PowerW * (weights[c] / total)
-		shares[i] = Share{Class: c, PowerW: p}
-		used += p
-	}
-	// The last share is the remainder against the left-to-right sum of
-	// the earlier shares, so SumShares reconstructs the budget exactly.
-	shares[len(classes)-1] = Share{
-		Class:  classes[len(classes)-1],
-		PowerW: f.Budget.PowerW - used,
-	}
-	return shares, nil
-}
-
-// SumShares adds shares in slice order — the accumulation order under
-// which PartitionPower's conservation guarantee is exact.
-func SumShares(shares []Share) float64 {
-	var w float64
-	for _, s := range shares {
-		w += s.PowerW
-	}
-	return w
-}

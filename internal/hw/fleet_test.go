@@ -1,7 +1,6 @@
 package hw
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 )
@@ -89,101 +88,6 @@ func TestFleetPowerAccounting(t *testing.T) {
 	unbounded := testFleet(t, Budget{}, "v100")
 	if !unbounded.Feasible(0, 1e6) {
 		t.Error("unset budget must admit everything")
-	}
-}
-
-func TestFleetClasses(t *testing.T) {
-	t.Parallel()
-	f := testFleet(t, Budget{}, "alveo", "xeon", "v100")
-	got := f.Classes()
-	want := []DeviceClass{ClassThroughput, ClassSerial, ClassAccelerator}
-	if len(got) != len(want) {
-		t.Fatalf("Classes() = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Classes() = %v, want %v (class order)", got, want)
-		}
-	}
-	gpuOnly := testFleet(t, Budget{}, "v100", "a100")
-	if cs := gpuOnly.Classes(); len(cs) != 1 || cs[0] != ClassThroughput {
-		t.Errorf("GPU-only fleet classes = %v", cs)
-	}
-}
-
-// TestPartitionPowerConservation is the budget-split invariant: for any
-// non-negative weights, re-partitioning moves power between classes but
-// SumShares reconstructs the budget exactly.
-func TestPartitionPowerConservation(t *testing.T) {
-	t.Parallel()
-	f := testFleet(t, Budget{PowerW: 800}, "v100", "xeon", "alveo")
-	rng := rand.New(rand.NewSource(42))
-	for i := 0; i < 5000; i++ {
-		w := map[DeviceClass]float64{
-			ClassThroughput:  rng.Float64() * 10,
-			ClassSerial:      rng.Float64() * 10,
-			ClassAccelerator: rng.Float64() * 10,
-		}
-		if i%7 == 0 {
-			w[ClassSerial] = 0 // zero-weight classes are legal
-		}
-		shares, err := f.PartitionPower(w)
-		if err != nil {
-			t.Fatalf("PartitionPower(%v): %v", w, err)
-		}
-		if len(shares) != 3 {
-			t.Fatalf("want one share per present class, got %v", shares)
-		}
-		if got := SumShares(shares); got != f.Budget.PowerW {
-			t.Fatalf("iteration %d: shares sum to %v, want exactly %v (weights %v)",
-				i, got, f.Budget.PowerW, w)
-		}
-		for _, s := range shares {
-			if s.PowerW < 0 {
-				t.Fatalf("negative share %v under weights %v", s, w)
-			}
-		}
-	}
-}
-
-func TestPartitionPowerErrors(t *testing.T) {
-	t.Parallel()
-	f := testFleet(t, Budget{}, "v100")
-	if _, err := f.PartitionPower(map[DeviceClass]float64{ClassThroughput: 1}); err == nil {
-		t.Error("partitioning an unset budget should fail")
-	}
-	g := testFleet(t, Budget{PowerW: 400}, "v100")
-	if _, err := g.PartitionPower(map[DeviceClass]float64{ClassThroughput: -1}); err == nil {
-		t.Error("negative weight accepted")
-	}
-	if _, err := g.PartitionPower(map[DeviceClass]float64{ClassSerial: 5}); err == nil {
-		t.Error("weights only on absent classes accepted")
-	}
-	// Weight on an absent class is ignored, not an error, as long as a
-	// present class carries weight.
-	shares, err := g.PartitionPower(map[DeviceClass]float64{ClassThroughput: 1, ClassAccelerator: 9})
-	if err != nil {
-		t.Fatalf("PartitionPower: %v", err)
-	}
-	if len(shares) != 1 || shares[0].Class != ClassThroughput || shares[0].PowerW != 400 {
-		t.Errorf("single-class fleet shares = %v", shares)
-	}
-}
-
-// TestDegeneratePartitionSingleClass pins the degenerate-fleet shape:
-// with one class present the whole budget lands on it, whatever the
-// weights.
-func TestDegeneratePartitionSingleClass(t *testing.T) {
-	t.Parallel()
-	f := testFleet(t, Budget{PowerW: 512}, "v100", "a100", "mi100")
-	for _, w := range []float64{0.001, 1, 1e9} {
-		shares, err := f.PartitionPower(map[DeviceClass]float64{ClassThroughput: w})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(shares) != 1 || shares[0].PowerW != 512 {
-			t.Fatalf("weight %v: shares = %v, want the whole 512 W on throughput", w, shares)
-		}
 	}
 }
 

@@ -13,8 +13,8 @@ import (
 // iteration and folds it into an accumulator — the shape of naively
 // written device code. It concentrates everything the compiler
 // eliminates: the interpreter re-executes the invariant chain, pays
-// switch dispatch per instruction, and maintains the per-item
-// trip-count map; the compiled program hoists the invariants to a
+// switch dispatch per instruction, and counts down the repeat's trips;
+// the compiled program hoists the invariants to a
 // one-time prologue and runs the remaining accumulate+move as a single
 // fused closure per iteration.
 func benchKernel(name string, trips int) *kernelir.Kernel {

@@ -165,8 +165,9 @@ func interpretBound(k *Kernel, env *Bound, items, nx, workers int) error {
 		if k.LocalF32 > 0 {
 			local = make([]float64, k.LocalF32)
 		}
+		trips := make([]int64, len(k.Body))
 		for gid := lo; gid < hi; gid++ {
-			runItem(k, env, tree.match, int64(gid), int64(nx), ints, floats, local)
+			runItem(k, env, tree.match, trips, int64(gid), int64(nx), ints, floats, local)
 		}
 	})
 	return nil
@@ -210,15 +211,15 @@ func Partition(items, workers int, run func(lo, hi int)) {
 func (in Instr) Compute(ints []int64, floats []float64) {
 	in.Dst, in.A, in.B, in.C = 3, 0, 1, 2
 	k := Kernel{Body: []Instr{in}}
-	runItem(&k, nil, nil, 0, 0, ints, floats, nil)
+	runItem(&k, nil, nil, nil, 0, 0, ints, floats, nil)
 }
 
-// runItem interprets the kernel body for one work-item.
-func runItem(k *Kernel, env *Bound, match []int, gid, nx int64, ints []int64, floats, local []float64) {
+// runItem interprets the kernel body for one work-item. trips holds the
+// remaining trip count of each active repeat block at the pc of its
+// begin instruction; a begin writes its entry before any end reads it,
+// so one slice serves every item of a worker without a reset.
+func runItem(k *Kernel, env *Bound, match []int, trips []int64, gid, nx int64, ints []int64, floats, local []float64) {
 	body := k.Body
-	// Remaining trip counts for active repeat blocks, indexed by the pc
-	// of the begin instruction.
-	var trips map[int]int64
 	for pc := 0; pc < len(body); pc++ {
 		in := &body[pc]
 		switch in.Op {
@@ -349,9 +350,6 @@ func runItem(k *Kernel, env *Bound, match []int, gid, nx int64, ints []int64, fl
 		case OpStoreLF:
 			local[ClampIndex(ints[in.A], len(local))] = floats[in.B]
 		case OpRepeatBegin:
-			if trips == nil {
-				trips = make(map[int]int64, 4)
-			}
 			trips[pc] = int64(in.Imm)
 		case OpRepeatEnd:
 			begin := match[pc]

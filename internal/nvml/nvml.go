@@ -1,15 +1,15 @@
-// Package nvml simulates the NVIDIA Management Library surface that the
-// SYnergy runtime and the SLURM nvgpufreq plugin depend on: device
-// enumeration, supported-clock queries, application clocks, power and
-// energy readings with the ~15 ms sampling granularity of real boards,
-// and the per-API permission model (nvmlDeviceSetAPIRestriction) that
-// the paper's privilege-raising scheme (§7) is built on.
+// Package nvml simulates the NVIDIA Management Library calls that the
+// SYnergy runtime and the SLURM nvgpufreq plugin make: device handles,
+// the supported-clock table, application clocks, sampled energy with the
+// ~15 ms power-polling granularity of real boards, and the per-API
+// permission model (nvmlDeviceSetAPIRestriction) that the paper's
+// privilege-raising scheme (§7) is built on.
 package nvml
 
 import (
 	"errors"
 	"fmt"
-	"strings"
+	"slices"
 	"sync"
 
 	"synergy/internal/fault"
@@ -26,7 +26,6 @@ var (
 	ErrUninitialized  = errors.New("nvml: library not initialized")
 	ErrInvalidArg     = errors.New("nvml: invalid argument")
 	ErrNoPermission   = errors.New("nvml: insufficient permissions")
-	ErrNotSupported   = errors.New("nvml: operation not supported on this device")
 	ErrAlreadyInitial = errors.New("nvml: already initialized")
 	// ErrTimeout is the driver failing to complete a call in time — the
 	// transient failure mode clock-set calls exhibit under load.
@@ -43,7 +42,6 @@ const (
 	SiteSetAppClocks      = "nvml.set_app_clocks"
 	SiteResetAppClocks    = "nvml.reset_app_clocks"
 	SiteSetAPIRestriction = "nvml.set_api_restriction"
-	SitePowerSample       = "nvml.power_sample"
 )
 
 func init() {
@@ -58,18 +56,6 @@ type RestrictedAPI int
 const (
 	// APISetApplicationClocks guards application-clock changes.
 	APISetApplicationClocks RestrictedAPI = iota
-	// APISetAutoBoostedClocks guards auto-boost control.
-	APISetAutoBoostedClocks
-)
-
-// ClockType selects which clock a query refers to.
-type ClockType int
-
-const (
-	// ClockGraphics is the SM core clock.
-	ClockGraphics ClockType = iota
-	// ClockMem is the HBM memory clock.
-	ClockMem
 )
 
 // User identifies the caller of a state-changing API. On a production
@@ -97,14 +83,10 @@ type Library struct {
 // flag stores "unrestricted" so that the zero value (never set) is the
 // production default: restricted.
 func flagName(api RestrictedAPI) string {
-	switch api {
-	case APISetApplicationClocks:
+	if api == APISetApplicationClocks {
 		return "nvml.unrestricted.appclocks"
-	case APISetAutoBoostedClocks:
-		return "nvml.unrestricted.autoboost"
-	default:
-		return fmt.Sprintf("nvml.unrestricted.api%d", int(api))
 	}
+	return fmt.Sprintf("nvml.unrestricted.api%d", int(api))
 }
 
 // New creates a library managing the given devices. Every device must be
@@ -140,16 +122,6 @@ func (l *Library) Shutdown() error {
 	return nil
 }
 
-// DeviceGetCount returns the number of managed devices.
-func (l *Library) DeviceGetCount() (int, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if !l.inited {
-		return 0, ErrUninitialized
-	}
-	return len(l.devices), nil
-}
-
 // Device is a handle to one board (nvmlDevice_t).
 type Device struct {
 	lib *Library
@@ -171,41 +143,6 @@ func (l *Library) DeviceGetHandleByIndex(i int) (*Device, error) {
 
 func (d *Device) hw() *hw.Device { return d.lib.devices[d.idx] }
 
-// site qualifies an injection site with the device identity. Injected
-// latency is virtual driver-call latency: it stalls the device timeline
-// exactly like the documented clock-set overhead does.
-func (d *Device) site(base string) string {
-	label := d.hw().Label()
-	if label == "" {
-		label = fmt.Sprintf("gpu%d", d.idx)
-	}
-	return base + ":" + label
-}
-
-// checkFault consults the device's fault injector at the site, applying
-// injected latency to the device timeline before returning any injected
-// error. Each consultation is one vendor driver call: with telemetry
-// attached it increments synergy_vendor_calls_total (and
-// synergy_vendor_faults_total on an injected error), so the call counter
-// equals the injector's CallCount for the site — a cross-validation
-// invariant.
-func (d *Device) checkFault(base string) error {
-	site := d.site(base)
-	delay, err := d.hw().FaultInjector().Check(site)
-	if tel := d.hw().Telemetry(); tel != nil {
-		call := strings.TrimPrefix(base, "nvml.")
-		device := site[strings.LastIndexByte(site, ':')+1:]
-		tel.Counter("synergy_vendor_calls_total", "lib", "nvml", "call", call, "device", device).Inc()
-		if err != nil {
-			tel.Counter("synergy_vendor_faults_total", "lib", "nvml", "call", call, "device", device).Inc()
-		}
-	}
-	if delay > 0 {
-		d.hw().AdvanceIdle(delay)
-	}
-	return err
-}
-
 func (d *Device) checkInit() error {
 	d.lib.mu.Lock()
 	defer d.lib.mu.Unlock()
@@ -213,23 +150,6 @@ func (d *Device) checkInit() error {
 		return ErrUninitialized
 	}
 	return nil
-}
-
-// GetName returns the marketing name of the board.
-func (d *Device) GetName() (string, error) {
-	if err := d.checkInit(); err != nil {
-		return "", err
-	}
-	return d.hw().Spec().Name, nil
-}
-
-// GetSupportedMemoryClocks lists the supported memory clocks. HBM boards
-// expose exactly one.
-func (d *Device) GetSupportedMemoryClocks() ([]int, error) {
-	if err := d.checkInit(); err != nil {
-		return nil, err
-	}
-	return []int{d.hw().Spec().MemFreqMHz}, nil
 }
 
 // GetSupportedGraphicsClocks lists the core clocks available at the given
@@ -242,28 +162,7 @@ func (d *Device) GetSupportedGraphicsClocks(memMHz int) ([]int, error) {
 	if memMHz != spec.MemFreqMHz {
 		return nil, fmt.Errorf("%w: memory clock %d MHz not supported", ErrInvalidArg, memMHz)
 	}
-	out := make([]int, len(spec.CoreFreqsMHz))
-	copy(out, spec.CoreFreqsMHz)
-	return out, nil
-}
-
-// GetApplicationsClock returns the current application clock target.
-func (d *Device) GetApplicationsClock(ct ClockType) (int, error) {
-	if err := d.checkInit(); err != nil {
-		return 0, err
-	}
-	switch ct {
-	case ClockGraphics:
-		mhz := d.hw().AppClockMHz()
-		if mhz == 0 {
-			mhz = d.hw().Spec().BaselineCoreMHz()
-		}
-		return mhz, nil
-	case ClockMem:
-		return d.hw().Spec().MemFreqMHz, nil
-	default:
-		return 0, fmt.Errorf("%w: unknown clock type %d", ErrInvalidArg, int(ct))
-	}
+	return slices.Clone(spec.CoreFreqsMHz), nil
 }
 
 // apiAllowed reports whether user may invoke the given restricted API on
@@ -283,7 +182,7 @@ func (d *Device) SetApplicationsClocks(u User, memMHz, coreMHz int) error {
 	if err := d.checkInit(); err != nil {
 		return err
 	}
-	if err := d.checkFault(SiteSetAppClocks); err != nil {
+	if err := d.hw().VendorCall("nvml", SiteSetAppClocks, d.idx); err != nil {
 		return fmt.Errorf("setting application clocks: %w", err)
 	}
 	if !d.apiAllowed(u, APISetApplicationClocks) {
@@ -304,7 +203,7 @@ func (d *Device) ResetApplicationsClocks(u User) error {
 	if err := d.checkInit(); err != nil {
 		return err
 	}
-	if err := d.checkFault(SiteResetAppClocks); err != nil {
+	if err := d.hw().VendorCall("nvml", SiteResetAppClocks, d.idx); err != nil {
 		return fmt.Errorf("resetting application clocks: %w", err)
 	}
 	if !d.apiAllowed(u, APISetApplicationClocks) {
@@ -322,7 +221,7 @@ func (d *Device) SetAPIRestriction(u User, api RestrictedAPI, restricted bool) e
 	if err := d.checkInit(); err != nil {
 		return err
 	}
-	if err := d.checkFault(SiteSetAPIRestriction); err != nil {
+	if err := d.hw().VendorCall("nvml", SiteSetAPIRestriction, d.idx); err != nil {
 		return fmt.Errorf("setting API restriction: %w", err)
 	}
 	if !u.Root {
@@ -338,60 +237,6 @@ func (d *Device) GetAPIRestriction(api RestrictedAPI) (bool, error) {
 		return false, err
 	}
 	return !d.hw().DriverFlag(flagName(api)), nil
-}
-
-// SetPowerManagementLimit sets the board power cap in milliwatts
-// (nvmlDeviceSetPowerManagementLimit). Root only on production systems;
-// 0 restores the default limit.
-func (d *Device) SetPowerManagementLimit(u User, mw int) error {
-	if err := d.checkInit(); err != nil {
-		return err
-	}
-	if !u.Root {
-		return fmt.Errorf("%w: only root may change the power limit", ErrNoPermission)
-	}
-	if mw < 0 {
-		return fmt.Errorf("%w: negative power limit", ErrInvalidArg)
-	}
-	if err := d.hw().SetPowerLimit(float64(mw) / 1000); err != nil {
-		return fmt.Errorf("%w: %v", ErrInvalidArg, err)
-	}
-	return nil
-}
-
-// GetPowerManagementLimit returns the active power cap in milliwatts.
-func (d *Device) GetPowerManagementLimit() (int, error) {
-	if err := d.checkInit(); err != nil {
-		return 0, err
-	}
-	return int(d.hw().PowerLimit() * 1000), nil
-}
-
-// GetPowerUsage returns the board power draw in milliwatts, as of the
-// last telemetry sample tick (power reads are asynchronous and quantised
-// to the sampling grid, §2.1).
-func (d *Device) GetPowerUsage() (int, error) {
-	if err := d.checkInit(); err != nil {
-		return 0, err
-	}
-	if err := d.checkFault(SitePowerSample); err != nil {
-		return 0, fmt.Errorf("reading power sample: %w", err)
-	}
-	dev := d.hw()
-	now := dev.Now()
-	tick := float64(int64(now/SamplingPeriodSec)) * SamplingPeriodSec
-	return int(dev.PowerAt(tick) * 1000), nil
-}
-
-// GetTotalEnergyConsumption returns the total energy counter in
-// millijoules since library initialisation, integrated on the sampling
-// grid (so short events are resolved poorly, as on real hardware).
-func (d *Device) GetTotalEnergyConsumption() (int64, error) {
-	if err := d.checkInit(); err != nil {
-		return 0, err
-	}
-	dev := d.hw()
-	return int64(dev.SampledEnergyBetween(0, dev.Now(), SamplingPeriodSec) * 1000), nil
 }
 
 // SampledEnergyBetween integrates the sampled power trace over a virtual

@@ -1,13 +1,14 @@
 // Package power is SYnergy's vendor-neutral energy/frequency binding
 // layer (§4): one interface over the vendor-specific management
-// libraries, with NVML and ROCm SMI backends. The runtime (internal/core)
-// programs against this interface only, which is what makes the approach
-// portable across NVIDIA and AMD GPUs.
+// libraries, with NVML, ROCm SMI and RAPL backends. The runtime
+// (internal/core) programs against this interface only, which is what
+// makes the approach portable across NVIDIA and AMD GPUs.
 package power
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"synergy/internal/hw"
 	"synergy/internal/nvml"
@@ -18,7 +19,7 @@ import (
 // Manager exposes the frequency-scaling and energy-profiling
 // capabilities of one device.
 type Manager interface {
-	// VendorName identifies the backend ("NVIDIA" or "AMD").
+	// VendorName identifies the backend ("NVIDIA", "AMD" or "Intel").
 	VendorName() string
 	// DeviceName is the board's marketing name.
 	DeviceName() string
@@ -63,10 +64,14 @@ func IsTransient(err error) bool {
 	return errors.Is(err, nvml.ErrTimeout) || errors.Is(err, rocmsmi.ErrTimeout)
 }
 
-// NewManager builds the appropriate backend for the device, with the
-// given caller identity for state-changing calls.
+// NewManager builds the device's manager, with the given caller identity
+// for state-changing calls. The vendor switch opens the management
+// library and supplies the four calls that differ by vendor: list, pin
+// and reset the core clock, and read sampled energy.
 func NewManager(dev *hw.Device, userName string, root bool) (Manager, error) {
-	switch dev.Spec().Vendor {
+	spec := dev.Spec()
+	m := &manager{dev: dev}
+	switch spec.Vendor {
 	case hw.NVIDIA:
 		lib, err := nvml.New(dev)
 		if err != nil {
@@ -79,7 +84,12 @@ func NewManager(dev *hw.Device, userName string, root bool) (Manager, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &nvmlManager{dev: dev, lib: lib, h: h, user: nvml.User{Name: userName, Root: root}}, nil
+		user := nvml.User{Name: userName, Root: root}
+		m.period = nvml.SamplingPeriodSec
+		m.list = func() ([]int, error) { return h.GetSupportedGraphicsClocks(spec.MemFreqMHz) }
+		m.pin = func(mhz int) error { return h.SetApplicationsClocks(user, spec.MemFreqMHz, mhz) }
+		m.reset = func() error { return h.ResetApplicationsClocks(user) }
+		m.energy = h.SampledEnergyBetween
 	case hw.Intel:
 		pkg, err := rapl.New(dev)
 		if err != nil {
@@ -88,7 +98,21 @@ func NewManager(dev *hw.Device, userName string, root bool) (Manager, error) {
 		if err := pkg.Init(); err != nil {
 			return nil, err
 		}
-		return &raplManager{dev: dev, pkg: pkg, user: rapl.User{Name: userName, Root: root}}, nil
+		user := rapl.User{Name: userName, Root: root}
+		m.period = rapl.SamplingPeriodSec
+		m.list = func() ([]int, error) { return slices.Clone(spec.CoreFreqsMHz), nil }
+		m.pin = func(mhz int) error {
+			if gov, err := pkg.CurrentGovernor(); err != nil {
+				return err
+			} else if gov != rapl.GovernorUserspace {
+				if err := pkg.SetGovernor(user, rapl.GovernorUserspace); err != nil {
+					return err
+				}
+			}
+			return pkg.SetFrequency(user, mhz)
+		}
+		m.reset = func() error { return pkg.SetGovernor(user, rapl.GovernorOndemand) }
+		m.energy = pkg.SampledEnergyBetween
 	case hw.AMD:
 		lib, err := rocmsmi.New(dev)
 		if err != nil {
@@ -101,10 +125,21 @@ func NewManager(dev *hw.Device, userName string, root bool) (Manager, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &smiManager{dev: dev, lib: lib, h: h, user: rocmsmi.User{Name: userName, Root: root}}, nil
+		user := rocmsmi.User{Name: userName, Root: root}
+		m.period = rocmsmi.SamplingPeriodSec
+		m.list = h.ClockLevels
+		m.pin = func(mhz int) error {
+			if i := slices.Index(spec.CoreFreqsMHz, mhz); i >= 0 {
+				return h.SetClockLevel(user, i)
+			}
+			return fmt.Errorf("power: %s does not support %d MHz", spec.Name, mhz)
+		}
+		m.reset = func() error { return h.SetPerfLevelAuto(user) }
+		m.energy = h.SampledEnergyBetween
 	default:
-		return nil, fmt.Errorf("power: no backend for vendor %v", dev.Spec().Vendor)
+		return nil, fmt.Errorf("power: no backend for vendor %v", spec.Vendor)
 	}
+	return m, nil
 }
 
 // NewPrivilegedManager is a convenience for tests and single-node tools:
@@ -114,142 +149,41 @@ func NewPrivilegedManager(dev *hw.Device) (Manager, error) {
 	return NewManager(dev, "root", true)
 }
 
-type nvmlManager struct {
-	dev  *hw.Device
-	lib  *nvml.Library
-	h    *nvml.Device
-	user nvml.User
+// manager is the one Manager: what every vendor shares it reads from the
+// hw.Device, and the vendor library calls come in as closures over the
+// library handle that NewManager opened.
+type manager struct {
+	dev    *hw.Device
+	period float64
+	list   func() ([]int, error)
+	pin    func(mhz int) error
+	reset  func() error
+	energy func(t0, t1 float64) (float64, error)
 }
 
-func (m *nvmlManager) VendorName() string { return hw.NVIDIA.String() }
-func (m *nvmlManager) DeviceName() string { return m.dev.Spec().Name }
+func (m *manager) VendorName() string        { return m.dev.Spec().Vendor.String() }
+func (m *manager) DeviceName() string        { return m.dev.Spec().Name }
+func (m *manager) MemFreqMHz() int           { return m.dev.Spec().MemFreqMHz }
+func (m *manager) DefaultCoreFreq() int      { return m.dev.Spec().DefaultCoreMHz }
+func (m *manager) SetCoreFreq(mhz int) error { return m.pin(mhz) }
+func (m *manager) ResetCoreFreq() error      { return m.reset() }
+func (m *manager) CurrentCoreFreq() int      { return m.dev.AppClockMHz() }
+func (m *manager) Sleep(dtSec float64)       { m.dev.AdvanceIdle(dtSec) }
+func (m *manager) DeviceNow() float64        { return m.dev.Now() }
+func (m *manager) SamplingPeriod() float64   { return m.period }
 
-func (m *nvmlManager) SupportedCoreFreqs() []int {
-	fs, err := m.h.GetSupportedGraphicsClocks(m.dev.Spec().MemFreqMHz)
+func (m *manager) SupportedCoreFreqs() []int {
+	fs, err := m.list()
 	if err != nil {
 		return nil
 	}
 	return fs
 }
 
-func (m *nvmlManager) MemFreqMHz() int      { return m.dev.Spec().MemFreqMHz }
-func (m *nvmlManager) DefaultCoreFreq() int { return m.dev.Spec().DefaultCoreMHz }
-
-func (m *nvmlManager) SetCoreFreq(mhz int) error {
-	return m.h.SetApplicationsClocks(m.user, m.dev.Spec().MemFreqMHz, mhz)
-}
-
-func (m *nvmlManager) ResetCoreFreq() error {
-	return m.h.ResetApplicationsClocks(m.user)
-}
-
-func (m *nvmlManager) CurrentCoreFreq() int { return m.dev.AppClockMHz() }
-
-func (m *nvmlManager) SampledEnergy(t0, t1 float64) float64 {
-	e, err := m.h.SampledEnergyBetween(t0, t1)
+func (m *manager) SampledEnergy(t0, t1 float64) float64 {
+	e, err := m.energy(t0, t1)
 	if err != nil {
 		return 0
 	}
 	return e
 }
-
-func (m *nvmlManager) Sleep(dtSec float64)     { m.dev.AdvanceIdle(dtSec) }
-func (m *nvmlManager) DeviceNow() float64      { return m.dev.Now() }
-func (m *nvmlManager) SamplingPeriod() float64 { return nvml.SamplingPeriodSec }
-
-type smiManager struct {
-	dev  *hw.Device
-	lib  *rocmsmi.Library
-	h    *rocmsmi.Device
-	user rocmsmi.User
-}
-
-func (m *smiManager) VendorName() string { return hw.AMD.String() }
-func (m *smiManager) DeviceName() string { return m.dev.Spec().Name }
-
-func (m *smiManager) SupportedCoreFreqs() []int {
-	fs, err := m.h.ClockLevels()
-	if err != nil {
-		return nil
-	}
-	return fs
-}
-
-func (m *smiManager) MemFreqMHz() int      { return m.dev.Spec().MemFreqMHz }
-func (m *smiManager) DefaultCoreFreq() int { return m.dev.Spec().DefaultCoreMHz }
-
-func (m *smiManager) SetCoreFreq(mhz int) error {
-	spec := m.dev.Spec()
-	for i, f := range spec.CoreFreqsMHz {
-		if f == mhz {
-			return m.h.SetClockLevel(m.user, i)
-		}
-	}
-	return fmt.Errorf("power: %s does not support %d MHz", spec.Name, mhz)
-}
-
-func (m *smiManager) ResetCoreFreq() error {
-	return m.h.SetPerfLevelAuto(m.user)
-}
-
-func (m *smiManager) CurrentCoreFreq() int { return m.dev.AppClockMHz() }
-
-func (m *smiManager) SampledEnergy(t0, t1 float64) float64 {
-	e, err := m.h.SampledEnergyBetween(t0, t1)
-	if err != nil {
-		return 0
-	}
-	return e
-}
-
-func (m *smiManager) Sleep(dtSec float64)     { m.dev.AdvanceIdle(dtSec) }
-func (m *smiManager) DeviceNow() float64      { return m.dev.Now() }
-func (m *smiManager) SamplingPeriod() float64 { return rocmsmi.SamplingPeriodSec }
-
-type raplManager struct {
-	dev  *hw.Device
-	pkg  *rapl.Package
-	user rapl.User
-}
-
-func (m *raplManager) VendorName() string { return hw.Intel.String() }
-func (m *raplManager) DeviceName() string { return m.dev.Spec().Name }
-
-func (m *raplManager) SupportedCoreFreqs() []int {
-	spec := m.dev.Spec()
-	out := make([]int, len(spec.CoreFreqsMHz))
-	copy(out, spec.CoreFreqsMHz)
-	return out
-}
-
-func (m *raplManager) MemFreqMHz() int      { return m.dev.Spec().MemFreqMHz }
-func (m *raplManager) DefaultCoreFreq() int { return m.dev.Spec().DefaultCoreMHz }
-
-func (m *raplManager) SetCoreFreq(mhz int) error {
-	if gov, err := m.pkg.CurrentGovernor(); err != nil {
-		return err
-	} else if gov != rapl.GovernorUserspace {
-		if err := m.pkg.SetGovernor(m.user, rapl.GovernorUserspace); err != nil {
-			return err
-		}
-	}
-	return m.pkg.SetFrequency(m.user, mhz)
-}
-
-func (m *raplManager) ResetCoreFreq() error {
-	return m.pkg.SetGovernor(m.user, rapl.GovernorOndemand)
-}
-
-func (m *raplManager) CurrentCoreFreq() int { return m.dev.AppClockMHz() }
-
-func (m *raplManager) SampledEnergy(t0, t1 float64) float64 {
-	e, err := m.pkg.SampledEnergyBetween(t0, t1)
-	if err != nil {
-		return 0
-	}
-	return e
-}
-
-func (m *raplManager) Sleep(dtSec float64)     { m.dev.AdvanceIdle(dtSec) }
-func (m *raplManager) DeviceNow() float64      { return m.dev.Now() }
-func (m *raplManager) SamplingPeriod() float64 { return rapl.SamplingPeriodSec }

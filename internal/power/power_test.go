@@ -3,7 +3,10 @@ package power
 import (
 	"testing"
 
+	"synergy/internal/fault"
 	"synergy/internal/hw"
+	"synergy/internal/rocmsmi"
+	"synergy/internal/telemetry"
 )
 
 func TestManagerBackendsForBothVendors(t *testing.T) {
@@ -85,19 +88,21 @@ func TestUnprivilegedManagerCannotScaleNVIDIA(t *testing.T) {
 
 func TestSampledEnergyMatchesDevice(t *testing.T) {
 	t.Parallel()
-	dev := hw.NewDevice(hw.V100())
-	m, err := NewPrivilegedManager(dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dev.AdvanceIdle(1.0)
-	got := m.SampledEnergy(0, 1.0)
-	want := dev.SampledEnergyBetween(0, 1.0, m.SamplingPeriod())
-	if got != want {
-		t.Fatalf("SampledEnergy = %v, want %v", got, want)
-	}
-	if m.DeviceNow() != dev.Now() {
-		t.Fatalf("DeviceNow = %v, want %v", m.DeviceNow(), dev.Now())
+	for _, spec := range []*hw.Spec{hw.V100(), hw.MI100(), hw.Xeon8160()} {
+		dev := hw.NewDevice(spec)
+		m, err := NewPrivilegedManager(dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dev.AdvanceIdle(1.0)
+		got := m.SampledEnergy(0, 1.0)
+		want := dev.SampledEnergyBetween(0, 1.0, m.SamplingPeriod())
+		if got != want || got <= 0 {
+			t.Fatalf("%s: SampledEnergy = %v, want %v", spec.Name, got, want)
+		}
+		if m.DeviceNow() != dev.Now() {
+			t.Fatalf("%s: DeviceNow = %v, want %v", spec.Name, m.DeviceNow(), dev.Now())
+		}
 	}
 }
 
@@ -114,5 +119,67 @@ func TestSamplingPeriodsDifferByVendor(t *testing.T) {
 	if nv.SamplingPeriod() <= amd.SamplingPeriod() {
 		t.Fatalf("NVML period %v should be coarser than SMI %v",
 			nv.SamplingPeriod(), amd.SamplingPeriod())
+	}
+}
+
+// TestMI100VendorCountersMatchInjector cross-checks the ROCm SMI path's
+// vendor-call counters the way apps' telemetry test does NVML's: under a
+// flaky set_clock_level rule, the call counter equals the injector's
+// CallCount and the fault counter equals the failed calls in its trace.
+func TestMI100VendorCountersMatchInjector(t *testing.T) {
+	t.Parallel()
+	sc, err := fault.ParseScenario("flaky-smi", "rocmsmi.set_clock_level p=0.3 err=rocmsmi.timeout\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const label = "node0/gpu0"
+	dev := hw.NewDevice(hw.MI100())
+	dev.SetLabel(label)
+	in := fault.NewFromScenario(11, sc)
+	reg := telemetry.NewRegistry()
+	dev.SetFaultInjector(in)
+	dev.SetTelemetry(reg)
+	m, err := NewPrivilegedManager(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	freqs := m.SupportedCoreFreqs()
+	const sets = 40
+	var failed int64
+	for i := 0; i < sets; i++ {
+		if err := m.SetCoreFreq(freqs[i%len(freqs)]); err != nil {
+			if !IsTransient(err) {
+				t.Fatalf("set %d: %v is not the injected timeout", i, err)
+			}
+			failed++
+		}
+	}
+	if err := m.ResetCoreFreq(); err != nil {
+		t.Fatal(err)
+	}
+
+	site := rocmsmi.SiteSetClockLevel + ":" + label
+	var traced int64
+	for _, ev := range in.Trace() {
+		if ev.Site == site && ev.Err != "" {
+			traced++
+		}
+	}
+	if failed == 0 || failed == sets {
+		t.Fatalf("%d of %d sets failed; the cross-check needs both outcomes", failed, sets)
+	}
+	snap := reg.Snapshot()
+	count := func(name, call string) int64 {
+		return snap.CounterValue(name, "lib", "rocmsmi", "call", call, "device", label)
+	}
+	if calls := count("synergy_vendor_calls_total", "set_clock_level"); calls != sets || calls != in.CallCount(site) {
+		t.Errorf("set_clock_level: calls counter %d, injector CallCount %d, want %d", calls, in.CallCount(site), sets)
+	}
+	if faults := count("synergy_vendor_faults_total", "set_clock_level"); faults != failed || faults != traced {
+		t.Errorf("set_clock_level: faults counter %d, failed sets %d, trace has %d", faults, failed, traced)
+	}
+	autoSite := rocmsmi.SiteSetPerfAuto + ":" + label
+	if calls := count("synergy_vendor_calls_total", "set_perf_auto"); calls != 1 || calls != in.CallCount(autoSite) {
+		t.Errorf("set_perf_auto: calls counter %d, injector CallCount %d, want 1", calls, in.CallCount(autoSite))
 	}
 }

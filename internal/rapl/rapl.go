@@ -1,10 +1,9 @@
-// Package rapl simulates the Intel Running Average Power Limit interface
-// (§2.1) together with the cpufreq frequency controls: the 32-bit
-// wrapping micro-joule energy-status counter with its 15.3 µJ resolution
-// (the classic RAPL gotchas), package power limits (PL1), and P-state
-// frequency pinning through a cpufreq-style governor. With this backend
-// the SYnergy binding layer covers CPUs as well as both GPU vendors —
-// the portability gap the paper calls out.
+// Package rapl simulates the Intel Running Average Power Limit energy
+// readings (§2.1), sampled on the ~1 ms RAPL update grid, together with
+// the cpufreq frequency controls: P-state pinning through a
+// cpufreq-style governor. With this backend the SYnergy binding layer
+// covers CPUs as well as both GPU vendors — the portability gap the
+// paper calls out.
 package rapl
 
 import (
@@ -14,12 +13,6 @@ import (
 
 	"synergy/internal/hw"
 )
-
-// EnergyUnitJoules is the RAPL energy-status unit (2^-16 J ≈ 15.3 µJ).
-const EnergyUnitJoules = 1.0 / 65536
-
-// counterBits is the width of the energy-status counter; it wraps.
-const counterBits = 32
 
 // SamplingPeriodSec is the RAPL counter update interval (~1 ms).
 const SamplingPeriodSec = 0.001
@@ -31,8 +24,7 @@ var (
 	ErrInvalidArg    = errors.New("rapl: invalid argument")
 )
 
-// User identifies callers; MSR writes and cpufreq sysfs writes require
-// root.
+// User identifies callers; cpufreq sysfs writes require root.
 type User struct {
 	Name string
 	Root bool
@@ -78,62 +70,11 @@ func (p *Package) Init() error {
 	return nil
 }
 
-// Close releases the interface.
-func (p *Package) Close() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.inited {
-		return ErrUninitialized
-	}
-	p.inited = false
-	return nil
-}
-
 func (p *Package) checkInit() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if !p.inited {
 		return ErrUninitialized
-	}
-	return nil
-}
-
-// EnergyStatus returns the MSR_PKG_ENERGY_STATUS counter: total package
-// energy since boot in RAPL units, truncated to 32 bits (it wraps every
-// ~65 kJ — callers must compute deltas modulo 2^32).
-func (p *Package) EnergyStatus() (uint32, error) {
-	if err := p.checkInit(); err != nil {
-		return 0, err
-	}
-	joules := p.dev.SampledEnergyBetween(0, p.dev.Now(), SamplingPeriodSec)
-	units := uint64(joules / EnergyUnitJoules)
-	return uint32(units & ((1 << counterBits) - 1)), nil
-}
-
-// EnergyDelta converts two counter readings (before, after) into joules,
-// handling wrap-around.
-func EnergyDelta(before, after uint32) float64 {
-	return float64(after-before) * EnergyUnitJoules // uint32 arithmetic wraps correctly
-}
-
-// PowerLimit returns the PL1 package limit in watts.
-func (p *Package) PowerLimit() (float64, error) {
-	if err := p.checkInit(); err != nil {
-		return 0, err
-	}
-	return p.dev.PowerLimit(), nil
-}
-
-// SetPowerLimit programs PL1 (root only; 0 restores the default TDP).
-func (p *Package) SetPowerLimit(u User, watts float64) error {
-	if err := p.checkInit(); err != nil {
-		return err
-	}
-	if !u.Root {
-		return ErrNoPermission
-	}
-	if err := p.dev.SetPowerLimit(watts); err != nil {
-		return fmt.Errorf("%w: %v", ErrInvalidArg, err)
 	}
 	return nil
 }
@@ -192,25 +133,6 @@ func (p *Package) SetFrequency(u User, mhz int) error {
 		return fmt.Errorf("%w: %d MHz not a supported P-state", ErrInvalidArg, mhz)
 	}
 	return p.dev.SetAppClock(mhz)
-}
-
-// Frequency reports the pinned frequency (0 under ondemand).
-func (p *Package) Frequency() (int, error) {
-	if err := p.checkInit(); err != nil {
-		return 0, err
-	}
-	return p.dev.AppClockMHz(), nil
-}
-
-// PowerWatts returns the current package power (counter-derived, on the
-// RAPL update grid).
-func (p *Package) PowerWatts() (float64, error) {
-	if err := p.checkInit(); err != nil {
-		return 0, err
-	}
-	now := p.dev.Now()
-	tick := float64(int64(now/SamplingPeriodSec)) * SamplingPeriodSec
-	return p.dev.PowerAt(tick), nil
 }
 
 // SampledEnergyBetween integrates the sampled power trace over a window.

@@ -2,7 +2,6 @@ package rapl
 
 import (
 	"errors"
-	"math"
 	"testing"
 
 	"synergy/internal/hw"
@@ -35,7 +34,7 @@ func TestLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.EnergyStatus(); !errors.Is(err, ErrUninitialized) {
+	if _, err := p.SampledEnergyBetween(0, 1); !errors.Is(err, ErrUninitialized) {
 		t.Fatalf("pre-init read: %v", err)
 	}
 	if err := p.Init(); err != nil {
@@ -44,40 +43,8 @@ func TestLifecycle(t *testing.T) {
 	if err := p.Init(); err == nil {
 		t.Fatal("double init accepted")
 	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Close(); !errors.Is(err, ErrUninitialized) {
-		t.Fatalf("double close: %v", err)
-	}
-}
-
-func TestEnergyCounterGrowsAndHasRAPLUnits(t *testing.T) {
-	t.Parallel()
-	p, dev := newPkg(t)
-	before, err := p.EnergyStatus()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dev.AdvanceIdle(1.0) // 1 s idle = 35 J
-	after, err := p.EnergyStatus()
-	if err != nil {
-		t.Fatal(err)
-	}
-	delta := EnergyDelta(before, after)
-	want := dev.Spec().IdlePowerW
-	if math.Abs(delta-want) > 0.05*want {
-		t.Fatalf("counter delta %.2f J over 1 s idle, want ~%.0f", delta, want)
-	}
-}
-
-func TestEnergyDeltaHandlesWrap(t *testing.T) {
-	t.Parallel()
-	// Counter wrap: after - before in uint32 arithmetic.
-	before := uint32(0xFFFFFF00)
-	after := uint32(0x00000100) // wrapped past zero: delta = 0x200 units
-	if got, want := EnergyDelta(before, after), 512*EnergyUnitJoules; math.Abs(got-want) > 1e-12 {
-		t.Fatalf("wrapped delta = %v, want %v", got, want)
+	if _, err := p.SampledEnergyBetween(0, 1); err != nil {
+		t.Fatalf("read after init: %v", err)
 	}
 }
 
@@ -110,7 +77,7 @@ func TestGovernorAndFrequencyControl(t *testing.T) {
 	if err := p.SetFrequency(Root, 1500); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := p.Frequency(); got != 1500 {
+	if got := dev.AppClockMHz(); got != 1500 {
 		t.Fatalf("pinned %d, want 1500", got)
 	}
 	// Back to ondemand restores the default clock.
@@ -122,30 +89,6 @@ func TestGovernorAndFrequencyControl(t *testing.T) {
 	}
 	if err := p.SetGovernor(Root, Governor("performance+")); !errors.Is(err, ErrInvalidArg) {
 		t.Fatalf("unknown governor: %v", err)
-	}
-}
-
-func TestPowerLimitPL1(t *testing.T) {
-	t.Parallel()
-	p, dev := newPkg(t)
-	if err := p.SetPowerLimit(User{Name: "u"}, 100); !errors.Is(err, ErrNoPermission) {
-		t.Fatalf("unprivileged PL1: %v", err)
-	}
-	if err := p.SetPowerLimit(Root, 100); err != nil {
-		t.Fatal(err)
-	}
-	w, err := p.PowerLimit()
-	if err != nil || w != 100 {
-		t.Fatalf("PL1 = %v, %v", w, err)
-	}
-	if err := p.SetPowerLimit(Root, 10000); !errors.Is(err, ErrInvalidArg) {
-		t.Fatalf("PL1 above TDP: %v", err)
-	}
-	if err := p.SetPowerLimit(Root, 0); err != nil {
-		t.Fatal(err)
-	}
-	if got := dev.PowerLimit(); got != dev.Spec().TDPWatts {
-		t.Fatalf("reset PL1 = %v", got)
 	}
 }
 

@@ -1,15 +1,16 @@
 // Package rocmsmi simulates the AMD ROCm System Management Interface
-// surface the SYnergy runtime uses on AMD GPUs: DPM (dynamic power
-// management) frequency levels, performance-level control (auto vs
-// manual), power readings and the fine-resolution energy accumulator of
-// CDNA boards. Unlike NVIDIA boards, the MI100 exposes no default
-// application clock — the driver auto-scales with the workload (§2.1).
+// calls the SYnergy runtime makes on AMD GPUs: the DPM (dynamic power
+// management) frequency levels, pinning one of them or returning to the
+// driver's auto performance level, and sampled energy at the fine
+// resolution of the CDNA energy accumulator. Unlike NVIDIA boards, the
+// MI100 exposes no default application clock — the driver auto-scales
+// with the workload (§2.1).
 package rocmsmi
 
 import (
 	"errors"
 	"fmt"
-	"strings"
+	"slices"
 	"sync"
 
 	"synergy/internal/fault"
@@ -43,16 +44,6 @@ func init() {
 	fault.RegisterError("rocmsmi.timeout", ErrTimeout)
 }
 
-// PerfLevel is the rsmi_dev_perf_level setting.
-type PerfLevel int
-
-const (
-	// PerfAuto lets the driver pick the DPM state per workload.
-	PerfAuto PerfLevel = iota
-	// PerfManual pins the DPM state chosen with SetClockLevel.
-	PerfManual
-)
-
 // User identifies callers of state-changing APIs; writing to the SMI
 // sysfs interface requires root on production systems.
 type User struct {
@@ -68,13 +59,7 @@ type Library struct {
 	mu      sync.Mutex
 	devices []*hw.Device
 	inited  bool
-	level   []PerfLevel
 }
-
-// smiUnrestrictedFlag is the persistent driver flag marking devices
-// where the scheduler plugin has granted clock control to regular users
-// for the duration of a job.
-const smiUnrestrictedFlag = "smi.unrestricted"
 
 // New creates a library managing the given AMD devices.
 func New(devices ...*hw.Device) (*Library, error) {
@@ -94,29 +79,7 @@ func (l *Library) Init() error {
 		return errors.New("rocmsmi: already initialized")
 	}
 	l.inited = true
-	l.level = make([]PerfLevel, len(l.devices))
 	return nil
-}
-
-// Shutdown tears the library down (rsmi_shut_down).
-func (l *Library) Shutdown() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if !l.inited {
-		return ErrUninitialized
-	}
-	l.inited = false
-	return nil
-}
-
-// NumDevices returns the number of managed devices.
-func (l *Library) NumDevices() (int, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if !l.inited {
-		return 0, ErrUninitialized
-	}
-	return len(l.devices), nil
 }
 
 // Device is a handle to one board.
@@ -140,31 +103,6 @@ func (l *Library) DeviceByIndex(i int) (*Device, error) {
 
 func (d *Device) hw() *hw.Device { return d.lib.devices[d.idx] }
 
-// checkFault consults the device's fault injector, applying injected
-// latency to the device timeline before returning any injected error.
-// Each consultation is one vendor driver call: with telemetry attached
-// it increments synergy_vendor_calls_total (and
-// synergy_vendor_faults_total on an injected error), matching the
-// injector's per-site CallCount exactly.
-func (d *Device) checkFault(base string) error {
-	label := d.hw().Label()
-	if label == "" {
-		label = fmt.Sprintf("gpu%d", d.idx)
-	}
-	delay, err := d.hw().FaultInjector().Check(base + ":" + label)
-	if tel := d.hw().Telemetry(); tel != nil {
-		call := strings.TrimPrefix(base, "rocmsmi.")
-		tel.Counter("synergy_vendor_calls_total", "lib", "rocmsmi", "call", call, "device", label).Inc()
-		if err != nil {
-			tel.Counter("synergy_vendor_faults_total", "lib", "rocmsmi", "call", call, "device", label).Inc()
-		}
-	}
-	if delay > 0 {
-		d.hw().AdvanceIdle(delay)
-	}
-	return err
-}
-
 func (d *Device) checkInit() error {
 	d.lib.mu.Lock()
 	defer d.lib.mu.Unlock()
@@ -174,58 +112,12 @@ func (d *Device) checkInit() error {
 	return nil
 }
 
-// Name returns the board name.
-func (d *Device) Name() (string, error) {
-	if err := d.checkInit(); err != nil {
-		return "", err
-	}
-	return d.hw().Spec().Name, nil
-}
-
 // ClockLevels returns the DPM core frequency table (ascending MHz).
 func (d *Device) ClockLevels() ([]int, error) {
 	if err := d.checkInit(); err != nil {
 		return nil, err
 	}
-	spec := d.hw().Spec()
-	out := make([]int, len(spec.CoreFreqsMHz))
-	copy(out, spec.CoreFreqsMHz)
-	return out, nil
-}
-
-// MemClockMHz returns the fixed HBM clock.
-func (d *Device) MemClockMHz() (int, error) {
-	if err := d.checkInit(); err != nil {
-		return 0, err
-	}
-	return d.hw().Spec().MemFreqMHz, nil
-}
-
-// PerfLevel returns the current performance-level mode.
-func (d *Device) PerfLevel() (PerfLevel, error) {
-	if err := d.checkInit(); err != nil {
-		return 0, err
-	}
-	d.lib.mu.Lock()
-	defer d.lib.mu.Unlock()
-	return d.lib.level[d.idx], nil
-}
-
-func (d *Device) writable(u User) bool {
-	return u.Root || d.hw().DriverFlag(smiUnrestrictedFlag)
-}
-
-// SetUnrestricted toggles whether regular users may change clocks on this
-// device (the equivalent of the plugin's privilege window). Root only.
-func (d *Device) SetUnrestricted(u User, unrestricted bool) error {
-	if err := d.checkInit(); err != nil {
-		return err
-	}
-	if !u.Root {
-		return fmt.Errorf("%w: only root may change device restrictions", ErrNoPermission)
-	}
-	d.hw().SetDriverFlag(smiUnrestrictedFlag, unrestricted)
-	return nil
+	return slices.Clone(d.hw().Spec().CoreFreqsMHz), nil
 }
 
 // SetPerfLevelAuto returns the device to driver-managed DPM selection.
@@ -233,15 +125,12 @@ func (d *Device) SetPerfLevelAuto(u User) error {
 	if err := d.checkInit(); err != nil {
 		return err
 	}
-	if err := d.checkFault(SiteSetPerfAuto); err != nil {
+	if err := d.hw().VendorCall("rocmsmi", SiteSetPerfAuto, d.idx); err != nil {
 		return fmt.Errorf("setting auto perf level: %w", err)
 	}
-	if !d.writable(u) {
+	if !u.Root {
 		return fmt.Errorf("%w: user %q may not change the performance level", ErrNoPermission, u.Name)
 	}
-	d.lib.mu.Lock()
-	d.lib.level[d.idx] = PerfAuto
-	d.lib.mu.Unlock()
 	d.hw().ResetAppClock()
 	return nil
 }
@@ -252,71 +141,17 @@ func (d *Device) SetClockLevel(u User, level int) error {
 	if err := d.checkInit(); err != nil {
 		return err
 	}
-	if err := d.checkFault(SiteSetClockLevel); err != nil {
+	if err := d.hw().VendorCall("rocmsmi", SiteSetClockLevel, d.idx); err != nil {
 		return fmt.Errorf("setting DPM level: %w", err)
 	}
-	if !d.writable(u) {
+	if !u.Root {
 		return fmt.Errorf("%w: user %q may not set clock levels", ErrNoPermission, u.Name)
 	}
 	spec := d.hw().Spec()
 	if level < 0 || level >= len(spec.CoreFreqsMHz) {
 		return fmt.Errorf("%w: DPM level %d out of range [0, %d)", ErrInvalidArg, level, len(spec.CoreFreqsMHz))
 	}
-	d.lib.mu.Lock()
-	d.lib.level[d.idx] = PerfManual
-	d.lib.mu.Unlock()
 	return d.hw().SetAppClock(spec.CoreFreqsMHz[level])
-}
-
-// CurrentClockMHz reports the pinned core clock, or 0 in auto mode.
-func (d *Device) CurrentClockMHz() (int, error) {
-	if err := d.checkInit(); err != nil {
-		return 0, err
-	}
-	return d.hw().AppClockMHz(), nil
-}
-
-// SetPowerCap sets the board power cap in watts
-// (rsmi_dev_power_cap_set). Root only; 0 restores the default.
-func (d *Device) SetPowerCap(u User, watts float64) error {
-	if err := d.checkInit(); err != nil {
-		return err
-	}
-	if !u.Root {
-		return fmt.Errorf("%w: only root may change the power cap", ErrNoPermission)
-	}
-	if err := d.hw().SetPowerLimit(watts); err != nil {
-		return fmt.Errorf("%w: %v", ErrInvalidArg, err)
-	}
-	return nil
-}
-
-// PowerCap returns the active power cap in watts.
-func (d *Device) PowerCap() (float64, error) {
-	if err := d.checkInit(); err != nil {
-		return 0, err
-	}
-	return d.hw().PowerLimit(), nil
-}
-
-// PowerWatts returns the instantaneous board power.
-func (d *Device) PowerWatts() (float64, error) {
-	if err := d.checkInit(); err != nil {
-		return 0, err
-	}
-	dev := d.hw()
-	now := dev.Now()
-	tick := float64(int64(now/SamplingPeriodSec)) * SamplingPeriodSec
-	return dev.PowerAt(tick), nil
-}
-
-// EnergyCountJoules returns the accumulated energy counter since init.
-func (d *Device) EnergyCountJoules() (float64, error) {
-	if err := d.checkInit(); err != nil {
-		return 0, err
-	}
-	dev := d.hw()
-	return dev.SampledEnergyBetween(0, dev.Now(), SamplingPeriodSec), nil
 }
 
 // SampledEnergyBetween integrates the sampled power trace over a window.
