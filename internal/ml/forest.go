@@ -213,18 +213,6 @@ type treeBuilder struct {
 // candidate feature and its target.
 type valueTarget struct{ v, y float64 }
 
-// byValue orders split-search pairs by feature value: it is negative
-// exactly when a.v < b.v, the only question pdqsort asks of it.
-func byValue(a, b valueTarget) int {
-	switch {
-	case a.v < b.v:
-		return -1
-	case a.v > b.v:
-		return 1
-	}
-	return 0
-}
-
 // build appends the subtree over the samples idx to b.nodes in
 // preorder. It reorders idx: the samples that go low end up first, each
 // side in its original order.
@@ -245,13 +233,19 @@ func (b *treeBuilder) build(idx []int, depth int) {
 	sorted := b.pairs[:len(idx)]
 	for _, feat := range feats {
 		col := b.cols[feat]
+		first, varies := col[idx[0]], false
 		for k, i := range idx {
-			sorted[k] = valueTarget{col[i], b.y[i]}
+			v := col[i]
+			sorted[k] = valueTarget{v, b.y[i]}
+			varies = varies || v != first
 		}
-		// slices.SortFunc and sort.Slice are one pdqsort, generated
-		// from one template, so ties land where the row-index sort of
-		// the reference builder put them.
-		slices.SortFunc(sorted, byValue)
+		// A constant feature has no threshold to split at.
+		if !varies {
+			continue
+		}
+		// sortByValue is the pdqsort sort.Slice runs too, so ties land
+		// where the row-index sort of the reference builder put them.
+		sortByValue(sorted)
 		// Prefix sums for O(n) split scan.
 		sumL, sqL := 0.0, 0.0
 		sumT, sqT := 0.0, 0.0

@@ -27,9 +27,6 @@ type Manager interface {
 	SupportedCoreFreqs() []int
 	// MemFreqMHz is the (fixed) memory frequency.
 	MemFreqMHz() int
-	// DefaultCoreFreq is the driver-default core clock, or 0 when the
-	// device auto-scales.
-	DefaultCoreFreq() int
 	// SetCoreFreq pins the core clock.
 	SetCoreFreq(mhz int) error
 	// ResetCoreFreq restores the driver default (or auto).
@@ -41,8 +38,6 @@ type Manager interface {
 	SampledEnergy(t0, t1 float64) float64
 	// DeviceNow returns the device's virtual time.
 	DeviceNow() float64
-	// SamplingPeriod returns the telemetry period in seconds.
-	SamplingPeriod() float64
 	// Sleep advances the device's virtual time by dt seconds of idle —
 	// the wait a host-side retry/backoff loop spends between attempts.
 	Sleep(dtSec float64)
@@ -85,7 +80,6 @@ func NewManager(dev *hw.Device, userName string, root bool) (Manager, error) {
 			return nil, err
 		}
 		user := nvml.User{Name: userName, Root: root}
-		m.period = nvml.SamplingPeriodSec
 		m.list = func() ([]int, error) { return h.GetSupportedGraphicsClocks(spec.MemFreqMHz) }
 		m.pin = func(mhz int) error { return h.SetApplicationsClocks(user, spec.MemFreqMHz, mhz) }
 		m.reset = func() error { return h.ResetApplicationsClocks(user) }
@@ -99,7 +93,6 @@ func NewManager(dev *hw.Device, userName string, root bool) (Manager, error) {
 			return nil, err
 		}
 		user := rapl.User{Name: userName, Root: root}
-		m.period = rapl.SamplingPeriodSec
 		m.list = func() ([]int, error) { return slices.Clone(spec.CoreFreqsMHz), nil }
 		m.pin = func(mhz int) error {
 			if gov, err := pkg.CurrentGovernor(); err != nil {
@@ -126,7 +119,6 @@ func NewManager(dev *hw.Device, userName string, root bool) (Manager, error) {
 			return nil, err
 		}
 		user := rocmsmi.User{Name: userName, Root: root}
-		m.period = rocmsmi.SamplingPeriodSec
 		m.list = h.ClockLevels
 		m.pin = func(mhz int) error {
 			if i := slices.Index(spec.CoreFreqsMHz, mhz); i >= 0 {
@@ -154,7 +146,6 @@ func NewPrivilegedManager(dev *hw.Device) (Manager, error) {
 // library handle that NewManager opened.
 type manager struct {
 	dev    *hw.Device
-	period float64
 	list   func() ([]int, error)
 	pin    func(mhz int) error
 	reset  func() error
@@ -164,13 +155,11 @@ type manager struct {
 func (m *manager) VendorName() string        { return m.dev.Spec().Vendor.String() }
 func (m *manager) DeviceName() string        { return m.dev.Spec().Name }
 func (m *manager) MemFreqMHz() int           { return m.dev.Spec().MemFreqMHz }
-func (m *manager) DefaultCoreFreq() int      { return m.dev.Spec().DefaultCoreMHz }
 func (m *manager) SetCoreFreq(mhz int) error { return m.pin(mhz) }
 func (m *manager) ResetCoreFreq() error      { return m.reset() }
 func (m *manager) CurrentCoreFreq() int      { return m.dev.AppClockMHz() }
 func (m *manager) Sleep(dtSec float64)       { m.dev.AdvanceIdle(dtSec) }
 func (m *manager) DeviceNow() float64        { return m.dev.Now() }
-func (m *manager) SamplingPeriod() float64   { return m.period }
 
 func (m *manager) SupportedCoreFreqs() []int {
 	fs, err := m.list()

@@ -5,6 +5,8 @@ import (
 
 	"synergy/internal/fault"
 	"synergy/internal/hw"
+	"synergy/internal/nvml"
+	"synergy/internal/rapl"
 	"synergy/internal/rocmsmi"
 	"synergy/internal/telemetry"
 )
@@ -29,8 +31,8 @@ func TestManagerBackendsForBothVendors(t *testing.T) {
 		if m.MemFreqMHz() != spec.MemFreqMHz {
 			t.Errorf("%s: mem freq %d", spec.Name, m.MemFreqMHz())
 		}
-		if m.DefaultCoreFreq() != spec.DefaultCoreMHz {
-			t.Errorf("%s: default %d, want %d", spec.Name, m.DefaultCoreFreq(), spec.DefaultCoreMHz)
+		if m.CurrentCoreFreq() != spec.DefaultCoreMHz {
+			t.Errorf("%s: starts at %d, want the default %d", spec.Name, m.CurrentCoreFreq(), spec.DefaultCoreMHz)
 		}
 	}
 }
@@ -88,7 +90,15 @@ func TestUnprivilegedManagerCannotScaleNVIDIA(t *testing.T) {
 
 func TestSampledEnergyMatchesDevice(t *testing.T) {
 	t.Parallel()
-	for _, spec := range []*hw.Spec{hw.V100(), hw.MI100(), hw.Xeon8160()} {
+	for _, c := range []struct {
+		spec   *hw.Spec
+		period float64
+	}{
+		{hw.V100(), nvml.SamplingPeriodSec},
+		{hw.MI100(), rocmsmi.SamplingPeriodSec},
+		{hw.Xeon8160(), rapl.SamplingPeriodSec},
+	} {
+		spec := c.spec
 		dev := hw.NewDevice(spec)
 		m, err := NewPrivilegedManager(dev)
 		if err != nil {
@@ -96,7 +106,7 @@ func TestSampledEnergyMatchesDevice(t *testing.T) {
 		}
 		dev.AdvanceIdle(1.0)
 		got := m.SampledEnergy(0, 1.0)
-		want := dev.SampledEnergyBetween(0, 1.0, m.SamplingPeriod())
+		want := dev.SampledEnergyBetween(0, 1.0, c.period)
 		if got != want || got <= 0 {
 			t.Fatalf("%s: SampledEnergy = %v, want %v", spec.Name, got, want)
 		}
@@ -108,17 +118,9 @@ func TestSampledEnergyMatchesDevice(t *testing.T) {
 
 func TestSamplingPeriodsDifferByVendor(t *testing.T) {
 	t.Parallel()
-	nv, err := NewPrivilegedManager(hw.NewDevice(hw.V100()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	amd, err := NewPrivilegedManager(hw.NewDevice(hw.MI100()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nv.SamplingPeriod() <= amd.SamplingPeriod() {
+	if nvml.SamplingPeriodSec <= rocmsmi.SamplingPeriodSec {
 		t.Fatalf("NVML period %v should be coarser than SMI %v",
-			nv.SamplingPeriod(), amd.SamplingPeriod())
+			nvml.SamplingPeriodSec, rocmsmi.SamplingPeriodSec)
 	}
 }
 

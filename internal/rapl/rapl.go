@@ -20,7 +20,7 @@ const SamplingPeriodSec = 0.001
 // Common errors.
 var (
 	ErrUninitialized = errors.New("rapl: not initialized")
-	ErrNoPermission  = errors.New("rapl: permission denied (MSR access requires root)")
+	ErrNoPermission  = errors.New("rapl: permission denied (cpufreq writes require root)")
 	ErrInvalidArg    = errors.New("rapl: invalid argument")
 )
 
