@@ -130,13 +130,13 @@ func sweep(t *testing.T, name string) *metrics.Sweep {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := spec.Sweep(w)
+	pts := make([]metrics.Point, len(spec.CoreFreqsMHz))
+	err = spec.Sweep(w, func(i int, m hw.Measurement) error {
+		pts[i] = metrics.Point{FreqMHz: spec.CoreFreqsMHz[i], TimeSec: m.TimeSec, EnergyJ: m.EnergyJ}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	pts := make([]metrics.Point, len(ms))
-	for i, m := range ms {
-		pts[i] = metrics.Point{FreqMHz: spec.CoreFreqsMHz[i], TimeSec: m.TimeSec, EnergyJ: m.EnergyJ}
 	}
 	s, err := metrics.NewSweep(pts, spec.DefaultCoreMHz)
 	if err != nil {

@@ -2,8 +2,10 @@ package hw
 
 import "testing"
 
-// Performance of the hot simulator paths: model evaluation dominates
-// frequency sweeps (196 evaluations per kernel on the V100), and energy
+// Performance of the hot simulator paths. Every ground-truth sweep is
+// one table pass (Spec.Sweep: 196 points per kernel on the V100, the
+// workload validated and its terms computed once); Evaluate is the
+// one-point path the virtual device takes per kernel launch; energy
 // integration dominates profiling queries.
 
 func BenchmarkEvaluate(b *testing.B) {
@@ -20,9 +22,14 @@ func BenchmarkEvaluate(b *testing.B) {
 func BenchmarkFullFrequencySweep(b *testing.B) {
 	spec := V100()
 	w := Workload{Name: "bench", Items: 1 << 22, FloatOps: 120, GlobalBytes: 24}
+	ms := make([]Measurement, len(spec.CoreFreqsMHz))
+	fill := func(i int, m Measurement) error {
+		ms[i] = m
+		return nil
+	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := spec.Sweep(w); err != nil {
+		if err := spec.Sweep(w, fill); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -65,6 +65,7 @@ const (
 	localWeight = 0.55
 	// smoothMaxP controls overlap between compute and memory phases:
 	// t = (t_c^p + t_m^p)^(1/p) approaches max(t_c, t_m) as p grows.
+	// The model computes it through pow4 and root4, which fix p = 4.
 	smoothMaxP = 4.0
 	// ipcEff derates the ideal ops/cycle/lane throughput for issue
 	// limits and divergence.
@@ -119,7 +120,99 @@ func (s *Spec) effectiveBandwidth(coreMHz int) float64 {
 	if f >= knee {
 		return s.MemBWBytes
 	}
-	return s.MemBWBytes * math.Pow(f/knee, 0.82)
+	return s.MemBWBytes * pow082(f/knee)
+}
+
+// The model's three powers, written as the operations math.Pow performs
+// for these exponents: mantissa squaring with exact power-of-two
+// rescaling for the integer part, Exp(yf*Log(x)) for the fractional
+// part. The rescaling and the final Ldexp are exact while every
+// intermediate is a normal float64, so inside each guard below the
+// forms give math.Pow's bits; outside it they call math.Pow. Ground
+// truth therefore keeps its bits whatever a toolchain does to Pow.
+// The float64 conversions keep a caller's add from fusing with the
+// last multiply.
+
+// pow4 returns math.Pow(x, 4). Inside 1e-70 < x < 1e70, x² and x⁴ are
+// normal, and Pow squares x's mantissa twice, which rounds as x*x then
+// x²*x² do.
+func pow4(x float64) float64 {
+	if 1e-70 < x && x < 1e70 {
+		x2 := x * x
+		return float64(x2 * x2)
+	}
+	return math.Pow(x, 4)
+}
+
+// root4 returns math.Pow(x, 0.25). For 1e-300 < x < 1e300 Pow takes
+// its fractional path alone and rescales Exp(0.25*Log(x)) by 2⁰.
+func root4(x float64) float64 {
+	if 1e-300 < x && x < 1e300 {
+		return math.Exp(0.25 * math.Log(x))
+	}
+	return math.Pow(x, 0.25)
+}
+
+// pow082 returns math.Pow(x, 0.82). Pow splits 0.82 into 1 + yf with
+// yf = 0.82 - 1, computed in float64 as below, and multiplies
+// Exp(yf*Log(x)) by x's mantissa before rescaling; inside
+// 1e-300 < x < 1e300 both factors and the product are normal, so
+// multiplying by x itself rounds the same.
+func pow082(x float64) float64 {
+	if 1e-300 < x && x < 1e300 {
+		yf := 0.82
+		yf--
+		return float64(math.Exp(yf*math.Log(x)) * x)
+	}
+	return math.Pow(x, 0.82)
+}
+
+// loadTerms are the terms of the model that depend on the workload
+// alone: the launch's weighted operations and DRAM bytes, and its noise
+// seed without the clock's term.
+type loadTerms struct {
+	ops, bytes float64
+	seed       uint64
+}
+
+// terms computes w's load terms; w is not validated.
+func (w Workload) terms() loadTerms {
+	items := float64(w.Items)
+	return loadTerms{
+		ops:   items * w.TotalOps(),
+		bytes: items * w.GlobalBytes,
+		seed:  hashString(w.Name) ^ splitmix64(uint64(w.Items)*0x9e3779b9),
+	}
+}
+
+// clockTerms are the terms of the model that depend on the core clock
+// alone.
+type clockTerms struct {
+	opsPerSec float64 // compute throughput
+	bw        float64 // reachable DRAM bandwidth
+	coreDyn   float64 // CoreDynCoeff·f[GHz]·V², dynamic core power before activity
+	leak      float64 // LeakCoeff·V²
+	seed      uint64  // the clock's term of the noise seed
+}
+
+// clock computes the clock terms at coreMHz, which is not checked
+// against the frequency table.
+func (s *Spec) clock(coreMHz int) clockTerms {
+	fHz := float64(coreMHz) * 1e6
+	v := s.Voltage(coreMHz)
+	fGHz := float64(coreMHz) / 1000
+	return clockTerms{
+		opsPerSec: float64(s.SMs) * float64(s.LanesPerSM) * fHz * ipcEff,
+		bw:        s.effectiveBandwidth(coreMHz),
+		coreDyn:   s.CoreDynCoeff * fGHz * v * v,
+		leak:      s.LeakCoeff * v * v,
+		seed:      splitmix64(uint64(coreMHz)),
+	}
+}
+
+// phases returns the compute-pipeline and DRAM times of a launch.
+func (c *clockTerms) phases(l *loadTerms) (compute, memory float64) {
+	return l.ops / c.opsPerSec, l.bytes / c.bw
 }
 
 // PhaseTimes returns the two roofline phase times for workload w at core
@@ -130,26 +223,14 @@ func (s *Spec) effectiveBandwidth(coreMHz int) float64 {
 // the arithmetic the ground-truth model uses; coreMHz is not checked
 // against the frequency table.
 func (s *Spec) PhaseTimes(w Workload, coreMHz int) (compute, memory float64) {
-	fHz := float64(coreMHz) * 1e6
-	opsPerSec := float64(s.SMs) * float64(s.LanesPerSM) * fHz * ipcEff
-	items := float64(w.Items)
-	return items * w.TotalOps() / opsPerSec, items * w.GlobalBytes / s.effectiveBandwidth(coreMHz)
+	l, c := w.terms(), s.clock(coreMHz)
+	return c.phases(&l)
 }
 
-// Evaluate runs the analytic model: execution time and average power for
-// workload w at core frequency coreMHz. It is a pure function (plus the
-// deterministic per-(kernel,frequency) noise), so it can serve both the
-// virtual device and offline ground-truth computation in tests.
-func (s *Spec) Evaluate(w Workload, coreMHz int) (Measurement, error) {
-	if err := w.Validate(); err != nil {
-		return Measurement{}, err
-	}
-	if !s.SupportsCoreFreq(coreMHz) {
-		return Measurement{}, fmt.Errorf("hw: %s does not support core frequency %d MHz", s.Name, coreMHz)
-	}
-
-	items := float64(w.Items)
-	tc, tm := s.PhaseTimes(w, coreMHz)
+// measure is the model at one point: it combines a workload's terms
+// with a clock's into the measurement there.
+func (s *Spec) measure(l *loadTerms, c *clockTerms) Measurement {
+	tc, tm := c.phases(l)
 
 	// Smooth-max roofline: phases overlap, but the longer one dominates.
 	var t float64
@@ -159,7 +240,7 @@ func (s *Spec) Evaluate(w Workload, coreMHz int) (Measurement, error) {
 	case tm == 0:
 		t = tc
 	default:
-		t = math.Pow(math.Pow(tc, smoothMaxP)+math.Pow(tm, smoothMaxP), 1/smoothMaxP)
+		t = root4(pow4(tc) + pow4(tm))
 	}
 	uc, um := 0.0, 0.0
 	if t > 0 {
@@ -168,23 +249,20 @@ func (s *Spec) Evaluate(w Workload, coreMHz int) (Measurement, error) {
 	}
 	t += s.LaunchOverheadSec
 
-	v := s.Voltage(coreMHz)
-	fGHz := float64(coreMHz) / 1000
 	activity := s.BaseActivity + (1-s.BaseActivity)*uc
-	pCore := s.CoreDynCoeff * fGHz * v * v * activity
+	pCore := c.coreDyn * activity
 	bwUtil := 0.0
 	if t > 0 {
-		bwUtil = items * w.GlobalBytes / t / s.MemBWBytes
+		bwUtil = l.bytes / t / s.MemBWBytes
 		if bwUtil > 1 {
 			bwUtil = 1
 		}
 	}
 	pMem := s.MemDynCoeff * bwUtil
-	pLeak := s.LeakCoeff * v * v
-	p := s.IdlePowerW + pCore + pMem + pLeak
+	p := s.IdlePowerW + pCore + pMem + c.leak
 
 	// Deterministic measurement noise (~±1.2% time, ±1.5% power).
-	nt, np := noisePair(w.Name, coreMHz, w.Items)
+	nt, np := noisePair(l.seed ^ c.seed)
 	t *= 1 + 0.012*nt
 	p *= 1 + 0.015*np
 
@@ -204,19 +282,39 @@ func (s *Spec) Evaluate(w Workload, coreMHz int) (Measurement, error) {
 		ComputeUtil: uc,
 		MemUtil:     um,
 		Throttled:   throttled,
-	}, nil
+	}
 }
 
-// Sweep evaluates the workload at every supported core frequency and
-// returns the measurements in frequency-table order.
-func (s *Spec) Sweep(w Workload) ([]Measurement, error) {
-	out := make([]Measurement, len(s.CoreFreqsMHz))
-	for i, f := range s.CoreFreqsMHz {
-		m, err := s.Evaluate(w, f)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = m
+// Evaluate runs the analytic model: execution time and average power for
+// workload w at core frequency coreMHz. It is a pure function (plus the
+// deterministic per-(kernel,frequency) noise), so it can serve both the
+// virtual device and offline ground-truth computation in tests.
+func (s *Spec) Evaluate(w Workload, coreMHz int) (Measurement, error) {
+	if err := w.Validate(); err != nil {
+		return Measurement{}, err
 	}
-	return out, nil
+	if !s.SupportsCoreFreq(coreMHz) {
+		return Measurement{}, fmt.Errorf("hw: %s does not support core frequency %d MHz", s.Name, coreMHz)
+	}
+	l, c := w.terms(), s.clock(coreMHz)
+	return s.measure(&l, &c), nil
+}
+
+// Sweep evaluates the workload at every supported core frequency in one
+// pass over the frequency table: it validates w and computes its terms
+// once, then calls fn with each table index and the measurement there,
+// as Evaluate would return it. It stops at and returns fn's first
+// error.
+func (s *Spec) Sweep(w Workload, fn func(i int, m Measurement) error) error {
+	if err := w.Validate(); err != nil {
+		return err
+	}
+	l := w.terms()
+	for i, f := range s.CoreFreqsMHz {
+		c := s.clock(f)
+		if err := fn(i, s.measure(&l, &c)); err != nil {
+			return err
+		}
+	}
+	return nil
 }

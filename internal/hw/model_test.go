@@ -1,6 +1,7 @@
 package hw
 
 import (
+	"errors"
 	"math"
 	"testing"
 )
@@ -12,6 +13,19 @@ func computeBoundWL() Workload {
 
 func memoryBoundWL() Workload {
 	return Workload{Name: "mb", Items: 1 << 20, FloatOps: 40, GlobalBytes: 64}
+}
+
+// sweepAll collects the measurements of s.Sweep into a slice.
+func sweepAll(t *testing.T, s *Spec, w Workload) []Measurement {
+	t.Helper()
+	ms := make([]Measurement, len(s.CoreFreqsMHz))
+	if err := s.Sweep(w, func(i int, m Measurement) error {
+		ms[i] = m
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return ms
 }
 
 func TestEvaluateDeterministic(t *testing.T) {
@@ -73,11 +87,7 @@ func TestPowerNeverExceedsTDP(t *testing.T) {
 	t.Parallel()
 	for _, s := range []*Spec{V100(), A100(), MI100()} {
 		for _, w := range []Workload{computeBoundWL(), memoryBoundWL()} {
-			ms, err := s.Sweep(w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, m := range ms {
+			for i, m := range sweepAll(t, s, w) {
 				if m.PowerW > s.TDPWatts+1e-9 {
 					t.Errorf("%s %s@%d MHz: power %.1f W exceeds TDP %.1f",
 						s.Name, w.Name, s.CoreFreqsMHz[i], m.PowerW, s.TDPWatts)
@@ -91,11 +101,7 @@ func TestTimeDecreasesWithFrequency(t *testing.T) {
 	t.Parallel()
 	// Up to the ~1.2% noise, higher clocks are never slower.
 	s := V100()
-	w := computeBoundWL()
-	ms, err := s.Sweep(w)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ms := sweepAll(t, s, computeBoundWL())
 	for i := 1; i < len(ms); i++ {
 		if ms[i].TimeSec > ms[i-1].TimeSec*1.03 {
 			t.Fatalf("time increased with frequency at %d MHz: %.6g -> %.6g",
@@ -158,10 +164,7 @@ func TestMemoryBoundFlatAboveKnee(t *testing.T) {
 func TestFig2ComputeBoundEnergyShape(t *testing.T) {
 	t.Parallel()
 	s := V100()
-	ms, err := s.Sweep(computeBoundWL())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ms := sweepAll(t, s, computeBoundWL())
 	def, err := s.Evaluate(computeBoundWL(), s.DefaultCoreMHz)
 	if err != nil {
 		t.Fatal(err)
@@ -256,12 +259,48 @@ func TestThrottleEngagesOnlyNearTDP(t *testing.T) {
 func TestSweepLengthMatchesTable(t *testing.T) {
 	t.Parallel()
 	s := A100()
-	ms, err := s.Sweep(memoryBoundWL())
+	var visited []int
+	err := s.Sweep(memoryBoundWL(), func(i int, _ Measurement) error {
+		visited = append(visited, i)
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ms) != len(s.CoreFreqsMHz) {
-		t.Fatalf("sweep returned %d measurements for %d frequencies", len(ms), len(s.CoreFreqsMHz))
+	if len(visited) != len(s.CoreFreqsMHz) {
+		t.Fatalf("sweep visited %d points for %d frequencies", len(visited), len(s.CoreFreqsMHz))
+	}
+	for i, v := range visited {
+		if v != i {
+			t.Fatalf("sweep visited index %d at step %d", v, i)
+		}
+	}
+}
+
+// TestSweepStopsAtFirstError: Sweep returns the callback's first error
+// and calls it no further; an invalid workload fails before any point.
+func TestSweepStopsAtFirstError(t *testing.T) {
+	t.Parallel()
+	s := V100()
+	stop := errors.New("stop")
+	calls := 0
+	err := s.Sweep(memoryBoundWL(), func(i int, _ Measurement) error {
+		calls++
+		if i == 3 {
+			return stop
+		}
+		return nil
+	})
+	if !errors.Is(err, stop) || calls != 4 {
+		t.Fatalf("err = %v after %d calls, want %v after 4", err, calls, stop)
+	}
+	calls = 0
+	err = s.Sweep(Workload{Name: "empty"}, func(int, Measurement) error {
+		calls++
+		return nil
+	})
+	if err == nil || calls != 0 {
+		t.Fatalf("invalid workload: err = %v after %d calls, want an error before any", err, calls)
 	}
 }
 

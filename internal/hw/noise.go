@@ -23,10 +23,10 @@ func hashString(s string) uint64 {
 	return h
 }
 
-// noisePair returns two deterministic values in [-1, 1] derived from the
-// kernel name, core frequency and launch size.
-func noisePair(name string, coreMHz int, items int64) (float64, float64) {
-	seed := hashString(name) ^ splitmix64(uint64(coreMHz)) ^ splitmix64(uint64(items)*0x9e3779b9)
+// noisePair returns two deterministic values in [-1, 1] derived from a
+// noise seed: the hash of the kernel name, XORed with the mixed launch
+// size and the mixed core frequency (see Workload.terms and Spec.clock).
+func noisePair(seed uint64) (float64, float64) {
 	a := splitmix64(seed)
 	b := splitmix64(a)
 	return unit(a), unit(b)

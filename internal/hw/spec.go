@@ -154,8 +154,13 @@ func (s *Spec) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("hw: spec has empty name")
 	}
-	if len(s.CoreFreqsMHz) == 0 {
-		return fmt.Errorf("hw: spec %s has no core frequencies", s.Name)
+	// The voltage model interpolates between the lowest and highest
+	// clock, so the table needs two distinct entries.
+	if len(s.CoreFreqsMHz) < 2 {
+		return fmt.Errorf("hw: spec %s has %d core frequencies, needs at least two", s.Name, len(s.CoreFreqsMHz))
+	}
+	if s.CoreFreqsMHz[0] <= 0 {
+		return fmt.Errorf("hw: spec %s has non-positive core frequency %d MHz", s.Name, s.CoreFreqsMHz[0])
 	}
 	for i := 1; i < len(s.CoreFreqsMHz); i++ {
 		if s.CoreFreqsMHz[i] <= s.CoreFreqsMHz[i-1] {
@@ -167,6 +172,12 @@ func (s *Spec) Validate() error {
 	}
 	if s.SMs <= 0 || s.LanesPerSM <= 0 || s.MemBWBytes <= 0 {
 		return fmt.Errorf("hw: spec %s has non-positive performance parameters", s.Name)
+	}
+	if s.LaunchOverheadSec < 0 || s.ClockSetOverheadSec < 0 || s.IdlePowerW < 0 {
+		return fmt.Errorf("hw: spec %s has a negative overhead or idle power", s.Name)
+	}
+	if s.CoreDynCoeff < 0 || s.MemDynCoeff < 0 || s.LeakCoeff < 0 {
+		return fmt.Errorf("hw: spec %s has a negative power coefficient", s.Name)
 	}
 	if s.TDPWatts <= s.IdlePowerW {
 		return fmt.Errorf("hw: spec %s TDP must exceed idle power", s.Name)

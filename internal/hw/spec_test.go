@@ -110,26 +110,31 @@ func TestNearestCoreFreqAlwaysSupported(t *testing.T) {
 
 func TestSpecValidateRejectsBadSpecs(t *testing.T) {
 	t.Parallel()
-	good := V100()
-	bad := *good
-	bad.CoreFreqsMHz = nil
-	if bad.Validate() == nil {
-		t.Error("empty clock table accepted")
-	}
-	bad = *good
-	bad.DefaultCoreMHz = 1311 // not in table
-	if bad.Validate() == nil {
-		t.Error("default clock outside table accepted")
-	}
-	bad = *good
-	bad.TDPWatts = bad.IdlePowerW
-	if bad.Validate() == nil {
-		t.Error("TDP <= idle accepted")
-	}
-	bad = *good
-	bad.BWKneeFrac = 1.5
-	if bad.Validate() == nil {
-		t.Error("knee fraction > 1 accepted")
+	for _, c := range []struct {
+		name   string
+		mutate func(s *Spec)
+	}{
+		{"empty clock table", func(s *Spec) { s.CoreFreqsMHz = nil }},
+		// One clock leaves the voltage model 0/0: Evaluate would
+		// return a NaN power with a nil error.
+		{"one clock", func(s *Spec) { s.CoreFreqsMHz, s.DefaultCoreMHz = []int{1312}, 1312 }},
+		{"0 MHz clock", func(s *Spec) { s.CoreFreqsMHz = append([]int{0}, s.CoreFreqsMHz...) }},
+		{"negative clock", func(s *Spec) { s.CoreFreqsMHz = append([]int{-5}, s.CoreFreqsMHz...) }},
+		{"default clock outside table", func(s *Spec) { s.DefaultCoreMHz = 1311 }},
+		{"TDP <= idle", func(s *Spec) { s.TDPWatts = s.IdlePowerW }},
+		{"knee fraction > 1", func(s *Spec) { s.BWKneeFrac = 1.5 }},
+		{"negative launch overhead", func(s *Spec) { s.LaunchOverheadSec = -1e-6 }},
+		{"negative clock-set overhead", func(s *Spec) { s.ClockSetOverheadSec = -1e-4 }},
+		{"negative idle power", func(s *Spec) { s.IdlePowerW = -1 }},
+		{"negative core coefficient", func(s *Spec) { s.CoreDynCoeff = -1 }},
+		{"negative memory coefficient", func(s *Spec) { s.MemDynCoeff = -1 }},
+		{"negative leakage coefficient", func(s *Spec) { s.LeakCoeff = -1 }},
+	} {
+		s := V100()
+		c.mutate(s)
+		if err := s.Validate(); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
 	}
 }
 

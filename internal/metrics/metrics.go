@@ -7,9 +7,11 @@
 package metrics
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -151,15 +153,19 @@ type Sweep struct {
 	Baseline int     // index into Points
 }
 
-// NewSweep assembles a sweep, sorting by frequency and locating the
-// baseline frequency (which must be present).
+// NewSweep assembles a sweep from a copy of points, sorting it by
+// frequency if it is out of order and locating the baseline frequency
+// (which must be present).
 func NewSweep(points []Point, baselineFreq int) (*Sweep, error) {
 	if len(points) == 0 {
 		return nil, fmt.Errorf("metrics: empty sweep")
 	}
 	ps := make([]Point, len(points))
 	copy(ps, points)
-	sort.Slice(ps, func(i, j int) bool { return ps[i].FreqMHz < ps[j].FreqMHz })
+	byFreq := func(a, b Point) int { return cmp.Compare(a.FreqMHz, b.FreqMHz) }
+	if !slices.IsSortedFunc(ps, byFreq) {
+		slices.SortFunc(ps, byFreq)
+	}
 	base := -1
 	for i, p := range ps {
 		if err := p.Check(); err != nil {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -33,13 +34,13 @@ func syntheticSweep(t *testing.T) *Sweep {
 func hwSweep(t *testing.T, w hw.Workload) *Sweep {
 	t.Helper()
 	spec := hw.V100()
-	ms, err := spec.Sweep(w)
+	pts := make([]Point, len(spec.CoreFreqsMHz))
+	err := spec.Sweep(w, func(i int, m hw.Measurement) error {
+		pts[i] = Point{FreqMHz: spec.CoreFreqsMHz[i], TimeSec: m.TimeSec, EnergyJ: m.EnergyJ}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	pts := make([]Point, len(ms))
-	for i, m := range ms {
-		pts[i] = Point{FreqMHz: spec.CoreFreqsMHz[i], TimeSec: m.TimeSec, EnergyJ: m.EnergyJ}
 	}
 	s, err := NewSweep(pts, spec.DefaultCoreMHz)
 	if err != nil {
@@ -67,6 +68,27 @@ func TestParseTargetRoundTrip(t *testing.T) {
 	}
 	if _, err := ParseTarget("ES_150"); err == nil {
 		t.Fatal("ES_150 accepted (x must be <= 100)")
+	}
+}
+
+// TestNewSweepSortsOutOfOrderInput: NewSweep orders a copy of points
+// given out of order by frequency, leaves the caller's slice as it was,
+// and finds the baseline in the sorted copy.
+func TestNewSweepSortsOutOfOrderInput(t *testing.T) {
+	t.Parallel()
+	want := syntheticSweep(t)
+	pts := slices.Clone(want.Points)
+	rand.New(rand.NewSource(3)).Shuffle(len(pts), func(i, j int) { pts[i], pts[j] = pts[j], pts[i] })
+	given := slices.Clone(pts)
+	s, err := NewSweep(pts, want.BaselinePoint().FreqMHz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(s.Points, want.Points) || s.Baseline != want.Baseline {
+		t.Fatalf("shuffled input gave %v (baseline %d), want %v (baseline %d)", s.Points, s.Baseline, want.Points, want.Baseline)
+	}
+	if !slices.Equal(pts, given) {
+		t.Fatal("NewSweep reordered the caller's slice")
 	}
 }
 

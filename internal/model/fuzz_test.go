@@ -89,6 +89,22 @@ func smallForestBundle(t testing.TB) *Models {
 	return &Models{Spec: spec, Algo: AlgoForest, Time: f, Energy: f, EDP: f, ED2P: f}
 }
 
+// A bundle whose spec has a one-clock table used to pass Check, though
+// the device model's voltage is 0/0 there and every ground-truth
+// cross-check on the bundle failed. Check refuses it.
+func TestCheckRefusesOneClockSpec(t *testing.T) {
+	m := smallForestBundle(t)
+	if err := m.Check(); err != nil {
+		t.Fatal(err)
+	}
+	spec := *m.Spec
+	spec.CoreFreqsMHz = []int{spec.BaselineCoreMHz()}
+	m.Spec = &spec
+	if err := m.Check(); err == nil {
+		t.Fatal("bundle whose spec has one clock accepted")
+	}
+}
+
 // reloadProbes are the reload self-test's golden probes
 // (internal/serve goldenProbes): a compute-bound, a memory-bound and a
 // mixed kernel.

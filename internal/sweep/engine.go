@@ -2,13 +2,13 @@
 // ground-truth evaluation of a (device spec × kernel × launch size)
 // triple across the device's frequency table goes through one
 // concurrency-safe service. A sweep runs the kernel's feature workload
-// (features.KernelWorkload) through the device model at each clock of
-// the table, fanned out with ForEach, and is memoized under a content
-// key on an internal/memo cache (bounded LRU, singleflight) — so the
-// figures, target selections and ML training sets that are all derived
-// from the same sweeps share one computation instead of re-running it
-// at every call site. Batch callers fan whole sweeps out across kernels
-// with ForEach and Prefetch too.
+// (features.KernelWorkload) through the device model in one pass over
+// the table (hw.Spec.Sweep) on the caller's goroutine, and is memoized
+// under a content key on an internal/memo cache (bounded LRU,
+// singleflight) — so the figures, target selections and ML training
+// sets that are all derived from the same sweeps share one computation
+// instead of re-running it at every call site. Batch callers fan whole
+// sweeps out across kernels with ForEach and Prefetch.
 package sweep
 
 import (
@@ -59,9 +59,10 @@ type Engine struct {
 // Option configures an Engine.
 type Option func(*Engine)
 
-// WithWorkers bounds ForEach, and so Prefetch and the points of one
-// sweep, to n concurrent callbacks (n >= 1); the default is GOMAXPROCS.
-// One worker runs the callbacks in index order.
+// WithWorkers bounds ForEach, and so Prefetch, to n concurrent
+// callbacks (n >= 1); the default is GOMAXPROCS. One worker runs the
+// callbacks in index order. The points of one sweep always run on the
+// goroutine that computes it.
 func WithWorkers(n int) Option {
 	return func(e *Engine) {
 		if n >= 1 {
@@ -177,28 +178,21 @@ func (e *Engine) GroundTruthContext(ctx context.Context, spec *hw.Spec, k *kerne
 }
 
 // evaluate computes one sweep: the kernel's feature workload through the
-// device model at each clock of the table, fanned out with ForEach so
-// that a miss spreads over the CPUs rather than running on whichever
-// one its caller happens to hold. Each point is a pure function of
-// (workload, clock), so the result does not depend on the worker count.
-// ctx is checked before each point, so a canceled sweep stops early.
+// device model in one pass over the clock table, on the caller's
+// goroutine, each point written straight into the sweep. ctx is checked
+// before each point is kept, so a canceled sweep stops early.
 func (e *Engine) evaluate(ctx context.Context, spec *hw.Spec, k *kernelir.Kernel, items int64) (*metrics.Sweep, error) {
 	w, err := features.KernelWorkload(k, items)
 	if err != nil {
 		return nil, err
 	}
 	pts := make([]metrics.Point, len(spec.CoreFreqsMHz))
-	err = e.ForEach(len(pts), func(i int) error {
+	err = spec.Sweep(w, func(i int, m hw.Measurement) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		f := spec.CoreFreqsMHz[i]
-		m, err := spec.Evaluate(w, f)
-		if err != nil {
-			return err
-		}
 		pts[i] = metrics.Point{
-			FreqMHz: f,
+			FreqMHz: spec.CoreFreqsMHz[i],
 			TimeSec: m.TimeSec / float64(items) * 1e9,
 			EnergyJ: m.EnergyJ / float64(items) * 1e9,
 		}
@@ -212,9 +206,8 @@ func (e *Engine) evaluate(ctx context.Context, spec *hw.Spec, k *kernelir.Kernel
 
 // ForEach runs fn(0..n-1) on at most WithWorkers goroutines and returns
 // the first error; once a callback fails no further indices are
-// scheduled. A sweep fans its points out through it, and batch callers
-// (prefetching a benchmark suite, characterising many kernels) fan
-// whole sweeps out through it.
+// scheduled. Batch callers (prefetching a benchmark suite,
+// characterising many kernels) fan whole sweeps out through it.
 func (e *Engine) ForEach(n int, fn func(i int) error) error {
 	workers := min(e.workers, n)
 	if workers <= 1 {

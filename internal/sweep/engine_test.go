@@ -54,9 +54,10 @@ func sweepsIdentical(a, b *metrics.Sweep) bool {
 	return true
 }
 
-// TestGoldenEquivalenceSerialVsPooled proves the parallel engine
-// returns bit-identical sweeps to the serial path for every device spec
-// and every benchmark in the suite.
+// TestGoldenEquivalenceSerialVsPooled proves that an engine's sweeps
+// equal, bit for bit, the historical path of one hw.Spec.Evaluate per
+// table entry, whatever its worker count, for every device spec and
+// every benchmark in the suite.
 func TestGoldenEquivalenceSerialVsPooled(t *testing.T) {
 	t.Parallel()
 	for _, devName := range []string{"v100", "a100", "mi100", "xeon"} {

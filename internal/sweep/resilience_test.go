@@ -66,8 +66,7 @@ func TestGroundTruthContextPreCanceled(t *testing.T) {
 }
 
 // countdownCtx is a context whose Err reports Canceled from the call
-// after its first n; checks counts the calls. It is safe for the
-// concurrent checks of a pooled sweep.
+// after its first n; checks counts the calls.
 type countdownCtx struct {
 	context.Context
 	n      int64
@@ -83,8 +82,9 @@ func (c *countdownCtx) Err() error {
 
 // TestCanceledSweepStopsMidTable: an evaluation checks its context
 // before every clock point, so a sweep canceled part-way through the
-// table stops there instead of finishing it. One worker stops at the
-// first canceled check; each further worker may make one more.
+// table stops there instead of finishing it. The points run on the
+// evaluating goroutine whatever the worker count, so the sweep stops at
+// the first canceled check: five points, then the sixth check.
 func TestCanceledSweepStopsMidTable(t *testing.T) {
 	t.Parallel()
 	b, err := benchsuite.ByName("vec_add")
@@ -97,8 +97,8 @@ func TestCanceledSweepStopsMidTable(t *testing.T) {
 		if _, err := eng.evaluate(ctx, hw.V100(), b.Kernel, b.CharItems); !errors.Is(err, context.Canceled) {
 			t.Fatalf("%d workers: err = %v, want context.Canceled", workers, err)
 		}
-		if got, limit := ctx.checks.Load(), int64(5+workers); got < 6 || got > limit {
-			t.Fatalf("%d workers: evaluation checked its context %d times, want 6..%d (5 points, then the canceled checks)", workers, got, limit)
+		if got := ctx.checks.Load(); got != 6 {
+			t.Fatalf("%d workers: evaluation checked its context %d times, want 6 (5 points, then the canceled check)", workers, got)
 		}
 	}
 }
