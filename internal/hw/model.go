@@ -123,15 +123,16 @@ func (s *Spec) effectiveBandwidth(coreMHz int) float64 {
 	return s.MemBWBytes * pow082(f/knee)
 }
 
-// The model's three powers, written as the operations math.Pow performs
-// for these exponents: mantissa squaring with exact power-of-two
-// rescaling for the integer part, Exp(yf*Log(x)) for the fractional
-// part. The rescaling and the final Ldexp are exact while every
-// intermediate is a normal float64, so inside each guard below the
-// forms give math.Pow's bits; outside it they call math.Pow. Ground
-// truth therefore keeps its bits whatever a toolchain does to Pow.
-// The float64 conversions keep a caller's add from fusing with the
-// last multiply.
+// The model's three powers, written as the operations Go's pure-Go
+// math.Pow performs for these exponents: mantissa squaring with exact
+// power-of-two rescaling for the integer part, Exp(yf*Log(x)) for the
+// fractional part. The rescaling and the final Ldexp are exact while
+// every intermediate is a normal float64, so inside each guard below
+// the forms give that Pow's bits; outside it they call math.Pow. On
+// s390x, whose math.Pow is assembly, the two may differ. The forms
+// hold no add, and their float64 conversions keep a caller's add from
+// fusing with their last multiply, so a port that fuses a multiply
+// into the add after it rounds them as one that does not.
 
 // pow4 returns math.Pow(x, 4). Inside 1e-70 < x < 1e70, x² and x⁴ are
 // normal, and Pow squares x's mantissa twice, which rounds as x*x then
@@ -191,7 +192,7 @@ type clockTerms struct {
 	opsPerSec float64 // compute throughput
 	bw        float64 // reachable DRAM bandwidth
 	coreDyn   float64 // CoreDynCoeff·f[GHz]·V², dynamic core power before activity
-	leak      float64 // LeakCoeff·V²
+	v         float64 // core voltage; measure forms the leak term from it
 	seed      uint64  // the clock's term of the noise seed
 }
 
@@ -205,7 +206,7 @@ func (s *Spec) clock(coreMHz int) clockTerms {
 		opsPerSec: float64(s.SMs) * float64(s.LanesPerSM) * fHz * ipcEff,
 		bw:        s.effectiveBandwidth(coreMHz),
 		coreDyn:   s.CoreDynCoeff * fGHz * v * v,
-		leak:      s.LeakCoeff * v * v,
+		v:         v,
 		seed:      splitmix64(uint64(coreMHz)),
 	}
 }
@@ -259,7 +260,11 @@ func (s *Spec) measure(l *loadTerms, c *clockTerms) Measurement {
 		}
 	}
 	pMem := s.MemDynCoeff * bwUtil
-	p := s.IdlePowerW + pCore + pMem + c.leak
+	// The leak term is formed here, beside the sum it feeds, so a port
+	// that fuses a multiply into the add after it rounds p as the model
+	// always has.
+	pLeak := s.LeakCoeff * c.v * c.v
+	p := s.IdlePowerW + pCore + pMem + pLeak
 
 	// Deterministic measurement noise (~±1.2% time, ±1.5% power).
 	nt, np := noisePair(l.seed ^ c.seed)

@@ -154,18 +154,14 @@ type Sweep struct {
 }
 
 // NewSweep assembles a sweep from a copy of points, sorting it by
-// frequency if it is out of order and locating the baseline frequency
-// (which must be present).
+// frequency and locating the baseline frequency (which must be present).
 func NewSweep(points []Point, baselineFreq int) (*Sweep, error) {
 	if len(points) == 0 {
 		return nil, fmt.Errorf("metrics: empty sweep")
 	}
 	ps := make([]Point, len(points))
 	copy(ps, points)
-	byFreq := func(a, b Point) int { return cmp.Compare(a.FreqMHz, b.FreqMHz) }
-	if !slices.IsSortedFunc(ps, byFreq) {
-		slices.SortFunc(ps, byFreq)
-	}
+	slices.SortFunc(ps, func(a, b Point) int { return cmp.Compare(a.FreqMHz, b.FreqMHz) })
 	base := -1
 	for i, p := range ps {
 		if err := p.Check(); err != nil {
