@@ -254,70 +254,3 @@ func TestAdvisorPredictionsWithinTable(t *testing.T) {
 		}
 	}
 }
-
-// TestSchedulerAdvisedTargetEndToEnd closes the scheduler loop: under a
-// tight cluster power budget the EnergyAdvicePlugin hints an ES target,
-// the job builds its per-kernel plan from the hint, and the run saves
-// energy relative to the unadvised baseline.
-func TestSchedulerAdvisedTargetEndToEnd(t *testing.T) {
-	spec := hw.V100()
-	adv := trainAdvisor(t, spec)
-	app := apps.NewMiniWeather()
-
-	runWithBudget := func(budget float64) (*apps.RunResult, bool) {
-		node := slurm.NewNode("n0", spec, 4, slurm.GresNVGpuFreq)
-		cluster := slurm.NewCluster(node)
-		cluster.RegisterPlugin(&slurm.NVGpuFreqPlugin{Controller: cluster})
-		cluster.RegisterPlugin(&slurm.EnergyAdvicePlugin{ClusterBudgetW: budget})
-		var result *apps.RunResult
-		advised := false
-		res, err := cluster.Submit(&slurm.Job{
-			Name: "mw", User: "alice", NumNodes: 1, Exclusive: true,
-			Gres: map[slurm.GRES]bool{slurm.GresNVGpuFreq: true},
-			Run: func(ctx *slurm.Allocation) error {
-				var plan apps.FreqPlan
-				if tgt, ok, err := slurm.AdvisedTarget(ctx); err != nil {
-					return err
-				} else if ok {
-					advised = true
-					plan, err = apps.PlanFromAdvisor(app, adv, 16384*16384, tgt)
-					if err != nil {
-						return err
-					}
-				}
-				r, err := apps.Run(app, apps.RunConfig{
-					Spec: spec, Nodes: 1, GPUsPerNode: 4,
-					LocalNx: 16384, LocalNy: 16384, Steps: 5,
-					StateRows: 8, FunctionalCap: 64,
-					Plan: plan, Net: mpi.EDRFabric(),
-					Devices: ctx.GPUs(), User: "alice",
-				})
-				if err != nil {
-					return err
-				}
-				result = r
-				return nil
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Err != nil {
-			t.Fatal(res.Err)
-		}
-		return result, advised
-	}
-
-	base, advised := runWithBudget(5000) // plenty of budget
-	if advised {
-		t.Fatal("advice given under a loose budget")
-	}
-	tight, advised := runWithBudget(800) // 4 GPUs x 300 W >> 800 W
-	if !advised {
-		t.Fatal("no advice under a tight budget")
-	}
-	saving := 1 - tight.EnergyJ/base.EnergyJ
-	if saving < 0.08 {
-		t.Errorf("advised run saved only %.1f%% energy", 100*saving)
-	}
-}

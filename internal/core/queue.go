@@ -7,7 +7,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -273,28 +272,6 @@ func (q *Queue) submitAt(coreMHz int, cg sycl.CommandGroup) (*sycl.Event, error)
 // Wait blocks until all submitted work completes.
 func (q *Queue) Wait() { q.q.Wait() }
 
-// WaitContext blocks until all submitted work completes or the context
-// is canceled.
-func (q *Queue) WaitContext(ctx context.Context) error { return q.q.WaitContext(ctx) }
-
-// SubmitContext is Submit with cancellation: a canceled context fails
-// fast before enqueueing (already-enqueued work always completes — the
-// simulated device never abandons a running kernel).
-func (q *Queue) SubmitContext(ctx context.Context, cg sycl.CommandGroup) (*sycl.Event, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return q.Submit(cg)
-}
-
-// SubmitWithFreqContext is SubmitWithFreq with cancellation.
-func (q *Queue) SubmitWithFreqContext(ctx context.Context, memMHz, coreMHz int, cg sycl.CommandGroup) (*sycl.Event, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return q.SubmitWithFreq(memMHz, coreMHz, cg)
-}
-
 // SetFunctionalCap bounds per-launch interpreted work-items (see
 // sycl.Queue.SetFunctionalCap); the energy/time model is unaffected.
 func (q *Queue) SetFunctionalCap(n int) { q.q.SetFunctionalCap(n) }
@@ -317,11 +294,4 @@ func (q *Queue) KernelEnergyConsumption(ev *sycl.Event) (float64, error) {
 // that opened when the queue was constructed.
 func (q *Queue) DeviceEnergyConsumption() float64 {
 	return q.pm.SampledEnergy(q.q.ConstructedAt(), q.pm.DeviceNow())
-}
-
-// ResetFrequency restores the driver-default clocks (used by tools and
-// by the scheduler epilogue path when running single-node).
-func (q *Queue) ResetFrequency() error {
-	q.q.Wait()
-	return q.pm.ResetCoreFreq()
 }

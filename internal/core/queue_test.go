@@ -339,22 +339,6 @@ func TestShortKernelProfilingInaccuracy(t *testing.T) {
 	}
 }
 
-func TestResetFrequency(t *testing.T) {
-	q, dev := newV100Queue(t)
-	k := streamKernel(t)
-	args := streamArgs(1 << 12)
-	if _, err := q.SubmitWithFreq(877, dev.HW().Spec().MinCoreMHz(),
-		func(h *sycl.Handler) { h.ParallelFor(1<<12, k, args) }); err != nil {
-		t.Fatal(err)
-	}
-	if err := q.ResetFrequency(); err != nil {
-		t.Fatal(err)
-	}
-	if got := dev.HW().AppClockMHz(); got != dev.HW().Spec().DefaultCoreMHz {
-		t.Fatalf("clock after reset %d, want default %d", got, dev.HW().Spec().DefaultCoreMHz)
-	}
-}
-
 func TestMixedQueuesListing4Scenario(t *testing.T) {
 	// Two queues on one device with different configurations.
 	dev := sycl.NewDevice(hw.V100())

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -89,30 +88,5 @@ func TestQueueDegradesWhileBreakerOpen(t *testing.T) {
 	}
 	if n := dev.HW().KernelCount(); n != 1 {
 		t.Errorf("kernels executed = %d, want 1 (degraded kernel still runs; the failed submission's does not)", n)
-	}
-}
-
-// TestSubmitContextPreCanceled: context-aware submissions fail fast
-// without enqueueing when already canceled, and WaitContext honours
-// cancellation while the queue drains normally afterwards.
-func TestSubmitContextPreCanceled(t *testing.T) {
-	t.Parallel()
-	q, _ := newV100Queue(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	k := streamKernel(t)
-	args := streamArgs(16)
-	if _, err := q.SubmitContext(ctx, func(h *sycl.Handler) { h.ParallelFor(16, k, args) }); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SubmitContext = %v, want context.Canceled", err)
-	}
-	if _, err := q.SubmitWithFreqContext(ctx, 0, 877, func(h *sycl.Handler) { h.ParallelFor(16, k, args) }); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SubmitWithFreqContext = %v, want context.Canceled", err)
-	}
-	if err := q.WaitContext(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("WaitContext = %v, want context.Canceled", err)
-	}
-	// An uncanceled context drains an empty queue immediately.
-	if err := q.WaitContext(context.Background()); err != nil {
-		t.Fatalf("WaitContext on live context: %v", err)
 	}
 }

@@ -46,7 +46,6 @@ type Device struct {
 	kernels     int64
 	clockSets   int64
 	driverFlags map[string]bool
-	powerLimitW float64 // 0 = board default (TDP)
 	label       string
 	injector    *fault.Injector
 	telemetry   *telemetry.Registry
@@ -203,35 +202,6 @@ func (d *Device) DriverFlag(name string) bool {
 	return d.driverFlags[name]
 }
 
-// SetPowerLimit sets the board power-management limit in watts
-// (0 restores the default, the TDP). Limits below a safe floor or above
-// the TDP are rejected, mirroring nvmlDeviceSetPowerManagementLimit.
-func (d *Device) SetPowerLimit(watts float64) error {
-	if watts != 0 && (watts < d.spec.IdlePowerW*2 || watts > d.spec.TDPWatts) {
-		return fmt.Errorf("hw: power limit %.0f W outside [%.0f, %.0f]",
-			watts, d.spec.IdlePowerW*2, d.spec.TDPWatts)
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.powerLimitW = watts
-	return nil
-}
-
-// PowerLimit returns the active power limit in watts (the TDP when no
-// explicit limit is set).
-func (d *Device) PowerLimit() float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.powerLimitLocked()
-}
-
-func (d *Device) powerLimitLocked() float64 {
-	if d.powerLimitW > 0 {
-		return d.powerLimitW
-	}
-	return d.spec.TDPWatts
-}
-
 // SetAppClock pins the application clock to mhz. The change costs
 // ClockSetOverheadSec of idle time on the timeline — the overhead the
 // paper measures growing with the number of submitted kernels (§4.4).
@@ -282,14 +252,6 @@ func (d *Device) ExecuteKernel(w Workload) (KernelRecord, error) {
 	m, err := d.spec.Evaluate(w, freq)
 	if err != nil {
 		return KernelRecord{}, err
-	}
-	// Board power capping: when a power-management limit below the TDP
-	// is active, the hardware throttles so average power meets the cap
-	// and the kernel stretches proportionally (energy is conserved).
-	if limit := d.powerLimitLocked(); m.PowerW > limit {
-		m.TimeSec *= m.PowerW / limit
-		m.PowerW = limit
-		m.Throttled = true
 	}
 	start := d.now
 	end := start + m.TimeSec

@@ -106,3 +106,72 @@ func TestModelMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestDeviceExecuteMatchesModel: the virtual device adds nothing to the
+// model. On every built-in spec, at the driver default and at every
+// pinned clock, ExecuteKernel's measurement equals Evaluate at the
+// effective clock bit for bit, and the timeline advances by exactly the
+// kernel's time. The workloads are the suite's kernels at their
+// characterisation size and two hot launches that saturate compute and
+// memory together, so the TDP clamp engages (on every spec but the
+// H100 and the Alveo, whose peak power stays below their TDP).
+func TestDeviceExecuteMatchesModel(t *testing.T) {
+	t.Parallel()
+	throttled := 0
+	var ws []hw.Workload
+	for _, name := range benchsuite.Names() {
+		b, err := benchsuite.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := features.KernelWorkload(b.Kernel, b.CharItems)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws = append(ws, w)
+	}
+	ws = append(ws,
+		hw.Workload{Name: "hot", Items: 1 << 26, FloatOps: 4000, SFOps: 200, GlobalBytes: 2000},
+		hw.Workload{Name: "hot-div", Items: 1 << 24, DivOps: 400, FloatOps: 1000, GlobalBytes: 500},
+	)
+	for _, key := range hw.BuiltinNames() {
+		spec, err := hw.SpecByName(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := hw.NewDevice(spec)
+		run := func(freq int) {
+			for _, w := range ws {
+				want, err := spec.Evaluate(w, freq)
+				if err != nil {
+					t.Fatal(err)
+				}
+				before := d.Now()
+				rec, err := d.ExecuteKernel(w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameBits(rec.Measurement, want) {
+					t.Fatalf("%s %s at %d MHz: device %+v, model %+v", key, w.Name, freq, rec.Measurement, want)
+				}
+				if rec.CoreMHz != freq || rec.Start != before || rec.End != before+want.TimeSec ||
+					d.Now() != rec.End || rec.EnergyJ != want.EnergyJ || rec.AvgPowerW != want.PowerW {
+					t.Fatalf("%s %s at %d MHz: record %+v from %g, now %g, model %+v", key, w.Name, freq, rec, before, d.Now(), want)
+				}
+				if want.Throttled {
+					throttled++
+				}
+			}
+		}
+		run(spec.BaselineCoreMHz()) // driver default, or auto at the top clock
+		for _, f := range spec.CoreFreqsMHz {
+			if err := d.SetAppClock(f); err != nil {
+				t.Fatal(err)
+			}
+			run(f)
+		}
+	}
+	if throttled == 0 {
+		t.Error("no workload engaged the TDP clamp")
+	}
+}

@@ -10,6 +10,7 @@ package hw
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 )
@@ -153,6 +154,15 @@ type Spec struct {
 func (s *Spec) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("hw: spec has empty name")
+	}
+	// Every comparison with NaN is false, so the range checks below
+	// would pass a NaN; refuse a NaN or infinite parameter first.
+	for _, v := range []float64{s.AreaMM2, s.MemBWBytes, s.BWKneeFrac, s.LaunchOverheadSec,
+		s.ClockSetOverheadSec, s.IdlePowerW, s.TDPWatts, s.VMinVolts, s.VMaxVolts, s.VFloorFrac,
+		s.CoreDynCoeff, s.MemDynCoeff, s.LeakCoeff, s.BaseActivity} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("hw: spec %s has a non-finite parameter %v", s.Name, v)
+		}
 	}
 	// The voltage model interpolates between the lowest and highest
 	// clock, so the table needs two distinct entries.

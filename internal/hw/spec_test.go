@@ -1,6 +1,9 @@
 package hw
 
 import (
+	"fmt"
+	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -110,10 +113,11 @@ func TestNearestCoreFreqAlwaysSupported(t *testing.T) {
 
 func TestSpecValidateRejectsBadSpecs(t *testing.T) {
 	t.Parallel()
-	for _, c := range []struct {
+	type badSpec struct {
 		name   string
 		mutate func(s *Spec)
-	}{
+	}
+	cases := []badSpec{
 		{"empty clock table", func(s *Spec) { s.CoreFreqsMHz = nil }},
 		// One clock leaves the voltage model 0/0: Evaluate would
 		// return a NaN power with a nil error.
@@ -129,7 +133,21 @@ func TestSpecValidateRejectsBadSpecs(t *testing.T) {
 		{"negative core coefficient", func(s *Spec) { s.CoreDynCoeff = -1 }},
 		{"negative memory coefficient", func(s *Spec) { s.MemDynCoeff = -1 }},
 		{"negative leakage coefficient", func(s *Spec) { s.LeakCoeff = -1 }},
-	} {
+	}
+	// A NaN or infinity in any float parameter, whichever range check
+	// would follow; the fields come from reflection, so a float
+	// parameter added to Spec later is covered too.
+	typ := reflect.TypeOf(Spec{})
+	for i := 0; i < typ.NumField(); i++ {
+		if typ.Field(i).Type.Kind() != reflect.Float64 {
+			continue
+		}
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cases = append(cases, badSpec{fmt.Sprintf("%s = %v", typ.Field(i).Name, v),
+				func(s *Spec) { reflect.ValueOf(s).Elem().Field(i).SetFloat(v) }})
+		}
+	}
+	for _, c := range cases {
 		s := V100()
 		c.mutate(s)
 		if err := s.Validate(); err == nil {

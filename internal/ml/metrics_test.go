@@ -141,77 +141,3 @@ func TestScalerConstantColumn(t *testing.T) {
 		t.Fatalf("constant column produced %v", out[0])
 	}
 }
-
-func TestKFoldPartition(t *testing.T) {
-	splits, err := KFold(10, 3, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(splits) != 3 {
-		t.Fatalf("%d splits, want 3", len(splits))
-	}
-	seen := map[int]int{}
-	for _, s := range splits {
-		if len(s.Train)+len(s.Test) != 10 {
-			t.Fatalf("split sizes %d + %d != 10", len(s.Train), len(s.Test))
-		}
-		for _, i := range s.Test {
-			seen[i]++
-		}
-		inTrain := map[int]bool{}
-		for _, i := range s.Train {
-			inTrain[i] = true
-		}
-		for _, i := range s.Test {
-			if inTrain[i] {
-				t.Fatal("test index also in train")
-			}
-		}
-	}
-	for i := 0; i < 10; i++ {
-		if seen[i] != 1 {
-			t.Fatalf("index %d appears in %d test folds, want 1", i, seen[i])
-		}
-	}
-	if _, err := KFold(5, 1, 0); err == nil {
-		t.Error("k=1 accepted")
-	}
-	if _, err := KFold(3, 5, 0); err == nil {
-		t.Error("k>n accepted")
-	}
-}
-
-func TestLeaveOneGroupOut(t *testing.T) {
-	groups := []string{"a", "a", "b", "c", "b"}
-	splits, order, err := LeaveOneGroupOut(groups)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(splits) != 3 || len(order) != 3 {
-		t.Fatalf("%d splits for 3 groups", len(splits))
-	}
-	for si, s := range splits {
-		for _, i := range s.Test {
-			if groups[i] != order[si] {
-				t.Fatalf("split %d test contains group %q, want %q", si, groups[i], order[si])
-			}
-		}
-		for _, i := range s.Train {
-			if groups[i] == order[si] {
-				t.Fatalf("split %d train leaks the held-out group", si)
-			}
-		}
-	}
-	if _, _, err := LeaveOneGroupOut([]string{"x", "x"}); err == nil {
-		t.Error("single group accepted")
-	}
-}
-
-func TestRows(t *testing.T) {
-	x := [][]float64{{1}, {2}, {3}}
-	y := []float64{10, 20, 30}
-	xs, ys := Rows(x, y, []int{2, 0})
-	if xs[0][0] != 3 || xs[1][0] != 1 || ys[0] != 30 || ys[1] != 10 {
-		t.Fatalf("Rows returned %v, %v", xs, ys)
-	}
-}

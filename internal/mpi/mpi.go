@@ -106,10 +106,6 @@ type World struct {
 	reduceAcc    []float64
 	reduceResult []float64
 
-	bcastMu   sync.Mutex
-	bcastNext []float32 // staged by the root before the barrier
-	bcastData []float32 // published inside the barrier
-
 	injMu sync.Mutex
 	inj   *fault.Injector
 
@@ -216,10 +212,6 @@ func (w *World) resetRunState() {
 	w.reduceAcc = nil
 	w.reduceResult = nil
 	w.reduceMu.Unlock()
-	w.bcastMu.Lock()
-	w.bcastNext = nil
-	w.bcastData = nil
-	w.bcastMu.Unlock()
 }
 
 // Run executes body on every rank concurrently, joins all ranks, and
@@ -600,50 +592,4 @@ func (w *World) rendezvous(r *Rank, last, after func()) (float64, error) {
 		after()
 	}
 	return r.now, nil
-}
-
-// Bcast distributes root's data to every rank in place; clocks
-// synchronise to the maximum plus a log2(P)-deep tree cost.
-func (r *Rank) Bcast(root int, data []float32) error {
-	if root < 0 || root >= r.world.size {
-		return fmt.Errorf("mpi: rank %d: bcast from invalid root %d", r.rank, root)
-	}
-	w := r.world
-	if r.rank == root {
-		w.bcastMu.Lock()
-		buf := make([]float32, len(data))
-		copy(buf, data)
-		w.bcastNext = buf
-		w.bcastMu.Unlock()
-	}
-	mismatch := false
-	_, err := w.rendezvous(r, func() {
-		// Publish under the barrier: every rank of the previous round
-		// has already copied, and no rank of the next round can have
-		// staged yet.
-		w.bcastMu.Lock()
-		w.bcastData = w.bcastNext
-		w.bcastNext = nil
-		w.bcastMu.Unlock()
-	}, func() {
-		w.bcastMu.Lock()
-		if len(w.bcastData) != len(data) {
-			mismatch = true
-		} else if r.rank != root {
-			copy(data, w.bcastData)
-		}
-		w.bcastMu.Unlock()
-	})
-	if err != nil {
-		return err
-	}
-	if mismatch {
-		return fmt.Errorf("mpi: rank %d: bcast size mismatch", r.rank)
-	}
-	depth := 0
-	for p := 1; p < w.size; p *= 2 {
-		depth++
-	}
-	r.Advance(float64(depth) * w.net.transferTime(4*len(data), false))
-	return nil
 }

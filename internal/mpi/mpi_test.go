@@ -321,50 +321,3 @@ func TestAdvanceToNeverGoesBackwards(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestBcast(t *testing.T) {
-	t.Parallel()
-	w, _ := NewWorld(5, 4, EDRFabric())
-	err := w.Run(func(r *Rank) error {
-		data := make([]float32, 3)
-		if r.Rank() == 2 {
-			data[0], data[1], data[2] = 7, 8, 9
-		}
-		if err := r.Bcast(2, data); err != nil {
-			return err
-		}
-		if data[0] != 7 || data[1] != 8 || data[2] != 9 {
-			t.Errorf("rank %d received %v", r.Rank(), data)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBcastRepeatedAndValidation(t *testing.T) {
-	t.Parallel()
-	w, _ := NewWorld(3, 4, EDRFabric())
-	err := w.Run(func(r *Rank) error {
-		for round := 0; round < 4; round++ {
-			data := []float32{0}
-			if r.Rank() == round%3 {
-				data[0] = float32(100 + round)
-			}
-			if err := r.Bcast(round%3, data); err != nil {
-				return err
-			}
-			if data[0] != float32(100+round) {
-				t.Errorf("rank %d round %d: %v", r.Rank(), round, data[0])
-			}
-		}
-		if err := r.Bcast(9, nil); err == nil {
-			t.Error("invalid root accepted")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}

@@ -179,9 +179,6 @@ type Allocation struct {
 	JobID string
 	Job   *Job
 	Nodes []*Node
-	// Hints carries advisory key/value pairs set by prologue plugins
-	// (for example the EnergyAdvicePlugin's suggested energy target).
-	Hints map[string]string
 }
 
 // GPUs returns every GPU of the allocation in node order.

@@ -1,16 +1,15 @@
 // Package sycl is a SYCL-flavoured runtime over the simulated GPU
 // substrate: devices, in-order queues, command groups, parallel_for
-// kernel launches and events with execution-status and profiling
-// queries. Kernels are kernelir programs; launching one both executes it
-// (the interpreter computes real results on host memory) and advances
-// the device's virtual timeline according to the hardware model.
+// kernel launches and events with profiling queries. Kernels are
+// kernelir programs; launching one both executes it (the interpreter
+// computes real results on host memory) and advances the device's
+// virtual timeline according to the hardware model.
 //
 // The SYnergy API (internal/core) wraps this queue exactly the way the
 // paper's synergy::queue wraps sycl::queue.
 package sycl
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -58,45 +57,13 @@ func (d *Device) Name() string { return d.hw.Spec().Name }
 // HW exposes the underlying virtual device.
 func (d *Device) HW() *hw.Device { return d.hw }
 
-// EventStatus mirrors SYCL's info::event_command_status.
-type EventStatus int
-
-const (
-	// Submitted: the command group is enqueued but not yet running.
-	Submitted EventStatus = iota
-	// Running: the kernel is executing on the device.
-	Running
-	// Complete: execution finished (possibly with an error).
-	Complete
-)
-
-// String returns the status name.
-func (s EventStatus) String() string {
-	switch s {
-	case Submitted:
-		return "submitted"
-	case Running:
-		return "running"
-	default:
-		return "complete"
-	}
-}
-
 // Event tracks one submitted command group, with profiling information
 // in device virtual time once complete.
 type Event struct {
-	mu     sync.Mutex
-	status EventStatus
-	rec    hw.KernelRecord
-	err    error
-	done   chan struct{}
-}
-
-// Status returns the current execution status.
-func (e *Event) Status() EventStatus {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.status
+	mu   sync.Mutex
+	rec  hw.KernelRecord
+	err  error
+	done chan struct{}
 }
 
 // Wait blocks until the command group completes and returns its error,
@@ -117,51 +84,22 @@ func (e *Event) Profiling() (hw.KernelRecord, error) {
 	return e.rec, e.err
 }
 
-func (e *Event) setRunning() {
-	e.mu.Lock()
-	e.status = Running
-	e.mu.Unlock()
-}
-
 func (e *Event) finish(rec hw.KernelRecord, err error) {
 	e.mu.Lock()
-	e.status = Complete
 	e.rec = rec
 	e.err = err
 	e.mu.Unlock()
 	close(e.done)
 }
 
-// finishWith reports through the queue's async handler before finishing.
-func (q *Queue) finishWith(ev *Event, rec hw.KernelRecord, err error) {
-	if err != nil {
-		q.mu.Lock()
-		h := q.asyncHandler
-		q.mu.Unlock()
-		if h != nil {
-			h(err)
-		}
-	}
-	ev.finish(rec, err)
-}
-
 // Handler is the command-group handler: command groups call ParallelFor
-// exactly once to describe the kernel launch, optionally declaring
-// dependencies on earlier events first.
+// exactly once to describe the kernel launch.
 type Handler struct {
 	kernel *kernelir.Kernel
 	args   kernelir.Args
 	items  int
 	width  int // row width for 2-D ranges (0 = 1-D)
 	calls  int
-	deps   []*Event
-}
-
-// DependsOn declares that this command group must not start before the
-// given events complete (sycl::handler::depends_on). Only meaningful on
-// out-of-order queues; in-order queues already serialise.
-func (h *Handler) DependsOn(evs ...*Event) {
-	h.deps = append(h.deps, evs...)
 }
 
 // ParallelFor records a kernel launch over [0, items) work-items with
@@ -199,23 +137,12 @@ type Queue struct {
 	mu            sync.Mutex
 	last          chan struct{} // done channel of the most recent submission
 	functionalCap int
-	outOfOrder    bool
 	pending       sync.WaitGroup
-	asyncHandler  func(error)
 }
 
 // NewQueue creates an in-order queue on the device.
 func NewQueue(dev *Device) *Queue {
 	return &Queue{dev: dev, constructedAt: dev.hw.Now()}
-}
-
-// NewOutOfOrderQueue creates a queue whose submissions are ordered only
-// by the dependencies declared with Handler.DependsOn — the default
-// sycl::queue semantics. Kernels still serialise on the device's single
-// execution engine, but independent command groups may start in any
-// order.
-func NewOutOfOrderQueue(dev *Device) *Queue {
-	return &Queue{dev: dev, constructedAt: dev.hw.Now(), outOfOrder: true}
 }
 
 // Device returns the queue's device.
@@ -239,40 +166,27 @@ func (q *Queue) SetFunctionalCap(n int) {
 	q.mu.Unlock()
 }
 
-// SetAsyncHandler installs a callback invoked (from the device thread)
-// whenever a command group fails asynchronously — the sycl::queue
-// async_handler. Event.Wait still returns the error as well.
-func (q *Queue) SetAsyncHandler(h func(error)) {
-	q.mu.Lock()
-	q.asyncHandler = h
-	q.mu.Unlock()
-}
-
 // ConstructedAt returns the device time at queue construction.
 func (q *Queue) ConstructedAt() float64 { return q.constructedAt }
 
 // Submit enqueues a command group and returns its event immediately.
 func (q *Queue) Submit(cg CommandGroup) (*Event, error) {
-	return q.SubmitPre(nil, cg)
+	return q.SubmitObserved(nil, nil, cg)
 }
 
-// SubmitPre enqueues a command group with a pre-kernel action that runs
-// on the device thread immediately before the kernel starts — the hook
-// the SYnergy layer uses for per-kernel frequency scaling (§4.4: SYCL
-// has no way to run instructions just before a kernel starts, so the
-// frequency change is implemented in the command-group execution).
-func (q *Queue) SubmitPre(pre func() error, cg CommandGroup) (*Event, error) {
-	return q.SubmitObserved(pre, nil, cg)
-}
-
-// SubmitObserved is SubmitPre with a post-kernel observer: post runs on
-// the device thread after the kernel (or its failure) and strictly
-// before the event completes. Running before Event.Wait can return is
-// what makes observer side effects deterministic: on an in-order queue
-// the next submission's hooks cannot interleave with this one's, so a
-// telemetry track appended to from the observer sees submissions in
-// submission order. rec is the zero KernelRecord when the kernel never
-// occupied the device (pre-action or injected submit failure).
+// SubmitObserved enqueues a command group with two device-thread hooks.
+// pre runs immediately before the kernel starts — the hook the SYnergy
+// layer uses for per-kernel frequency scaling (§4.4: SYCL has no way to
+// run instructions just before a kernel starts, so the frequency change
+// is implemented in the command-group execution). post runs after the
+// kernel (or its failure) and strictly before the event completes.
+// Because post runs before Event.Wait can return, observer side effects
+// are deterministic: on an in-order queue the next submission's hooks
+// cannot interleave with this one's, so a telemetry track appended to
+// from the observer sees submissions in submission order.
+// rec is the zero KernelRecord when the kernel never occupied the
+// device (pre-action or injected submit failure). Either hook may be
+// nil.
 func (q *Queue) SubmitObserved(pre func() error, post func(rec hw.KernelRecord, err error), cg CommandGroup) (*Event, error) {
 	h := &Handler{}
 	cg(h)
@@ -292,11 +206,8 @@ func (q *Queue) SubmitObserved(pre func() error, post func(rec hw.KernelRecord, 
 
 	ev := &Event{done: make(chan struct{})}
 	q.mu.Lock()
-	var prev chan struct{}
-	if !q.outOfOrder {
-		prev = q.last
-		q.last = ev.done
-	}
+	prev := q.last
+	q.last = ev.done
 	execItems := h.items
 	if q.functionalCap > 0 && execItems > q.functionalCap {
 		execItems = q.functionalCap
@@ -304,7 +215,6 @@ func (q *Queue) SubmitObserved(pre func() error, post func(rec hw.KernelRecord, 
 	q.pending.Add(1)
 	q.mu.Unlock()
 
-	deps := h.deps
 	go func() {
 		defer q.pending.Done()
 		// Every exit path reports through the observer (still on the
@@ -313,18 +223,11 @@ func (q *Queue) SubmitObserved(pre func() error, post func(rec hw.KernelRecord, 
 			if post != nil {
 				post(rec, err)
 			}
-			q.finishWith(ev, rec, err)
+			ev.finish(rec, err)
 		}
 		if prev != nil {
 			<-prev // in-order queue: wait for the previous command
 		}
-		for _, dep := range deps {
-			if err := dep.Wait(); err != nil {
-				done(hw.KernelRecord{}, fmt.Errorf("sycl: dependency of %q failed: %w", h.kernel.Name, err))
-				return
-			}
-		}
-		ev.setRunning()
 		if pre != nil {
 			if err := pre(); err != nil {
 				done(hw.KernelRecord{}, err)
@@ -378,30 +281,4 @@ func (q *Queue) Wait() {
 		<-last
 	}
 	q.pending.Wait()
-}
-
-// WaitContext blocks until every submitted command group has completed
-// or the context is canceled, whichever comes first. The device work
-// itself is not interrupted — the simulated device always finishes a
-// submitted kernel — so the watcher goroutine it spawns terminates once
-// the queue drains regardless of the context's fate.
-func (q *Queue) WaitContext(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("sycl: waiting for queue: %w", err)
-	}
-	if ctx.Done() == nil {
-		q.Wait()
-		return nil
-	}
-	done := make(chan struct{})
-	go func() {
-		q.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return fmt.Errorf("sycl: waiting for queue: %w", ctx.Err())
-	}
 }

@@ -64,22 +64,6 @@ func TestQueueExecutesKernelAndComputesResults(t *testing.T) {
 	}
 }
 
-func TestEventStatusTransitions(t *testing.T) {
-	q := NewQueue(NewDevice(hw.V100()))
-	k := saxpyKernel(t)
-	args, _ := saxpyArgs(1 << 16)
-	ev, err := q.Submit(func(h *Handler) { h.ParallelFor(1<<16, k, args) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ev.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if ev.Status() != Complete {
-		t.Fatalf("status after Wait = %v, want complete", ev.Status())
-	}
-}
-
 func TestInOrderQueueSerializesKernels(t *testing.T) {
 	q := NewQueue(NewDevice(hw.V100()))
 	k := saxpyKernel(t)
@@ -112,8 +96,9 @@ func TestSubmitPreRunsBeforeKernel(t *testing.T) {
 	k := saxpyKernel(t)
 	args, _ := saxpyArgs(1024)
 	low := dev.HW().Spec().MinCoreMHz()
-	ev, err := q.SubmitPre(
+	ev, err := q.SubmitObserved(
 		func() error { return dev.HW().SetAppClock(low) },
+		nil,
 		func(h *Handler) { h.ParallelFor(1024, k, args) },
 	)
 	if err != nil {
@@ -233,82 +218,6 @@ func TestTwoQueuesShareOneDeviceTimeline(t *testing.T) {
 	}
 }
 
-func TestOutOfOrderQueueDependencies(t *testing.T) {
-	dev := NewDevice(hw.V100())
-	q := NewOutOfOrderQueue(dev)
-	k := saxpyKernel(t)
-	args1, _ := saxpyArgs(4096)
-	ev1, err := q.Submit(func(h *Handler) { h.ParallelFor(4096, k, args1) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	args2, _ := saxpyArgs(4096)
-	ev2, err := q.Submit(func(h *Handler) {
-		h.DependsOn(ev1)
-		h.ParallelFor(4096, k, args2)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := ev2.Profiling()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, _ := ev1.Profiling()
-	if r2.Start < r1.End {
-		t.Fatalf("dependent kernel started at %v before dependency ended at %v", r2.Start, r1.End)
-	}
-}
-
-func TestOutOfOrderQueueIndependentSubmissionsComplete(t *testing.T) {
-	dev := NewDevice(hw.V100())
-	q := NewOutOfOrderQueue(dev)
-	k := saxpyKernel(t)
-	var events []*Event
-	for i := 0; i < 12; i++ {
-		args, _ := saxpyArgs(1024)
-		ev, err := q.Submit(func(h *Handler) { h.ParallelFor(1024, k, args) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		events = append(events, ev)
-	}
-	q.Wait()
-	for i, ev := range events {
-		if ev.Status() != Complete {
-			t.Fatalf("event %d not complete after Wait", i)
-		}
-		if err := ev.Wait(); err != nil {
-			t.Fatalf("event %d: %v", i, err)
-		}
-	}
-	if n := dev.HW().KernelCount(); n != 12 {
-		t.Fatalf("kernel count %d, want 12", n)
-	}
-}
-
-func TestDependencyFailurePropagates(t *testing.T) {
-	dev := NewDevice(hw.V100())
-	q := NewOutOfOrderQueue(dev)
-	k := saxpyKernel(t)
-	// First submission fails (missing bindings).
-	ev1, err := q.Submit(func(h *Handler) { h.ParallelFor(16, k, kernelir.Args{}) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	args, _ := saxpyArgs(16)
-	ev2, err := q.Submit(func(h *Handler) {
-		h.DependsOn(ev1)
-		h.ParallelFor(16, k, args)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ev2.Wait(); err == nil {
-		t.Fatal("dependency failure did not propagate")
-	}
-}
-
 func TestInOrderQueueIgnoresWaitRace(t *testing.T) {
 	// Wait on an in-order queue returns only after the last submission.
 	dev := NewDevice(hw.V100())
@@ -357,43 +266,5 @@ func TestParallelFor2D(t *testing.T) {
 	rec, _ := ev.Profiling()
 	if rec.Name != "tag2d" {
 		t.Fatalf("record name %q", rec.Name)
-	}
-}
-
-func TestAsyncHandlerReceivesErrors(t *testing.T) {
-	dev := NewDevice(hw.V100())
-	q := NewQueue(dev)
-	errs := make(chan error, 4)
-	q.SetAsyncHandler(func(err error) { errs <- err })
-	k := saxpyKernel(t)
-	// Failing submission (missing bindings).
-	ev, err := q.Submit(func(h *Handler) { h.ParallelFor(16, k, kernelir.Args{}) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ev.Wait(); err == nil {
-		t.Fatal("expected failure")
-	}
-	select {
-	case err := <-errs:
-		if err == nil {
-			t.Fatal("handler received nil error")
-		}
-	default:
-		t.Fatal("async handler not invoked")
-	}
-	// Successful submission does not invoke the handler.
-	args, _ := saxpyArgs(64)
-	ev, err = q.Submit(func(h *Handler) { h.ParallelFor(64, k, args) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ev.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-errs:
-		t.Fatal("handler invoked on success")
-	default:
 	}
 }
