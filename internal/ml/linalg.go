@@ -1,8 +1,8 @@
 // Package ml implements the supervised-learning machinery of §6 and
 // §8.3 from scratch on the standard library: ordinary least squares,
 // Lasso (coordinate descent), random-forest regression (CART), and
-// support-vector regression with an RBF kernel, together with scaling,
-// cross-validation and the APE/MAPE/RMSE error metrics of the paper.
+// support-vector regression with an RBF kernel, together with scaling
+// and the APE/MAPE/RMSE error metrics of the paper.
 package ml
 
 import (

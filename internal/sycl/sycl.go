@@ -274,11 +274,7 @@ func Probe(cg CommandGroup) (*kernelir.Kernel, int, error) {
 
 // Wait blocks until every submitted command group has completed.
 func (q *Queue) Wait() {
-	q.mu.Lock()
-	last := q.last
-	q.mu.Unlock()
-	if last != nil {
-		<-last
-	}
+	// Each submission completes its event before its goroutine's
+	// deferred Done, so the WaitGroup alone covers every submission.
 	q.pending.Wait()
 }
