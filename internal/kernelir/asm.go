@@ -22,6 +22,7 @@ func Assemble(text string) (*Kernel, error) {
 	if err != nil {
 		return nil, err
 	}
+	k.Body = make([]Instr, 0, len(lines)-1)
 	depth := 0
 	closed := false
 	for no, raw := range lines[1:] {
@@ -271,21 +272,22 @@ func parseInstr(k *Kernel, line string) (Instr, error) {
 			}
 		}
 	default:
-		var toks []string
-		if operands != "" {
-			toks = strings.Split(operands, ", ")
-		}
+		// The operands are ", "-separated; more says one remains in rest.
+		rest, more := operands, operands != ""
 		for i, file := range info.Srcs {
-			if i >= len(toks) {
+			if !more {
 				return in, fmt.Errorf("%s: missing operand %d", op, i+1)
 			}
-			r, err := parseReg(toks[i], file)
+			var tok string
+			tok, rest, more = strings.Cut(rest, ", ")
+			r, err := parseReg(tok, file)
 			if err != nil {
 				return in, err
 			}
 			in.SetRead(i, r)
 		}
-		if extra := len(toks) - len(info.Srcs); extra > 0 {
+		if more {
+			extra := strings.Count(rest, ", ") + 1
 			return in, fmt.Errorf("%s: %d extra operand(s) in %q", op, extra, line)
 		}
 	}

@@ -106,6 +106,23 @@ func TestAssembleRejectsMalformedInput(t *testing.T) {
 	}
 }
 
+// TestAssembledTrafficOutsideRangeFailsValidate: Assemble takes any
+// float as a traffic factor, so Validate must refuse one outside
+// [0, 1], NaN included: a NaN factor would fingerprint as a kernel
+// without the attribute and model as traffic 1.
+func TestAssembledTrafficOutsideRangeFailsValidate(t *testing.T) {
+	t.Parallel()
+	for _, tf := range []string{"NaN", "+Inf", "-Inf", "-0.5", "1.5"} {
+		k, err := Assemble("kernel k(write f32[out]) traffic=" + tf + " {\n  i0 = gid\n}\n")
+		if err != nil {
+			t.Fatalf("traffic=%s: %v", tf, err)
+		}
+		if err := k.Validate(); err == nil {
+			t.Errorf("traffic=%s: kernel validates", tf)
+		}
+	}
+}
+
 // FuzzDisasmRoundTrip checks build → disassemble → assemble → equivalent
 // kernel: any kernel the validator accepts must re-assemble from its own
 // disassembly into a kernel with identical disassembly and identical

@@ -120,14 +120,14 @@ var fpSink, textSink string
 
 // benchUnique is the size of the benchmark's unique kernels: a
 // micro-benchmark with tens of instructions per work-item.
-func benchUnique(b *testing.B) *kernelir.Kernel {
+func benchUnique(tb testing.TB) *kernelir.Kernel {
 	k, err := microbench.Build(microbench.Config{
 		Name: "bench_unique", IntAdd: 6, IntMul: 3, IntDiv: 1, IntBw: 3,
 		FloatAdd: 12, FloatMul: 12, FloatDiv: 2, SF: 2,
 		Loads: 4, Stores: 1, Local: 2, Traffic: 0.625,
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return k
 }

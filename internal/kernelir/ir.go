@@ -254,7 +254,7 @@ func (k *Kernel) Validate() error {
 	if k.Name == "" {
 		return fmt.Errorf("kernelir: kernel has no name")
 	}
-	if k.TrafficFactor < 0 || k.TrafficFactor > 1 {
+	if !(k.TrafficFactor >= 0 && k.TrafficFactor <= 1) { // NaN included
 		return fmt.Errorf("kernelir: %s: traffic factor %v outside [0, 1]", k.Name, k.TrafficFactor)
 	}
 	if k.NumIntRegs < 0 || k.NumIntRegs > MaxRegs || k.NumFloatRegs < 0 || k.NumFloatRegs > MaxRegs {

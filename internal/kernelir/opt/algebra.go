@@ -23,10 +23,9 @@ import (
 // Features-wise this moves the instruction from the IntMul class to
 // IntBw — the same merged IntOps resource in the hardware model, but
 // the sharper class the SYnergy feature vector wants.
-func algebraPass(k *kernelir.Kernel, body []kernelir.Instr, tree *kernelir.LoopTree) ([]kernelir.Instr, []Rewrite) {
-	out := append([]kernelir.Instr(nil), body...)
+func algebraPass(s *scratch, body []kernelir.Instr, tree *kernelir.LoopTree, rws []Rewrite) ([]kernelir.Instr, []Rewrite) {
+	out := s.next(body)
 	var u *regUse // counts out from the first strength-reduction candidate on
-	var rws []Rewrite
 
 	rewrite := func(pc int, in kernelir.Instr, note string) {
 		if u != nil {
@@ -46,7 +45,7 @@ func algebraPass(k *kernelir.Kernel, body []kernelir.Instr, tree *kernelir.LoopT
 		return kernelir.Instr{Op: kernelir.OpConstI, Dst: dst, Imm: float64(v)}
 	}
 
-	walkConst(k, tree, out, func(pc int, st *constState) {
+	walkConst(s, tree, out, func(pc int, st *constState) {
 		in := out[pc]
 		rs, n := in.Reads()
 		intConst := func(slot int) (int64, bool) {
@@ -84,7 +83,7 @@ func algebraPass(k *kernelir.Kernel, body []kernelir.Instr, tree *kernelir.LoopT
 				rewrite(pc, moveI(in.Dst, in.B), fmt.Sprintf("1 * i%d = i%d", in.B, in.B))
 			default:
 				if u == nil {
-					u = newRegUse(k, out)
+					u = s.use.count(out)
 				}
 				strengthReduce(u, pc, st, &rws)
 			}
@@ -155,9 +154,6 @@ func algebraPass(k *kernelir.Kernel, body []kernelir.Instr, tree *kernelir.LoopT
 			}
 		}
 	})
-	if len(rws) == 0 {
-		return nil, nil
-	}
 	return out, rws
 }
 

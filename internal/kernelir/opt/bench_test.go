@@ -6,7 +6,35 @@ import (
 	"synergy/internal/benchsuite"
 	"synergy/internal/kernelir"
 	"synergy/internal/kernelir/opt"
+	"synergy/internal/microbench"
 )
+
+// uniqueKernel is a micro-benchmark the size of the benchmark's unique
+// kernels (tens of instructions per work-item): the cold kernel of
+// characterize, which every kernel-keyed memo misses.
+func uniqueKernel(tb testing.TB) *kernelir.Kernel {
+	k, err := microbench.Build(microbench.Config{
+		Name: "bench_unique", IntAdd: 6, IntMul: 3, IntDiv: 1, IntBw: 3,
+		FloatAdd: 12, FloatMul: 12, FloatDiv: 2, SF: 2,
+		Loads: 4, Stores: 1, Local: 2, Traffic: 0.625,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return k
+}
+
+// BenchmarkOptimizeUnique optimizes one unique kernel per iteration:
+// what features.Extract pays for every kernel characterize sweeps.
+func BenchmarkOptimizeUnique(b *testing.B) {
+	k := uniqueKernel(b)
+	b.ReportAllocs()
+	for range b.N {
+		if _, res := opt.Optimize(k); res.Err != nil {
+			b.Fatal(res.Err)
+		}
+	}
+}
 
 // BenchmarkOptimizeSuite optimizes every suite kernel once per
 // iteration: the work features.Extract and compile.Compile pay on a miss.

@@ -28,19 +28,19 @@ import (
 //     substitution, multiset-preserving motion, pure-only deletion).
 //
 // Any violation fails the whole optimization: Optimize returns the
-// original kernel with Result.Err set. mem carries the original body's
-// memory sequence from one check to the next. On success checkPass
-// returns after's loop tree, which the next pass gets.
-func checkPass(k *kernelir.Kernel, mem *memTrace, before, after []kernelir.Instr, passName string, rws []Rewrite) (*kernelir.LoopTree, error) {
-	nk := k.WithBody(after)
-	if err := nk.Validate(); err != nil {
+// original kernel with Result.Err set. s.mem carries the original
+// body's memory sequence from one check to the next. On success
+// checkPass returns after's loop tree, which the next pass gets.
+func checkPass(s *scratch, before, after []kernelir.Instr, passName string, rws []Rewrite) (*kernelir.LoopTree, error) {
+	s.check.Body = after
+	if err := s.check.Validate(); err != nil {
 		return nil, fmt.Errorf("%s: rewritten body fails validation: %w", passName, err)
 	}
 	tree, err := kernelir.BuildLoopTree(after)
 	if err != nil {
 		return nil, fmt.Errorf("%s: rewritten body has no loop tree: %w", passName, err)
 	}
-	if err := mem.check(k.Body, after); err != nil {
+	if err := s.mem.check(s.k.Body, after); err != nil {
 		return nil, fmt.Errorf("%s: %w", passName, err)
 	}
 	if err := memOpsFrozen(before, after, passName); err != nil {
@@ -48,11 +48,11 @@ func checkPass(k *kernelir.Kernel, mem *memTrace, before, after []kernelir.Instr
 	}
 	switch passName {
 	case "constfold", "algebra":
-		err = checkInPlace(before, after, passName, rws)
+		err = checkInPlace(s.touched, before, after, passName, rws)
 	case "cse":
-		err = checkCSE(before, after, rws)
+		err = checkCSE(s.touched, before, after, rws)
 	case "copyprop":
-		err = checkCopyProp(before, after, rws)
+		err = checkCopyProp(s.touched, before, after, rws)
 	case "licm":
 		err = checkLICM(before, after, rws)
 	case "dce":
@@ -89,7 +89,7 @@ type tripStep struct {
 // tripStep's entry; both bodies' sequences take their ids from this one
 // table, so equal ids mean equal paths. orig is the original body's
 // sequence, built at the first check, and after is reused by every
-// check.
+// check; both are cut from one allocation.
 type memTrace struct {
 	paths       map[tripStep]int
 	orig, after []memEvent
@@ -100,8 +100,10 @@ type memTrace struct {
 // Validate, so their Repeat blocks nest.
 func (m *memTrace) check(orig, after []kernelir.Instr) error {
 	if m.paths == nil {
+		n := countMemOps(orig)
+		evs := make([]memEvent, 0, 2*n)
 		m.paths = make(map[tripStep]int)
-		m.orig = m.sequence(nil, orig)
+		m.orig, m.after = m.sequence(evs[:0:n], orig), evs[n:n]
 	}
 	m.after = m.sequence(m.after[:0], after)
 	oe, ae := m.orig, m.after
@@ -142,32 +144,45 @@ func (m *memTrace) sequence(evs []memEvent, body []kernelir.Instr) []memEvent {
 // for every pass except copyprop, which may substitute operand
 // registers but not the opcode, destination, buffer or immediate.
 func memOpsFrozen(before, after []kernelir.Instr, passName string) error {
-	memOps := func(body []kernelir.Instr) []kernelir.Instr {
-		var out []kernelir.Instr
-		for _, in := range body {
-			if info := in.Op.Info(); info.IsMemOp || info.IsLocal {
-				out = append(out, in)
-			}
-		}
-		return out
+	if bn, an := countMemOps(before), countMemOps(after); bn != an {
+		return fmt.Errorf("memory-op count changed in one pass: %d -> %d", bn, an)
 	}
-	bm, am := memOps(before), memOps(after)
-	if len(bm) != len(am) {
-		return fmt.Errorf("memory-op count changed in one pass: %d -> %d", len(bm), len(am))
-	}
-	for i := range bm {
-		if passName == "copyprop" {
-			if bm[i].Op != am[i].Op || bm[i].Dst != am[i].Dst || bm[i].Buf != am[i].Buf ||
-				math.Float64bits(bm[i].Imm) != math.Float64bits(am[i].Imm) {
-				return fmt.Errorf("memory op %d changed beyond operand substitution: %+v -> %+v", i, bm[i], am[i])
-			}
+	i, q := 0, 0 // the memory op's index and after's cursor
+	for _, b := range before {
+		if !isMemOp(b) {
 			continue
 		}
-		if !instrEq(bm[i], am[i]) {
-			return fmt.Errorf("memory op %d modified: %+v -> %+v", i, bm[i], am[i])
+		for !isMemOp(after[q]) {
+			q++
 		}
+		a := after[q]
+		if passName == "copyprop" {
+			if b.Op != a.Op || b.Dst != a.Dst || b.Buf != a.Buf ||
+				math.Float64bits(b.Imm) != math.Float64bits(a.Imm) {
+				return fmt.Errorf("memory op %d changed beyond operand substitution: %+v -> %+v", i, b, a)
+			}
+		} else if !instrEq(b, a) {
+			return fmt.Errorf("memory op %d modified: %+v -> %+v", i, b, a)
+		}
+		i, q = i+1, q+1
 	}
 	return nil
+}
+
+// isMemOp reports whether in is a memory or local-scratch access.
+func isMemOp(in kernelir.Instr) bool {
+	info := in.Op.Info()
+	return info.IsMemOp || info.IsLocal
+}
+
+func countMemOps(body []kernelir.Instr) int {
+	n := 0
+	for _, in := range body {
+		if isMemOp(in) {
+			n++
+		}
+	}
+	return n
 }
 
 func instrEq(a, b kernelir.Instr) bool {
@@ -178,12 +193,14 @@ func instrEq(a, b kernelir.Instr) bool {
 
 // checkInPlace covers constfold and algebra: same length, and every
 // instruction either is untouched or appears in the rewrite log with its
-// destination register (and register file) preserved.
-func checkInPlace(before, after []kernelir.Instr, passName string, rws []Rewrite) error {
+// destination register (and register file) preserved. touched is
+// scratch, one flag per pc of before.
+func checkInPlace(touched []bool, before, after []kernelir.Instr, passName string, rws []Rewrite) error {
 	if len(before) != len(after) {
 		return fmt.Errorf("%s: body length changed: %d -> %d", passName, len(before), len(after))
 	}
-	touched := make(map[int]bool, len(rws))
+	touched = touched[:len(before)]
+	clear(touched)
 	for _, rw := range rws {
 		if rw.PC < 0 || rw.PC >= len(before) {
 			return fmt.Errorf("%s: rewrite pc %d out of range", passName, rw.PC)
@@ -211,8 +228,8 @@ func checkInPlace(before, after []kernelir.Instr, passName string, rws []Rewrite
 
 // checkCSE: in-place rules plus every rewritten pc must now be a move
 // whose source register has a definition earlier in the body.
-func checkCSE(before, after []kernelir.Instr, rws []Rewrite) error {
-	if err := checkInPlace(before, after, "cse", rws); err != nil {
+func checkCSE(touched []bool, before, after []kernelir.Instr, rws []Rewrite) error {
+	if err := checkInPlace(touched, before, after, "cse", rws); err != nil {
 		return err
 	}
 	for _, rw := range rws {
@@ -236,12 +253,13 @@ func checkCSE(before, after []kernelir.Instr, rws []Rewrite) error {
 // checkCopyProp: operand-register substitution only — same length, and
 // every instruction keeps its opcode, destination, immediate and buffer.
 // Untouched instructions must be bit-identical; touched ones may differ
-// only in A/B/C.
-func checkCopyProp(before, after []kernelir.Instr, rws []Rewrite) error {
+// only in A/B/C. touched is scratch, one flag per pc of before.
+func checkCopyProp(touched []bool, before, after []kernelir.Instr, rws []Rewrite) error {
 	if len(before) != len(after) {
 		return fmt.Errorf("copyprop: body length changed: %d -> %d", len(before), len(after))
 	}
-	touched := make(map[int]bool, len(rws))
+	touched = touched[:len(before)]
+	clear(touched)
 	for _, rw := range rws {
 		if rw.PC < 0 || rw.PC >= len(before) {
 			return fmt.Errorf("copyprop: rewrite pc %d out of range", rw.PC)

@@ -23,23 +23,14 @@ import (
 // the versions they had at the move. Repeat entry bumps everything the
 // subtree writes, which invalidates loop-carried copies for the walk of
 // the body.
-func copyPropPass(k *kernelir.Kernel, body []kernelir.Instr, tree *kernelir.LoopTree) ([]kernelir.Instr, []Rewrite) {
-	out := append([]kernelir.Instr(nil), body...)
-	var rws []Rewrite
-	vers := make([]int, k.NumRegs())
-
-	// copies maps a register's flat index to the move that last wrote
-	// it: the source register, in the same file, and both versions at
-	// the move.
-	type cp struct {
-		src            int
-		srcVer, ownVer int
-	}
-	copies := make(map[int]cp)
+func copyPropPass(s *scratch, body []kernelir.Instr, tree *kernelir.LoopTree, rws []Rewrite) ([]kernelir.Instr, []Rewrite) {
+	k, out, vers, copies := s.k, s.next(body), s.vers, s.copies
+	clear(vers)
+	clear(copies)
 	resolve := func(r kernelir.Reg) (int, bool) {
 		i := k.RegIndex(r)
-		c, ok := copies[i]
-		if !ok || vers[i] != c.ownVer || vers[k.RegIndex(kernelir.Reg{File: r.File, N: c.src})] != c.srcVer {
+		c := copies[i]
+		if c.ownVer == 0 || vers[i] != c.ownVer || vers[k.RegIndex(kernelir.Reg{File: r.File, N: c.src})] != c.srcVer {
 			return r.N, false
 		}
 		return c.src, true
@@ -50,12 +41,12 @@ func copyPropPass(k *kernelir.Kernel, body []kernelir.Instr, tree *kernelir.Loop
 		// Substitute operands before processing the write.
 		rs, n := in.Reads()
 		for i, r := range rs[:n] {
-			if s, ok := resolve(r); ok && s != r.N {
+			if src, ok := resolve(r); ok && src != r.N {
 				rws = append(rws, Rewrite{
 					Pass: "copyprop", PC: pc,
-					Note: fmt.Sprintf("%s operand %s: r%d is a live copy of r%d", in.Op, "ABC"[i:i+1], r.N, s),
+					Note: fmt.Sprintf("%s operand %c: r%d is a live copy of r%d", in.Op, "ABC"[i], r.N, src),
 				})
-				in.SetRead(i, s)
+				in.SetRead(i, src)
 			}
 		}
 		out[pc] = in
@@ -64,16 +55,22 @@ func copyPropPass(k *kernelir.Kernel, body []kernelir.Instr, tree *kernelir.Loop
 		if !hasDst {
 			return
 		}
+		// The write's new version invalidates any copy recorded for d.
 		d := k.RegIndex(w)
 		vers[d]++
-		delete(copies, d)
 		if (in.Op == kernelir.OpMoveI || in.Op == kernelir.OpMoveF) && in.A != in.Dst {
 			src := kernelir.Reg{File: w.File, N: in.A}
-			copies[d] = cp{src: in.A, srcVer: vers[k.RegIndex(src)], ownVer: vers[d]}
+			copies[d] = regCopy{src: in.A, srcVer: vers[k.RegIndex(src)], ownVer: vers[d]}
 		}
 	})
-	if len(rws) == 0 {
-		return nil, nil
-	}
 	return out, rws
+}
+
+// regCopy records, by a register's flat index, the move that last
+// wrote it: the source register, in the same file, and both versions
+// at the move. A move's write has bumped its version, so ownVer 0
+// marks no move.
+type regCopy struct {
+	src            int
+	srcVer, ownVer int
 }

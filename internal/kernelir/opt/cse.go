@@ -54,11 +54,23 @@ func cseable(in kernelir.Instr) bool {
 	return pureOp(in)
 }
 
-func csePass(k *kernelir.Kernel, body []kernelir.Instr, tree *kernelir.LoopTree) ([]kernelir.Instr, []Rewrite) {
-	out := append([]kernelir.Instr(nil), body...)
-	var rws []Rewrite
-	vers := make([]int, k.NumRegs())
-	avail := make(map[exprKey]exprHolder)
+// cseables counts body's cseable instructions. No rewrite makes an
+// instruction cseable, so no later body has more, and a cse pass's
+// table never holds more entries.
+func cseables(body []kernelir.Instr) int {
+	n := 0
+	for _, in := range body {
+		if cseable(in) {
+			n++
+		}
+	}
+	return n
+}
+
+func csePass(s *scratch, body []kernelir.Instr, tree *kernelir.LoopTree, rws []Rewrite) ([]kernelir.Instr, []Rewrite) {
+	k, out, vers, avail := s.k, s.next(body), s.vers, s.avail
+	clear(vers)
+	clear(avail)
 
 	mkKey := func(in kernelir.Instr) exprKey {
 		key := exprKey{op: in.Op, imm: math.Float64bits(in.Imm)}
@@ -101,8 +113,5 @@ func csePass(k *kernelir.Kernel, body []kernelir.Instr, tree *kernelir.LoopTree)
 		vers[d]++
 		avail[key] = exprHolder{reg: w.N, ver: vers[d]}
 	})
-	if len(rws) == 0 {
-		return nil, nil
-	}
 	return out, rws
 }

@@ -22,8 +22,10 @@ import (
 //   - live at the end of a Repeat body additionally includes every
 //     register the body reads anywhere — the back edge makes any
 //     in-body read reachable from any in-body point.
-func dcePass(k *kernelir.Kernel, body []kernelir.Instr, tree *kernelir.LoopTree) ([]kernelir.Instr, []Rewrite) {
-	live := make([]bool, k.NumRegs())
+func dcePass(s *scratch, body []kernelir.Instr, tree *kernelir.LoopTree, rws []Rewrite) ([]kernelir.Instr, []Rewrite) {
+	k, live, dead := s.k, s.live, s.dead[:len(body)]
+	clear(live)
+	clear(dead)
 	tree.ReadsBeforeWrites(k, func(_ int, r kernelir.Reg) { live[k.RegIndex(r)] = true })
 	markReads := func(in kernelir.Instr) {
 		rs, n := in.Reads()
@@ -31,7 +33,6 @@ func dcePass(k *kernelir.Kernel, body []kernelir.Instr, tree *kernelir.LoopTree)
 			live[k.RegIndex(r)] = true
 		}
 	}
-	dead := make(map[int]bool)
 
 	var scan func(lo, hi int)
 	scan = func(lo, hi int) {
@@ -63,8 +64,7 @@ func dcePass(k *kernelir.Kernel, body []kernelir.Instr, tree *kernelir.LoopTree)
 	}
 	scan(0, len(body))
 
-	out := make([]kernelir.Instr, 0, len(body)-len(dead))
-	var rws []Rewrite
+	out := s.spare[:0]
 	for pc, in := range body {
 		if dead[pc] {
 			rws = append(rws, Rewrite{
@@ -97,9 +97,6 @@ func sweepEmptyLoops(body []kernelir.Instr, rws []Rewrite) ([]kernelir.Instr, []
 			continue
 		}
 		kept = append(kept, in)
-	}
-	if len(rws) == 0 {
-		return nil, nil
 	}
 	return kept, rws
 }

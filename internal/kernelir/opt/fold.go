@@ -31,10 +31,6 @@ type constState struct {
 	vals []constVal
 }
 
-func newConstState(k *kernelir.Kernel) *constState {
-	return &constState{k: k, vals: make([]constVal, k.NumRegs())}
-}
-
 // of returns r's lattice value.
 func (st *constState) of(r kernelir.Reg) constVal { return st.vals[st.k.RegIndex(r)] }
 
@@ -69,12 +65,13 @@ func (st *constState) transfer(in kernelir.Instr) {
 }
 
 // walkConst runs visit over every non-control instruction with the
-// constant state as of that point, applying loop kills; tree is body's
-// loop tree. visit may rewrite body[pc] in place; the transfer runs on
-// the (possibly rewritten) instruction.
-func walkConst(k *kernelir.Kernel, tree *kernelir.LoopTree, body []kernelir.Instr, visit func(pc int, st *constState)) {
-	st := newConstState(k)
-	walk(tree, body, func(r kernelir.Reg) { st.vals[k.RegIndex(r)] = constVal{} }, func(pc int) {
+// constant state as of that point, from ⊤ at entry and applying loop
+// kills; tree is body's loop tree. visit may rewrite body[pc] in
+// place; the transfer runs on the (possibly rewritten) instruction.
+func walkConst(s *scratch, tree *kernelir.LoopTree, body []kernelir.Instr, visit func(pc int, st *constState)) {
+	st := &s.consts
+	clear(st.vals)
+	walk(tree, body, func(r kernelir.Reg) { st.vals[s.k.RegIndex(r)] = constVal{} }, func(pc int) {
 		visit(pc, st)
 		st.transfer(body[pc])
 	})
@@ -149,10 +146,9 @@ func foldValue(in kernelir.Instr, st *constState) (constVal, bool) {
 // known condition, with a move of the chosen operand). Instruction
 // count is unchanged; downstream passes clean up the orphaned
 // producers.
-func foldPass(k *kernelir.Kernel, body []kernelir.Instr, tree *kernelir.LoopTree) ([]kernelir.Instr, []Rewrite) {
-	out := append([]kernelir.Instr(nil), body...)
-	var rws []Rewrite
-	walkConst(k, tree, out, func(pc int, st *constState) {
+func foldPass(s *scratch, body []kernelir.Instr, tree *kernelir.LoopTree, rws []Rewrite) ([]kernelir.Instr, []Rewrite) {
+	out := s.next(body)
+	walkConst(s, tree, out, func(pc int, st *constState) {
 		in := out[pc]
 		switch in.Op {
 		case kernelir.OpConstI, kernelir.OpConstF, kernelir.OpMoveI, kernelir.OpMoveF:
@@ -199,8 +195,5 @@ func foldPass(k *kernelir.Kernel, body []kernelir.Instr, tree *kernelir.LoopTree
 			})
 		}
 	})
-	if len(rws) == 0 {
-		return nil, nil
-	}
 	return out, rws
 }

@@ -37,25 +37,20 @@ import (
 // of nested loops (the const feeding a mul feeding an add all reach the
 // outermost prologue). LICM moves instructions but never rewrites one,
 // so the divisor facts of the pass's input hold throughout.
-func licmPass(k *kernelir.Kernel, body []kernelir.Instr, tree *kernelir.LoopTree) ([]kernelir.Instr, []Rewrite) {
-	out := append([]kernelir.Instr(nil), body...)
-	s := newLoopUse(k, body)
-	var rws []Rewrite
+func licmPass(s *scratch, body []kernelir.Instr, tree *kernelir.LoopTree, rws []Rewrite) ([]kernelir.Instr, []Rewrite) {
+	out, l := s.next(body), s.loop.reset(body)
 	for end, in := range body {
 		if in.Op != kernelir.OpRepeatEnd {
 			continue
 		}
 		for begin := tree.Match(end); ; {
-			picks := hoistable(s, out, begin, end)
+			picks := l.hoistable(out, begin, end)
 			if len(picks) == 0 {
 				break
 			}
-			rws = hoist(out, begin, picks, rws)
+			rws = l.hoist(out, begin, picks, rws)
 			begin += len(picks)
 		}
-	}
-	if len(rws) == 0 {
-		return nil, nil
 	}
 	return out, rws
 }
@@ -63,9 +58,9 @@ func licmPass(k *kernelir.Kernel, body []kernelir.Instr, tree *kernelir.LoopTree
 // hoist moves the picked instructions (ascending pcs inside the loop
 // whose RepeatBegin is at begin) to just before that begin, in their
 // order, and logs each move; the rest of the span keeps its order.
-func hoist(out []kernelir.Instr, begin int, picks []int, rws []Rewrite) []Rewrite {
+func (s *loopUse) hoist(out []kernelir.Instr, begin int, picks []int, rws []Rewrite) []Rewrite {
 	last := picks[len(picks)-1]
-	span := make([]kernelir.Instr, 0, last+1-begin)
+	span := s.span[:0]
 	for _, pc := range picks {
 		span = append(span, out[pc])
 		rws = append(rws, Rewrite{
@@ -82,28 +77,31 @@ func hoist(out []kernelir.Instr, begin int, picks []int, rws []Rewrite) []Rewrit
 		span = append(span, out[pc])
 	}
 	copy(out[begin:], span)
+	s.span = span
 	return rws
 }
 
 // loopUse holds, for the loop hoistable is looking at, each register's
 // write count and the pc of its first read, by flat register index.
-// One is allocated per pass and cleared after each loop, so a kernel of
-// many small loops pays for what its loops touch, not for its register
-// files. body is the pass's input, and defs counts it for the divisor
-// test, once, when the first invariant div/rem asks.
+// hoistable clears both after each loop, so a kernel of many small
+// loops pays for what its loops touch, not for its register files.
+// body is the pass's input, and use counts it for the divisor test,
+// once, when the first invariant div/rem asks. picks and span are the
+// batch buffers hoistable and hoist reuse.
 type loopUse struct {
 	k         *kernelir.Kernel
 	writes    []int
 	firstRead []int // math.MaxInt when unread
 	body      []kernelir.Instr
-	defs      *regUse
+	use       *regUse
+	counted   bool
+	picks     []int
+	span      []kernelir.Instr
 }
 
-func newLoopUse(k *kernelir.Kernel, body []kernelir.Instr) *loopUse {
-	s := &loopUse{k: k, writes: make([]int, k.NumRegs()), firstRead: make([]int, k.NumRegs()), body: body}
-	for i := range s.firstRead {
-		s.firstRead[i] = math.MaxInt
-	}
+// reset starts a pass over body.
+func (s *loopUse) reset(body []kernelir.Instr) *loopUse {
+	s.body, s.counted = body, false
 	return s
 }
 
@@ -122,19 +120,20 @@ func (s *loopUse) mayDivideByZero(in kernelir.Instr) bool {
 	default:
 		return false
 	}
-	if s.defs == nil {
-		s.defs = newRegUse(s.k, s.body)
+	if !s.counted {
+		s.use.count(s.body)
+		s.counted = true
 	}
-	imm, _, ok := s.defs.constDef(r)
+	imm, _, ok := s.use.constDef(r)
 	// imm == 0 catches ±0.0; an int divisor is the truncated value.
 	return !ok || imm == 0 || (r.File == kernelir.I32 && int64(imm) == 0)
 }
 
 // hoistable returns the pcs (ascending) of instructions eligible to
-// move out of the loop whose body spans (begin, end). One scan counts
-// the body's writes and first reads; each candidate is then tested
-// against those counts.
-func hoistable(s *loopUse, out []kernelir.Instr, begin, end int) []int {
+// move out of the loop whose body spans (begin, end), in a buffer the
+// next call reuses. One scan counts the body's writes and first reads;
+// each candidate is then tested against those counts.
+func (s *loopUse) hoistable(out []kernelir.Instr, begin, end int) []int {
 	body := out[begin+1 : end]
 	for q, in := range body {
 		rs, n := in.Reads()
@@ -146,7 +145,7 @@ func hoistable(s *loopUse, out []kernelir.Instr, begin, end int) []int {
 			s.writes[s.k.RegIndex(w)]++
 		}
 	}
-	var picks []int
+	picks := s.picks[:0]
 	for q, in := range body {
 		pc := begin + 1 + q
 		if !pureOp(in) {
@@ -179,5 +178,6 @@ func hoistable(s *loopUse, out []kernelir.Instr, begin, end int) []int {
 			s.writes[s.k.RegIndex(w)] = 0
 		}
 	}
+	s.picks = picks
 	return picks
 }

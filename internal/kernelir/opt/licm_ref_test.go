@@ -143,7 +143,7 @@ func checkHoistable(t *testing.T, k *kernelir.Kernel) {
 		t.Fatal(err)
 	}
 	body := append([]kernelir.Instr(nil), k.Body...)
-	s := newLoopUse(k, k.Body)
+	s := newScratch(k).loop.reset(k.Body)
 	var rws []Rewrite
 	for end, in := range k.Body {
 		if in.Op != kernelir.OpRepeatEnd {
@@ -151,7 +151,7 @@ func checkHoistable(t *testing.T, k *kernelir.Kernel) {
 		}
 		begin := tree.Match(end)
 		for batch := 0; ; batch++ {
-			got, want := hoistable(s, body, begin, end), refHoistable(body, begin, end)
+			got, want := s.hoistable(body, begin, end), refHoistable(body, begin, end)
 			if !slices.Equal(got, want) {
 				t.Fatalf("batch %d, repeat at pc %d: hoistable picked %v, reference %v\n%s",
 					batch, begin, got, want, k.WithBody(body).Disassemble())
@@ -159,14 +159,11 @@ func checkHoistable(t *testing.T, k *kernelir.Kernel) {
 			if len(got) == 0 {
 				break
 			}
-			rws = hoist(body, begin, got, rws)
+			rws = s.hoist(body, begin, got, rws)
 			begin += len(got)
 		}
 	}
-	out, passRws := licmPass(k, k.Body, tree)
-	if out == nil {
-		out = k.Body
-	}
+	out, passRws := licmPass(newScratch(k), k.Body, tree, nil)
 	if !slices.Equal(out, body) || !slices.Equal(passRws, rws) {
 		t.Fatalf("licmPass differs from the checked drain:\n%s\n-- drain --\n%s",
 			k.WithBody(out).Disassemble(), k.WithBody(body).Disassemble())

@@ -43,6 +43,7 @@ package opt
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -128,12 +129,14 @@ func PctChange(before, after int) string {
 	return fmt.Sprintf("%+.1f%%", 100*float64(after-before)/float64(before))
 }
 
-// pass is one pipeline stage: given body and its loop tree, it returns
-// a rewritten copy of body and the rewrites applied, or (nil, nil) when
-// it found nothing.
+// pass is one pipeline stage. Given the call's scratch, body, body's
+// loop tree and the rewrite log so far, it writes its rewritten body
+// into the scratch's spare buffer and returns it with the log extended
+// by the rewrites it applied. A pass that finds nothing returns the log
+// as it got it.
 type pass struct {
 	name string
-	fn   func(k *kernelir.Kernel, body []kernelir.Instr, tree *kernelir.LoopTree) ([]kernelir.Instr, []Rewrite)
+	fn   func(s *scratch, body []kernelir.Instr, tree *kernelir.LoopTree, log []Rewrite) ([]kernelir.Instr, []Rewrite)
 }
 
 // passes is the pipeline order. Folding first exposes operands to the
@@ -165,6 +168,7 @@ func Optimize(k *kernelir.Kernel) (*kernelir.Kernel, Result) {
 		res.Err = err
 		return k, res
 	}
+	s := newScratch(k)
 	body := append([]kernelir.Instr(nil), k.Body...)
 	res.Before = len(body)
 	// One loop tree per body version: built here, then the one
@@ -174,7 +178,6 @@ func Optimize(k *kernelir.Kernel) (*kernelir.Kernel, Result) {
 		res.Err = err // unreachable once Validate passed; fail safe
 		return k, res
 	}
-	var mem memTrace
 	for round := 0; ; round++ {
 		if round == maxRounds {
 			res.Err = fmt.Errorf("opt: %s did not converge after %d rounds", k.Name, maxRounds)
@@ -182,17 +185,19 @@ func Optimize(k *kernelir.Kernel) (*kernelir.Kernel, Result) {
 		}
 		changed := false
 		for _, p := range passes {
-			nb, rws := p.fn(k, body, tree)
+			nb, log := p.fn(s, body, tree, res.Rewrites)
+			rws := log[len(res.Rewrites):]
 			if len(rws) == 0 {
 				continue
 			}
-			nt, err := checkPass(k, &mem, body, nb, p.name, rws)
+			nt, err := checkPass(s, body, nb, p.name, rws)
 			if err != nil {
 				return k, Result{Err: fmt.Errorf("opt: %s: translation validation failed: %w", k.Name, err)}
 			}
-			body, tree = nb, nt
+			// The replaced body's buffer takes the next pass's output.
+			s.spare, body, tree = body, nb, nt
 			changed = true
-			res.Rewrites = append(res.Rewrites, rws...)
+			res.Rewrites = log
 			if p.name == "licm" {
 				res.Hoisted += len(rws)
 			}
@@ -212,6 +217,66 @@ func Optimize(k *kernelir.Kernel) (*kernelir.Kernel, Result) {
 		return k, Result{Err: fmt.Errorf("opt: %s: optimized kernel fails validation: %w", k.Name, err)}
 	}
 	return nk, res
+}
+
+// scratch is the working memory of one Optimize call, made once for
+// its kernel and handed to every pass and check. Each pass writes its
+// output into spare, and Optimize swaps spare with the body the
+// output replaces, so the call holds two body buffers however many
+// passes and rounds it runs. Bodies never grow, so buffers sized for
+// the input fit every later body. Per-register state is indexed by the
+// flat register index and per-pc state by pc; each pass clears the
+// state it uses, so passes may share it.
+type scratch struct {
+	k     *kernelir.Kernel
+	spare []kernelir.Instr
+	vers  []int // cse's and copyprop's register versions
+	// avail is cse's table, sized for the body's cseable instructions,
+	// the most it can hold.
+	avail  map[exprKey]exprHolder
+	copies []regCopy // copyprop's live copies
+	consts constState
+	use    regUse // algebra's and licm's counts
+	loop   loopUse
+	live   []bool // dce's liveness, by register
+	dead   []bool // dce's deletions, by pc
+	// check and touched serve the checker: k with the body under
+	// check, and the pcs its rewrite log names.
+	check   *kernelir.Kernel
+	touched []bool
+	mem     memTrace
+}
+
+func newScratch(k *kernelir.Kernel) *scratch {
+	n, pcs := k.NumRegs(), len(k.Body)
+	ints := make([]int, 6*n)
+	flags := make([]bool, n+2*pcs)
+	s := &scratch{
+		k:      k,
+		spare:  make([]kernelir.Instr, 0, pcs),
+		vers:   ints[:n],
+		avail:  make(map[exprKey]exprHolder, cseables(k.Body)),
+		copies: make([]regCopy, n),
+		consts: constState{k: k, vals: make([]constVal, n)},
+		use: regUse{k: k, writes: ints[n : 2*n], reads: ints[2*n : 3*n],
+			lastWrite: ints[3*n : 4*n]},
+		loop:    loopUse{k: k, writes: ints[4*n : 5*n], firstRead: ints[5*n:]},
+		live:    flags[:n],
+		dead:    flags[n : n+pcs],
+		check:   k.WithBody(nil),
+		touched: flags[n+pcs:],
+	}
+	s.loop.use = &s.use
+	for i := range s.loop.firstRead {
+		s.loop.firstRead[i] = math.MaxInt
+	}
+	return s
+}
+
+// next returns spare holding a copy of body, for a pass that rewrites
+// in place.
+func (s *scratch) next(body []kernelir.Instr) []kernelir.Instr {
+	return append(s.spare[:0], body...)
 }
 
 // --- shared dataflow helpers -----------------------------------------
@@ -251,23 +316,25 @@ func walk(tree *kernelir.LoopTree, body []kernelir.Instr, kill func(kernelir.Reg
 
 // regUse counts, by flat register index, the writes to each register
 // in body, its reads (operand slots) and the pc of its last write. A
-// pass builds it at most once. A pass that rewrites body in place keeps
+// pass counts it at most once. A pass that rewrites body in place keeps
 // it current through set; one that only moves instructions reads it
-// against the body it was built from.
+// against the body it was counted on.
 type regUse struct {
 	k                        *kernelir.Kernel
 	body                     []kernelir.Instr
 	writes, reads, lastWrite []int
 }
 
-func newRegUse(k *kernelir.Kernel, body []kernelir.Instr) *regUse {
-	n := k.NumRegs()
-	counts := make([]int, 3*n)
-	u := &regUse{k: k, body: body, writes: counts[:n], reads: counts[n : 2*n], lastWrite: counts[2*n:]}
+// count recounts u over body.
+func (u *regUse) count(body []kernelir.Instr) *regUse {
+	u.body = body
+	clear(u.writes)
+	clear(u.reads)
+	clear(u.lastWrite)
 	for pc, in := range body {
 		u.countReads(in, 1)
 		if w, ok := in.Write(); ok {
-			i := k.RegIndex(w)
+			i := u.k.RegIndex(w)
 			u.writes[i]++
 			u.lastWrite[i] = pc
 		}

@@ -14,7 +14,7 @@ import (
 func TestRewritePCMeaning(t *testing.T) {
 	for _, c := range []struct {
 		name string
-		pass func(*kernelir.Kernel, []kernelir.Instr, *kernelir.LoopTree) ([]kernelir.Instr, []Rewrite)
+		pass func(*scratch, []kernelir.Instr, *kernelir.LoopTree, []Rewrite) ([]kernelir.Instr, []Rewrite)
 		kir  string
 		want []Rewrite
 	}{
@@ -71,7 +71,7 @@ func TestRewritePCMeaning(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if _, got := c.pass(k, k.Body, tree); !slices.Equal(got, c.want) {
+		if _, got := c.pass(newScratch(k), k.Body, tree, nil); !slices.Equal(got, c.want) {
 			t.Errorf("%s logged\n%v\nwant\n%v", c.name, got, c.want)
 		}
 	}

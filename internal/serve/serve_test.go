@@ -182,6 +182,8 @@ func TestAdviseRejectsBadInput(t *testing.T) {
 		{"both inputs", Request{Target: "MIN_ENERGY", Features: fm, KIR: "kernel k {\n}"}},
 		{"unknown feature", Request{Target: "MIN_ENERGY", Features: map[string]float64{"k_bogus": 1}}},
 		{"bad kir", Request{Target: "MIN_ENERGY", KIR: "not assembly"}},
+		{"NaN traffic", Request{Target: "MIN_ENERGY",
+			KIR: "kernel k(write f32[out]) traffic=NaN {\n  i0 = gid\n  f0 = const.f 1\n  st.g.f out[i0], f0\n}\n"}},
 		{"ground truth without kir", Request{Target: "MIN_ENERGY", Features: fm, GroundTruth: true}},
 	}
 	for _, c := range cases {
